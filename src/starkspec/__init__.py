@@ -25,7 +25,6 @@ from .spectrum import (EigenRecord, kappa_directional_derivative,
                        norm_sq_psi, oscillation_count, scan_low_eigenvalues,
                        shooting_value)
 from .volterra import (Grid, SolutionProfile, Workspace, build_grid,
-                       default_grid, solve_psi, solve_sc, solve_theta,
-                       truncation_point)
+                       default_grid, solve_psi, solve_sc, solve_theta)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from scipy import integrate, special, stats
 
 from .airy import airy_zero
 from .errors import InsufficientDataError, NumericError
-from .potentials import Potential, omega_r
+from .potentials import Potential
 
 __all__ = [
     "AsymptoticsReport",
@@ -98,30 +98,27 @@ def decay_rate_fit(resid, ns, tolerance_floor: float):
 
 @dataclass
 class AsymptoticsReport:
-    n_range: tuple
-    lambda_pred: np.ndarray
-    kappa_pred: np.ndarray
     lambda_resid: np.ndarray
     kappa_resid: np.ndarray
-    fitted_slope_lambda: tuple      # (slope, 95% half-width)
-    fitted_slope_kappa: tuple
-    omega_r_values: np.ndarray
+    #: (slope, 95% half-width), or None when the residuals sit at the noise floor
+    fitted_slope_lambda: tuple | None
+    fitted_slope_kappa: tuple | None
 
 
-def build_report(q: Potential, records, n_lo: int = 2, n_hi: int = 40,
+def _fit_above_floor(resid, ns, floor):
+    try:
+        return decay_rate_fit(resid, ns, floor)
+    except InsufficientDataError:
+        return None
+
+
+def build_report(ns, lambda_resid, kappa_resid,
                  lambda_floor: float = LAMBDA_NOISE_FLOOR,
                  kappa_floor: float = KAPPA_NOISE_FLOOR) -> AsymptoticsReport:
-    """Predictions, residuals, and fitted slopes for solved records."""
-    recs = {r.n: r for r in records if n_lo <= r.n <= n_hi}
-    ns = sorted(recs)
-    if not ns:
-        raise InsufficientDataError("build_report: no records in range")
-    lam_pred = np.array([lambda_prediction(q, n) for n in ns])
-    kap_pred = np.array([kappa_prediction(q, n) for n in ns])
-    lam_resid = np.array([recs[n].lam for n in ns]) - lam_pred
-    kap_resid = np.array([recs[n].kappa for n in ns]) - kap_pred
-    slope_l = decay_rate_fit(lam_resid, ns, lambda_floor)
-    slope_k = decay_rate_fit(kap_resid, ns, kappa_floor)
-    omegas = np.array([omega_r(q.r, n) for n in ns])
-    return AsymptoticsReport((ns[0], ns[-1]), lam_pred, kap_pred,
-                             lam_resid, kap_resid, slope_l, slope_k, omegas)
+    """Fitted decay slopes of the residuals against the first-order
+    predictions, each slope on its own residuals and noise floor."""
+    lam_resid = np.asarray(lambda_resid, dtype=float)
+    kap_resid = np.asarray(kappa_resid, dtype=float)
+    return AsymptoticsReport(lam_resid, kap_resid,
+                             _fit_above_floor(lam_resid, ns, lambda_floor),
+                             _fit_above_floor(kap_resid, ns, kappa_floor))

@@ -19,7 +19,7 @@ from scipy import special
 
 from . import asymptotics, oracle, spectrum
 from .airy import airy_zero, envelope_margin, zero_seed
-from .errors import InsufficientDataError, StarkSpecError, ValidationError
+from .errors import StarkSpecError, ValidationError
 from .potentials import Potential, blend, bump, exp_decay, make_potential, omega_r
 from .volterra import envelope_offset, solve_sc, solve_theta
 
@@ -85,7 +85,23 @@ class ExperimentConfig:
     checks: tuple = _ALL_CHECKS
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     output_dir: str = "out"
-    seed: int = 0
+
+
+def _int_field(raw: dict, key: str) -> int:
+    try:
+        return int(raw[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"config.{key} must be an integer, got {raw[key]!r}") from None
+
+
+def _names_field(raw: dict, key: str, allowed: tuple) -> tuple:
+    names = raw[key]
+    if not isinstance(names, list):
+        raise ValidationError(f"config.{key} must be a list, got {names!r}")
+    bad = [name for name in names if name not in allowed]
+    if bad:
+        raise ValidationError(f"config.{key}: unknown entries {bad}")
+    return tuple(names)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -97,7 +113,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
     known = {"potential", "n_min", "n_max", "methods", "checks",
-             "tolerances", "output_dir", "seed"}
+             "tolerances", "output_dir"}
     for key in raw:
         if key not in known:
             raise ValidationError(f"config: unknown field {key!r}")
@@ -106,38 +122,30 @@ def parse_config(text: str) -> ExperimentConfig:
         make_potential(raw["potential"])  # validation; errors propagate
         cfg.potential = raw["potential"]
     if "n_min" in raw:
-        cfg.n_min = int(raw["n_min"])
+        cfg.n_min = _int_field(raw, "n_min")
     if "n_max" in raw:
-        cfg.n_max = int(raw["n_max"])
+        cfg.n_max = _int_field(raw, "n_max")
     if cfg.n_min < 1:
         raise ValidationError(f"config.n_min must be >= 1, got {cfg.n_min}")
     if cfg.n_max < cfg.n_min:
         raise ValidationError("config.n_max must be >= n_min")
     if "methods" in raw:
-        methods = tuple(raw["methods"])
-        bad = set(methods) - set(_ALL_METHODS)
-        if bad:
-            raise ValidationError(f"config.methods: unknown entries {sorted(bad)}")
-        cfg.methods = methods
+        cfg.methods = _names_field(raw, "methods", _ALL_METHODS)
     if "checks" in raw:
-        checks = tuple(raw["checks"])
-        bad = set(checks) - set(_ALL_CHECKS)
-        if bad:
-            raise ValidationError(f"config.checks: unknown entries {sorted(bad)}")
-        cfg.checks = checks
+        cfg.checks = _names_field(raw, "checks", _ALL_CHECKS)
     if "tolerances" in raw:
+        if not isinstance(raw["tolerances"], dict):
+            raise ValidationError("config.tolerances must be an object")
         tol = dict(DEFAULT_TOLERANCES)
         for key, val in raw["tolerances"].items():
             if key not in DEFAULT_TOLERANCES:
                 raise ValidationError(f"config.tolerances: unknown entry {key!r}")
-            if not (isinstance(val, (int, float)) and val > 0):
-                raise ValidationError(f"config.tolerances.{key} must be positive")
+            if not (isinstance(val, (int, float)) and 0 < val < math.inf):
+                raise ValidationError(f"config.tolerances.{key} must be positive and finite")
             tol[key] = float(val)
         cfg.tolerances = tol
     if "output_dir" in raw:
         cfg.output_dir = str(raw["output_dir"])
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
     return cfg
 
 
@@ -172,51 +180,50 @@ def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list,
     rows = []
     for n in ns:
         rec = records[n]
-        lam_p = asymptotics.lambda_prediction(q, n) if with_pred else float("nan")
+        lam_p = rec.lam_pred if with_pred else float("nan")
         kap_p = asymptotics.kappa_prediction(q, n) if with_pred else float("nan")
         rows.append({
             "n": n,
             "lambda_shoot": rec.lam,
             "lambda_oracle": lam_o[n],
             "lambda_pred": lam_p,
-            "lambda_resid": rec.lam - lam_p if with_pred else float("nan"),
+            "lambda_resid": rec.lam - lam_p,
             "kappa_shoot": rec.kappa,
             "kappa_oracle": kap_o[n],
             "kappa_pred": kap_p,
-            "kappa_resid": rec.kappa - kap_p if with_pred else float("nan"),
+            "kappa_resid": rec.kappa - kap_p,
             "omega_r": omega_r(q.r, n),
         })
     return rows, records
 
 
-def _check_asym(q, records, cfg, which: str):
+def _check_asym(q, rows, cfg) -> dict:
+    """Both remainder-decay checks, keyed "lambda" and "kappa", from one
+    report on the residuals the rows hold."""
     tol = cfg.tolerances
-    floor = tol["lambda_noise_floor"] if which == "lambda" else tol["kappa_noise_floor"]
     decay_min = (tol["slope_decay_min"] if q.r >= 2.0 else tol["slope_decay_min_low_r"])
-    try:
-        rep = asymptotics.build_report(q, records.values(),
-                                       n_lo=max(cfg.n_min, 2), n_hi=cfg.n_max,
-                                       lambda_floor=tol["lambda_noise_floor"],
-                                       kappa_floor=tol["kappa_noise_floor"])
-    except InsufficientDataError:
-        # residuals at the solver noise floor (e.g. the zero potential):
-        # nothing to falsify, the prediction is exact to solver accuracy
-        return {
-            "passed": True,
-            "slope": None,
-            "half_width": None,
+    fit = [row for row in rows if row["n"] >= 2]
+    rep = asymptotics.build_report([row["n"] for row in fit],
+                                   [row["lambda_resid"] for row in fit],
+                                   [row["kappa_resid"] for row in fit],
+                                   lambda_floor=tol["lambda_noise_floor"],
+                                   kappa_floor=tol["kappa_noise_floor"])
+    checks = {}
+    for which, slope_fit in (("lambda", rep.fitted_slope_lambda),
+                             ("kappa", rep.fitted_slope_kappa)):
+        slope, half = slope_fit or (None, None)
+        checks[which] = {
+            "passed": slope is None or bool(slope <= -decay_min),
+            "slope": slope,
+            "half_width": half,
             "threshold": -decay_min,
-            "noise_floor": floor,
-            "note": "residuals below the noise floor; vacuously consistent",
-        }, None
-    slope, half = rep.fitted_slope_lambda if which == "lambda" else rep.fitted_slope_kappa
-    return {
-        "passed": bool(slope <= -decay_min),
-        "slope": slope,
-        "half_width": half,
-        "threshold": -decay_min,
-        "noise_floor": floor,
-    }, rep
+            "noise_floor": tol[f"{which}_noise_floor"],
+        }
+        if slope is None:
+            # residuals at the solver noise floor (e.g. the zero potential):
+            # nothing to falsify, the prediction is exact to solver accuracy
+            checks[which]["note"] = "residuals below the noise floor; vacuously consistent"
+    return checks
 
 
 def _check_gradients(q, records, cfg):
@@ -291,25 +298,28 @@ def run_verify(config: ExperimentConfig, with_oracle=None, with_pred: bool = Tru
     """Run the campaign and write results.csv, summary.json, log.txt.
 
     Returns (exit_code, summary). Files are only written once the whole
-    computation has finished, so failures leave no partial outputs.
+    computation has finished, so failures leave no partial outputs. The
+    asymptotics checks fit the rows' predictions, so enabling one computes
+    them even when ``with_pred`` is off.
     """
     q = make_potential(config.potential)
     log = [f"potential: {json.dumps(config.potential, sort_keys=True)}",
            f"n range: {config.n_min}..{config.n_max}",
            f"methods: {','.join(config.methods)}"]
     use_oracle = ("oracle" in config.methods) if with_oracle is None else with_oracle
-    rows, records = _compute_rows(q, config, log, use_oracle, with_pred)
+    enabled = config.checks if enabled_checks is None else enabled_checks
+    with_asym = "eigen_asym" in enabled or "kappa_asym" in enabled
+    rows, records = _compute_rows(q, config, log, use_oracle, with_pred or with_asym)
 
     checks = {}
     slopes = {}
     constants = {"envelope_margin": envelope_margin(np.arange(-30.0, 30.0, 0.01))}
-    enabled = config.checks if enabled_checks is None else enabled_checks
-    if "eigen_asym" in enabled:
-        checks["eigen_asym"], _ = _check_asym(q, records, config, "lambda")
-        slopes["lambda"] = checks["eigen_asym"]["slope"]
-    if "kappa_asym" in enabled:
-        checks["kappa_asym"], _ = _check_asym(q, records, config, "kappa")
-        slopes["kappa"] = checks["kappa_asym"]["slope"]
+    if with_asym:
+        asym = _check_asym(q, rows, config)
+        for name, which in (("eigen_asym", "lambda"), ("kappa_asym", "kappa")):
+            if name in enabled:
+                checks[name] = asym[which]
+                slopes[which] = asym[which]["slope"]
     if "gradients" in enabled:
         checks["gradients"] = _check_gradients(q, records, config)
     if "invariants" in enabled:
@@ -391,8 +401,7 @@ def main(argv=None) -> int:
         description="Spectral data of the Dirichlet perturbed Stark operator")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-            ("eig", "eigenvalues over the index range"),
-            ("norming", "eigenvalues and norming constants"),
+            ("eig", "eigenvalues and norming constants over the index range"),
             ("asympt", "first-order predictions and remainder decay fits"),
             ("verify", "full verification campaign with pass/fail checks"),
             ("airy-selftest", "internal Airy-layer consistency checks")):
@@ -412,8 +421,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if args.command == "eig":
-            code, _ = run_verify(cfg, with_pred=False, enabled_checks=())
-        elif args.command == "norming":
             code, _ = run_verify(cfg, with_pred=False, enabled_checks=())
         elif args.command == "asympt":
             code, _ = run_verify(cfg, with_oracle=False,

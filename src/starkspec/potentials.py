@@ -86,26 +86,44 @@ def tabulated(x, y, r: float = 2.0) -> Potential:
     return make_potential({"family": "table", "params": {"x": list(x), "y": list(y)}, "r": r})
 
 
+def _number(mapping: dict, key: str, label: str) -> float:
+    """mapping[key] as a finite float; ValidationError naming ``label`` otherwise."""
+    try:
+        val = float(mapping[key])
+    except KeyError:
+        raise ValidationError(f"{label} is missing") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{label} must be a number, got {mapping[key]!r}") from None
+    if not math.isfinite(val):
+        raise ValidationError(f"{label} must be finite, got {val!r}")
+    return val
+
+
 def make_potential(spec: dict) -> Potential:
     """Build and validate a Potential from a descriptor.
 
     Descriptor schema: {"family": "exp"|"alg"|"bump"|"table",
     "params": {...}, "r": number}. Raises ValidationError naming the
-    offending field.
+    offending field; every number must be finite.
     """
     if not isinstance(spec, dict):
         raise ValidationError("potential descriptor must be a mapping")
     try:
         family = spec["family"]
         params = spec["params"]
-        r = float(spec["r"])
     except KeyError as exc:
         raise ValidationError(f"potential descriptor missing field {exc}") from exc
+    if not isinstance(params, dict):
+        raise ValidationError(f"potential.params must be a mapping, got {params!r}")
+    r = _number(spec, "r", "potential.r")
     if not r > 1.0:
         raise ValidationError(f"potential.r must be > 1, got {r!r}")
 
+    def param(key):
+        return _number(params, key, f"potential.params.{key}")
+
     if family == "exp":
-        c, a = float(params["c"]), float(params["a"])
+        c, a = param("c"), param("a")
         if a <= 0:
             raise ValidationError(f"exp family needs a > 0, got a={a!r}")
         q = lambda x: c * np.exp(-a * np.asarray(x, dtype=float))
@@ -114,7 +132,7 @@ def make_potential(spec: dict) -> Potential:
         return Potential(family, dict(params), r, q, qp, abs(c), decay)
 
     if family == "alg":
-        c, p = float(params["c"]), float(params["p"])
+        c, p = param("c"), param("p")
         if not p > (r + 1.0) / 2.0:
             raise ValidationError(
                 f"alg family needs p > (r+1)/2 = {(r + 1) / 2:g} for a finite "
@@ -125,7 +143,7 @@ def make_potential(spec: dict) -> Potential:
         return Potential(family, dict(params), r, q, qp, abs(c), decay)
 
     if family == "bump":
-        c, x0, w = float(params["c"]), float(params["x0"]), float(params["w"])
+        c, x0, w = param("c"), param("x0"), param("w")
         if w <= 0:
             raise ValidationError(f"bump family needs w > 0, got w={w!r}")
 
@@ -151,8 +169,15 @@ def make_potential(spec: dict) -> Potential:
         return Potential(family, dict(params), r, q, qp, abs(c), max(x0 + w, 0.0), kinks)
 
     if family == "table":
-        xs = np.asarray(params["x"], dtype=float)
-        ys = np.asarray(params["y"], dtype=float)
+        try:
+            xs = np.asarray(params["x"], dtype=float)
+            ys = np.asarray(params["y"], dtype=float)
+        except KeyError as exc:
+            raise ValidationError(f"potential.params.{exc.args[0]} is missing") from None
+        except (TypeError, ValueError):
+            raise ValidationError("table family needs numeric x/y arrays") from None
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValidationError("table.x and table.y must be finite")
         if xs.ndim != 1 or xs.size < 4 or xs.size != ys.size:
             raise ValidationError("table family needs matching x/y arrays, >= 4 samples")
         if np.any(np.diff(xs) <= 0):

@@ -50,6 +50,7 @@ class EigenRecord:
     n: int
     lam: float
     kappa: float
+    lam_pred: float         # first-order prediction centring the bracket; nan for scans
     bracket: tuple
     shoot_residual: float
     norm_sq: float          # quadrature of psi^2 plus tail estimate
@@ -83,7 +84,8 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
     return body + max(tail, 0.0)
 
 
-def _finalize(q: Potential, lam: float, n: int, bracket, method: str) -> EigenRecord:
+def _finalize(q: Potential, lam: float, n: int, lam_pred: float, bracket,
+              method: str) -> EigenRecord:
     """Re-grid at the root, Newton-polish with psi_dot, build the record."""
     grid = default_grid(q, lam)
     prof = solve_psi(q, lam, grid)
@@ -107,7 +109,7 @@ def _finalize(q: Potential, lam: float, n: int, bracket, method: str) -> EigenRe
     kappa = math.log(ratio)
     norm_sq = _norm_sq_from_profile(prof)
     kappa_alt = math.log(psi_prime0 ** 2 / norm_sq)
-    return EigenRecord(n, lam, kappa, bracket, abs(float(prof.values[0])),
+    return EigenRecord(n, lam, kappa, lam_pred, bracket, abs(float(prof.values[0])),
                        norm_sq, kappa_alt, method, psi_prime0, psi_dot0, prof)
 
 
@@ -121,7 +123,8 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     """
     a_n = airy_zero(n).a_n
     center = -a_n
-    correction = lambda_prediction(q, n) - center
+    lam_pred = lambda_prediction(q, n)
+    correction = lam_pred - center
     delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
                 2.0 * abs(correction))
     grid = None
@@ -140,7 +143,7 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
             "neighboring eigenvalue interference or mislabeled index")
     lam = brentq(lambda t: shooting_value(q, t, grid), lo, hi,
                  xtol=ROOT_XTOL, rtol=8.9e-16)
-    return _finalize(q, lam, n, (lo, hi), "shooting")
+    return _finalize(q, lam, n, lam_pred, (lo, hi), "shooting")
 
 
 def oscillation_count(record: EigenRecord, rel_floor: float = 1e-8) -> int:
@@ -286,5 +289,5 @@ def scan_low_eigenvalues(q: Potential, step: float = 0.1) -> list:
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
             root = brentq(lambda t: shooting_value(q, t, grid),
                           lams[i], lams[i + 1], xtol=ROOT_XTOL, rtol=8.9e-16)
-            found.append(_finalize(q, root, 0, (lams[i], lams[i + 1]), "scan"))
+            found.append(_finalize(q, root, 0, math.nan, (lams[i], lams[i + 1]), "scan"))
     return found

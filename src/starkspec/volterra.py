@@ -23,13 +23,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 from .errors import DomainError, NumericError
-from .potentials import Potential, norms
+from .potentials import Potential
 
 __all__ = [
     "Grid",
     "SolutionProfile",
     "Workspace",
-    "truncation_point",
     "build_grid",
     "default_grid",
     "envelope_offset",
@@ -110,41 +109,6 @@ class SolutionProfile:
     z_derivs_prime: np.ndarray | None = None
 
 
-def truncation_point(q: Potential, z: float, tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Smallest x_max with g_A(x_max - z) <= tail_tol and |q(x_max)| negligible.
-
-    The envelope condition fixes the base offset (2/3)(x-z)^(3/2) =
-    log(1/tail_tol); the margin is then grown (geometric bracket plus
-    bisection to 0.5 absolute) until |q(x_max)| <= tail_tol (1 + ||q||_Ar).
-    """
-    if not 0.0 < tail_tol <= 1e-6:
-        raise DomainError("truncation_point: tail_tol must lie in (0, 1e-6]")
-    if tail_tol < 1e-15:
-        raise DomainError("truncation_point: tail_tol below double-precision reach")
-    offset = (1.5 * math.log(1.0 / tail_tol)) ** (2.0 / 3.0)
-    base = z + offset + TRUNCATION_MARGIN
-    bound = tail_tol * (1.0 + norms(q).ar_norm)
-
-    def ok(x):
-        return abs(float(q.q(x))) <= bound
-
-    if ok(base):
-        return base
-    hi = base + 1.0
-    while not ok(hi):
-        hi = base + 2.0 * (hi - base)
-        if hi > 1e8:
-            raise NumericError("truncation_point: q does not decay below the tolerance")
-    lo = base
-    while hi - lo > 0.5:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def build_grid(z: float, x_max: float, base_spacing: float = BASE_SPACING) -> Grid:
     """Graded grid: baseline spacing away from the turning point, at least
     4x denser within |x - z| <= 2, geometric transitions with ratio 0.8."""
@@ -187,11 +151,7 @@ def build_grid(z: float, x_max: float, base_spacing: float = BASE_SPACING) -> Gr
                 h /= GEOM_RATIO
             fill_to(x_max, h0)
 
-    nodes = np.asarray(pts)
-    widths = np.diff(nodes)
-    gauss_x = nodes[:-1, None] + (_GAUSS_NODES[None, :] + 1.0) * (widths[:, None] / 2.0)
-    weights = _GAUSS_WEIGHTS[None, :] * (widths[:, None] / 2.0)
-    return Grid(nodes, float(nodes[-1]), weights, gauss_x, widths)
+    return grid_from_nodes(pts)
 
 
 #: how far past the envelope point a default grid will chase slow potential
@@ -227,7 +187,7 @@ def _q_decay_x_max(q: Potential, base: float, cap: float, tail_tol: float) -> fl
 
 
 def grid_from_nodes(nodes) -> Grid:
-    """Grid over explicit panel boundaries (probing and refinement studies)."""
+    """Grid over explicit panel boundaries, 4-point Gauss nodes per panel."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
         raise DomainError("grid_from_nodes: need a 1-d node array starting at 0")
@@ -403,40 +363,42 @@ def _solve_linear(ws: Workspace, inhom, direction):
     return vg, dg, vb, db, defect, iters, runints
 
 
-def solve_psi(q: Potential, z: float, grid: Grid | None = None) -> SolutionProfile:
-    """The square-integrable solution and its z-derivative.
+def _solve_class(q: Potential, z: float, grid: Grid | None, direction: str) -> SolutionProfile:
+    """The class solution seeded by psi0 ("back") or theta0 ("fwd"), with
+    its z-derivative.
 
-    psi solves the backward Volterra equation with inhomogeneity psi0;
-    psi_dot solves the z-differentiated equation whose extra inhomogeneity
-    couples to the converged psi through dJ0/dz.
+    The z-differentiated equation has the seed's z-derivative -seed' as
+    inhomogeneity, plus the dJ0/dz coupling to the converged solution.
     """
     if grid is None:
         grid = default_grid(q, z)
     ws = Workspace(q, z, grid)
-    inhom = (ws.psi0, ws.psi0p, ws.b_psi0, ws.b_psi0p)
-    vg, dg, vb, db, defect, iters, _ = _solve_linear(ws, inhom, "back")
-    dz_g, dz_der_g, dz_b, dz_der_b = ws.dz_kernel_term(vg, "back")
-    dot_inhom = (-ws.psi0p + dz_g, -(grid.gauss_x - z) * ws.psi0 + dz_der_g,
-                 -ws.b_psi0p + dz_b, -(grid.nodes - z) * ws.b_psi0 + dz_der_b)
-    dvg, _, dvb, ddb, _, _, _ = _solve_linear(ws, dot_inhom, "back")
+    if direction == "back":
+        inhom = (ws.psi0, ws.psi0p, ws.b_psi0, ws.b_psi0p)
+    else:
+        inhom = (ws.th0, ws.th0p, ws.b_th0, ws.b_th0p)
+    f_g, fp_g, f_b, fp_b = inhom
+    vg, dg, vb, db, defect, iters, _ = _solve_linear(ws, inhom, direction)
+    dz_g, dz_der_g, dz_b, dz_der_b = ws.dz_kernel_term(vg, direction)
+    dot_inhom = (-fp_g + dz_g, -(grid.gauss_x - z) * f_g + dz_der_g,
+                 -fp_b + dz_b, -(grid.nodes - z) * f_b + dz_der_b)
+    dvg, _, dvb, ddb, _, _, _ = _solve_linear(ws, dot_inhom, direction)
     return SolutionProfile(z, vb, db, dvb, ws.tail_bound, iters, defect, grid,
                            gauss_values=vg, gauss_derivs=dg, gauss_z_derivs=dvg,
                            z_derivs_prime=ddb)
 
 
+def solve_psi(q: Potential, z: float, grid: Grid | None = None) -> SolutionProfile:
+    """The square-integrable solution and its z-derivative.
+
+    psi solves the backward Volterra equation with inhomogeneity psi0.
+    """
+    return _solve_class(q, z, grid, "back")
+
+
 def solve_theta(q: Potential, z: float, grid: Grid | None = None) -> SolutionProfile:
     """The forward-normalized growing solution and its z-derivative."""
-    if grid is None:
-        grid = default_grid(q, z)
-    ws = Workspace(q, z, grid)
-    inhom = (ws.th0, ws.th0p, ws.b_th0, ws.b_th0p)
-    vg, dg, vb, db, defect, iters, _ = _solve_linear(ws, inhom, "fwd")
-    dz_g, dz_der_g, dz_b, dz_der_b = ws.dz_kernel_term(vg, "fwd")
-    dot_inhom = (-ws.th0p + dz_g, -(grid.gauss_x - z) * ws.th0 + dz_der_g,
-                 -ws.b_th0p + dz_b, -(grid.nodes - z) * ws.b_th0 + dz_der_b)
-    dvg, _, dvb, _, _, _, _ = _solve_linear(ws, dot_inhom, "fwd")
-    return SolutionProfile(z, vb, db, dvb, ws.tail_bound, iters, defect, grid,
-                           gauss_values=vg, gauss_derivs=dg, gauss_z_derivs=dvg)
+    return _solve_class(q, z, grid, "fwd")
 
 
 def solve_sc(q: Potential, z: float, grid: Grid | None = None):

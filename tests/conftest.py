@@ -13,6 +13,14 @@ POTENTIALS = {
 }
 
 
+def asym_report(q, recs, n_hi=40):
+    """build_report on the records' residuals against both first-order
+    predictions, over n = 2..n_hi."""
+    ns = [n for n in sorted(recs) if 2 <= n <= n_hi]
+    return ss.build_report(ns, [recs[n].lam - recs[n].lam_pred for n in ns],
+                           [recs[n].kappa - ss.kappa_prediction(q, n) for n in ns])
+
+
 @pytest.fixture(scope="session")
 def q_zero():
     return ss.make_potential({"family": "exp", "params": {"c": 0.0, "a": 1.0}, "r": 2.0})

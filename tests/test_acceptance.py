@@ -13,6 +13,7 @@ from scipy import integrate, special
 
 import starkspec as ss
 import starkspec.cli as cli
+from conftest import asym_report
 from starkspec.volterra import Workspace, envelope_offset
 
 R2_KEYS = ("exp+", "exp-", "alg", "bump")
@@ -61,12 +62,12 @@ def test_criterion_3_eigenvalue_remainder_decay(records_cache):
     details = []
     for key in ("exp+", "exp-", "bump"):
         q, recs = records_cache(key, 40)
-        rep = ss.build_report(q, recs.values(), n_lo=2, n_hi=40)
+        rep = asym_report(q, recs)
         slope = rep.fitted_slope_lambda[0]
         ok = ok and slope <= -0.8
         details.append(f"{key}: {slope:.3f} (<=-0.8)")
     q, recs = records_cache("low_r", 40)
-    rep = ss.build_report(q, recs.values(), n_lo=2, n_hi=40)
+    rep = asym_report(q, recs)
     slope = rep.fitted_slope_lambda[0]
     ok = ok and slope <= -0.75
     details.append(f"low_r: {slope:.3f} (<=-0.75)")
@@ -82,7 +83,7 @@ def test_criterion_3_eigenvalue_remainder_decay(records_cache):
     "extended window in the companion test."))
 def test_criterion_3_alg_literal_window(records_cache):
     q, recs = records_cache("alg", 40)
-    rep = ss.build_report(q, recs.values(), n_lo=2, n_hi=40)
+    rep = asym_report(q, recs)
     slope = rep.fitted_slope_lambda[0]
     report("3-alg", slope <= -0.8,
            f"alg over the literal n=2..40 window: slope={slope:.3f} "
@@ -110,7 +111,7 @@ def test_criterion_4_norming_remainder_decay(records_cache):
     details = []
     for key in R2_KEYS:
         q, recs = records_cache(key, 40)
-        rep = ss.build_report(q, recs.values(), n_lo=2, n_hi=40)
+        rep = asym_report(q, recs)
         slope = rep.fitted_slope_kappa[0]
         ok = ok and slope <= -0.8
         details.append(f"{key}: {slope:.3f} (<=-0.8)")

@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 import starkspec as ss
+from conftest import asym_report
 from starkspec.errors import InsufficientDataError
 
 
@@ -111,9 +112,9 @@ def test_second_order_remainder_scaling(records_cache):
 
 def test_report_assembly(records_cache):
     q, recs = records_cache("exp+", 20)
-    rep = ss.build_report(q, recs.values(), n_lo=2, n_hi=20)
-    assert rep.n_range == (2, 20)
-    assert len(rep.lambda_resid) == 19
-    assert rep.omega_r_values[0] == pytest.approx(ss.omega_r(2.0, 2))
+    # the record keeps the prediction that centred its bracket
+    assert recs[2].lam_pred == ss.lambda_prediction(q, 2)
+    rep = asym_report(q, recs, n_hi=20)
+    assert len(rep.lambda_resid) == len(rep.kappa_resid) == 19
     slope, half = rep.fitted_slope_lambda
     assert slope < -0.5 and half < 0.5

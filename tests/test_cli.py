@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 
 import jsonschema
 import pytest
 
 import starkspec.cli as cli
+from starkspec import asymptotics, spectrum
 from starkspec.errors import ValidationError
+
+EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
 
 
 def test_empty_config_gets_defaults():
@@ -110,6 +114,57 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"potential": {"family": "alg", "params": {"c": 1, "p": 1}, "r": 2}}')
     assert cli.main(["verify", "--config", str(bad)]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("config", [
+    '{"n_max": "abc"}',
+    '{"n_min": [1]}',
+    '{"potential": {"family": "exp", "params": {"a": 1}, "r": 2}}',
+    '{"potential": {"family": "exp", "params": {"c": "x", "a": 1}, "r": 2}}',
+    '{"potential": {"family": "exp", "params": {"c": NaN, "a": 1}, "r": 2}}',
+    '{"potential": {"family": "exp", "params": {"c": 1, "a": 1}, "r": Infinity}}',
+    '{"methods": 3}',
+    '{"tolerances": [1e-6]}',
+    '{"tolerances": {"wronskian": Infinity}}',
+])
+def test_malformed_config_exits_with_config_error(tmp_path, config):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(config)
+    assert cli.main(["eig", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+
+
+def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(spectrum, "lambda_prediction")
+    count(asymptotics, "lambda_prediction")
+    count(asymptotics, "kappa_prediction")
+    count(asymptotics, "build_report")
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
+                                   "output_dir": str(tmp_path / "o")}))
+    assert cli.main(["asympt", "--config", str(cfgfile)]) in (cli.EXIT_OK, cli.EXIT_CHECK)
+    assert calls == {"lambda_prediction": 8, "kappa_prediction": 8, "build_report": 1}
+
+
+def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 12,
+                                   "tolerances": {"kappa_noise_floor": 1.0},
+                                   "output_dir": str(tmp_path / "o")}))
+    cli.main(["asympt", "--config", str(cfgfile)])
+    checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+    assert checks["kappa_asym"]["slope"] is None
+    assert isinstance(checks["eigen_asym"]["slope"], float)
 
 
 def test_cli_eig_subcommand(tmp_path):

@@ -27,6 +27,23 @@ def test_r_at_most_one_rejected():
         ss.make_potential({"family": "exp", "params": {"c": 1, "a": 1}, "r": 1.0})
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "exp", "params": {"a": 1}, "r": 2}, "params.c"),
+    ({"family": "exp", "params": {"c": "x", "a": 1}, "r": 2}, "params.c"),
+    ({"family": "exp", "params": {"c": math.nan, "a": 1}, "r": 2}, "params.c"),
+    ({"family": "bump", "params": {"c": 1, "x0": math.inf, "w": 1}, "r": 2}, "params.x0"),
+    ({"family": "exp", "params": {"c": 1, "a": 1}, "r": math.inf}, "potential.r"),
+    ({"family": "exp", "params": {"c": 1, "a": 1}, "r": "two"}, "potential.r"),
+    ({"family": "exp", "params": 3, "r": 2}, "potential.params"),
+    ({"family": "table", "params": {"x": [0, 1, 2, 3], "y": [1, math.nan, 0, 0]},
+      "r": 2}, "table"),
+    ({"family": "table", "params": {"y": [1, 0.5, 0, 0]}, "r": 2}, "params.x"),
+])
+def test_malformed_parameters_rejected_by_name(spec, field):
+    with pytest.raises(ValidationError, match=field):
+        ss.make_potential(spec)
+
+
 def test_zero_bump_has_zero_norms():
     q = ss.bump(0.0, 2.0, 1.0)
     b = ss.norms(q)

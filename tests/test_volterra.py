@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import starkspec as ss
 from starkspec.errors import NumericError
-from starkspec.volterra import Workspace, default_grid, truncation_point
+from starkspec.volterra import (FAR_EXTENSION_CAP, Workspace, default_grid,
+                                envelope_offset)
 
 A1 = 2.3381074104597670  # -a_1
 
@@ -19,26 +20,32 @@ def envelope_weights(grid, z, grow=False):
 
 
 def test_truncation_point_free_case(q_zero):
-    tp = truncation_point(q_zero, 0.0, 1e-12)
-    assert tp == pytest.approx(11.9763771 + 2.0, abs=1e-6)
+    offset = 11.9763771 + 2.0
+    assert envelope_offset(1e-12) == pytest.approx(offset, abs=1e-6)
+    assert default_grid(q_zero, 0.0, 1e-12).x_max == pytest.approx(offset, abs=1e-6)
 
 
 def test_truncation_point_monotone_in_tolerance(q_zero, q_exp):
     for q in (q_zero, q_exp):
-        t1 = truncation_point(q, 0.0, 1e-8)
-        t2 = truncation_point(q, 0.0, 1e-12)
+        t1 = default_grid(q, 0.0, 1e-8).x_max
+        t2 = default_grid(q, 0.0, 1e-12).x_max
         assert t2 >= t1
 
 
 def test_truncation_point_translates(q_zero):
-    assert truncation_point(q_zero, 30.0, 1e-12) == pytest.approx(
-        30.0 + truncation_point(q_zero, 0.0, 1e-12), rel=1e-12)
+    assert default_grid(q_zero, 30.0, 1e-12).x_max == pytest.approx(
+        30.0 + default_grid(q_zero, 0.0, 1e-12).x_max, rel=1e-12)
 
 
-def test_truncation_point_respects_potential_decay():
-    q = ss.alg_decay(0.5, 3.0, r=2.0)
-    tp = truncation_point(q, 0.0, 1e-10)
-    assert abs(float(q.q(tp))) <= 1e-10 * (1.0 + ss.norms(q).ar_norm)
+def test_truncation_point_respects_potential_decay(q_exp):
+    # past the envelope point the grid chases q until it is negligible,
+    # but by no more than FAR_EXTENSION_CAP
+    base = envelope_offset(1e-12)
+    x_max = default_grid(q_exp, 0.0, 1e-12).x_max
+    assert base < x_max < base + FAR_EXTENSION_CAP
+    assert abs(float(q_exp.q(x_max))) <= 1e-12 * (1.0 + q_exp.sup_norm)
+    slow = ss.alg_decay(0.5, 3.0, r=2.0)
+    assert default_grid(slow, 0.0, 1e-12).x_max == pytest.approx(base + FAR_EXTENSION_CAP)
 
 
 def test_grid_structure():
