@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .airy import airy_zero
 from .errors import InsufficientDataError, NumericError
@@ -90,7 +90,8 @@ def decay_rate_fit(resid, ns, tolerance_floor: float):
     if m > 2:
         sigma2 = float(res_ss[0]) / (m - 2) if res_ss.size else 0.0
         sxx = float(np.sum((x - x.mean()) ** 2))
-        half_width = float(stats.t.ppf(0.975, m - 2)) * math.sqrt(sigma2 / sxx)
+        # the 97.5% Student-t quantile; scipy.stats would add its import time
+        half_width = float(special.stdtrit(m - 2, 0.975)) * math.sqrt(sigma2 / sxx)
     else:
         half_width = math.inf
     return slope, half_width

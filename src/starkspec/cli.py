@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import asymptotics, oracle, spectrum
 from .airy import airy_zero, envelope_margin, zero_seed
 from .errors import StarkSpecError, ValidationError
 from .potentials import Potential, blend, bump, exp_decay, make_potential, omega_r
-from .volterra import envelope_offset, solve_sc, solve_theta
+from .volterra import Workspace, envelope_offset, solve_sc, solve_theta
 
 __all__ = ["ExperimentConfig", "parse_config", "run_verify", "main",
            "SUMMARY_SCHEMA", "EXIT_OK", "EXIT_CONFIG", "EXIT_NUMERIC", "EXIT_CHECK"]
@@ -263,17 +262,15 @@ def _check_invariants(q, records, cfg):
     mid = sorted(records)[len(records) // 2]
     lam = records[mid].lam
     psi = records[mid].psi
-    grid = psi.grid
-    theta = solve_theta(q, lam, grid)
+    ws = Workspace(q, lam, psi.grid)
+    theta = solve_theta(q, lam, ws)
     wr = psi.values * theta.derivs - psi.derivs * theta.values
     # exact identity: W = 1 + int_0^M theta0 q psi; the raw deviation
     # from 1 is the value of that integral, O(omega(q, lam)), not zero
-    th0_g = math.sqrt(math.pi) * special.airy(grid.gauss_x - lam)[2]
-    corr = float(np.sum(grid.weights * th0_g * np.asarray(q.q(grid.gauss_x))
-                        * psi.gauss_values))
+    corr = float(np.sum(psi.grid.weights * ws.th0 * ws.qg * psi.gauss_values))
     w_dev_corrected = float(np.max(np.abs(wr - (1.0 + corr))))
     w_dev_raw = float(np.max(np.abs(wr - 1.0)))
-    s_prof, c_prof = solve_sc(q, lam, psi.grid)
+    s_prof, c_prof = solve_sc(q, lam, ws)
     wsc = s_prof.values * c_prof.derivs - s_prof.derivs * c_prof.values
     # the two products are g_B^2-sized and cancel to -1, so roundoff
     # amplifies by g_B(w)^2; w <= 5 keeps the check meaningful at 1e-8

@@ -19,7 +19,7 @@ from .asymptotics import lambda_prediction
 from .errors import BracketError, DegeneracyError, InconsistencyError, NumericError
 from .potentials import Potential
 from .volterra import (Grid, SolutionProfile, Workspace, build_grid,
-                       default_grid, envelope_offset, solve_psi, solve_sc)
+                       default_grid, envelope_offset, solve_psi, solve_sc, workspace)
 
 __all__ = [
     "EigenRecord",
@@ -61,9 +61,10 @@ class EigenRecord:
     psi: SolutionProfile = field(repr=False)
 
 
-def shooting_value(q: Potential, lam: float, grid: Grid) -> float:
-    """psi(q, lam, 0) without assembling the full profile."""
-    ws = Workspace(q, lam, grid)
+def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
+    """psi(q, lam, 0) without assembling the full profile; ``grid`` as for
+    :func:`solve_psi`."""
+    ws = workspace(q, lam, grid)
     f, _ = ws.picard(ws.psi0, "back")
     a0 = float(np.sum(ws.grid.weights * ws.psi0 * ws.qg * f))
     b0 = float(np.sum(ws.grid.weights * ws.th0 * ws.qg * f))
@@ -87,8 +88,8 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
 def _finalize(q: Potential, lam: float, n: int, lam_pred: float, bracket,
               method: str) -> EigenRecord:
     """Re-grid at the root, Newton-polish with psi_dot, build the record."""
-    grid = default_grid(q, lam)
-    prof = solve_psi(q, lam, grid)
+    base = Workspace(q, lam, default_grid(q, lam))
+    prof = solve_psi(q, lam, base)
     for _ in range(3):
         if prof.z_derivs[0] == 0.0:
             raise DegeneracyError("psi_dot(0) vanished during polish")
@@ -96,7 +97,7 @@ def _finalize(q: Potential, lam: float, n: int, lam_pred: float, bracket,
         if abs(step) <= 1e-15 * (1.0 + abs(lam)):
             break
         lam = lam - step
-        prof = solve_psi(q, lam, grid)
+        prof = solve_psi(q, lam, base)
     psi_prime0 = float(prof.derivs[0])
     psi_dot0 = float(prof.z_derivs[0])
     if psi_dot0 == 0.0:
@@ -127,13 +128,13 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     correction = lam_pred - center
     delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
                 2.0 * abs(correction))
-    grid = None
+    base = None
     for _ in range(MAX_DOUBLINGS + 1):
         lo, hi = center - delta, center + delta
-        if grid is None or grid.x_max < hi + _GA_OFFSET:
-            grid = build_grid(center, hi + _GA_OFFSET)
-        f_lo = shooting_value(q, lo, grid)
-        f_hi = shooting_value(q, hi, grid)
+        if base is None or base.grid.x_max < hi + _GA_OFFSET:
+            base = Workspace(q, center, build_grid(center, hi + _GA_OFFSET))
+        f_lo = shooting_value(q, lo, base)
+        f_hi = shooting_value(q, hi, base)
         if f_lo * f_hi < 0.0:
             break
         delta *= 2.0
@@ -141,9 +142,15 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
         raise BracketError(
             f"no sign change around -a_{n} after {MAX_DOUBLINGS} doublings; "
             "neighboring eigenvalue interference or mislabeled index")
-    lam = brentq(lambda t: shooting_value(q, t, grid), lo, hi,
-                 xtol=ROOT_XTOL, rtol=8.9e-16)
+    lam = brentq(_shoot, lo, hi, args=(q, base), xtol=ROOT_XTOL, rtol=8.9e-16)
+    del base  # free the bracket grid's table before the polish grid's is made
     return _finalize(q, lam, n, lam_pred, (lo, hi), "shooting")
+
+
+def _shoot(lam: float, q: Potential, base: Grid | Workspace) -> float:
+    # a module-level root function: brentq keeps its wrapper in a reference
+    # cycle, which a closure over the bracket Workspace would join
+    return shooting_value(q, lam, base)
 
 
 def oscillation_count(record: EigenRecord, rel_floor: float = 1e-8) -> int:
@@ -189,8 +196,8 @@ def lambda_directional_derivative(q: Potential, n: int, v: Potential,
     return _pair_with_direction(eta2, rec.psi.grid, v)
 
 
-def _psi_dot0_at(q: Potential, z: float, grid: Grid) -> float:
-    return float(solve_psi(q, z, grid).z_derivs[0])
+def _psi_dot0_at(q: Potential, z: float, base: Workspace) -> float:
+    return float(solve_psi(q, z, base).z_derivs[0])
 
 
 def kappa_directional_derivative(q: Potential, n: int, v: Potential,
@@ -207,7 +214,8 @@ def kappa_directional_derivative(q: Potential, n: int, v: Potential,
     rec = record or locate_eigenvalue(q, n)
     lam = rec.lam
     grid = rec.psi.grid
-    s_prof, c_prof = solve_sc(q, lam, grid)
+    base = Workspace(q, lam, grid)
+    s_prof, c_prof = solve_sc(q, lam, base)
     psi_g = rec.psi.gauss_values
     psidot_g = rec.psi.gauss_z_derivs
     integrand = (-c_prof.gauss_values * psi_g / rec.psi_prime0
@@ -220,7 +228,7 @@ def kappa_directional_derivative(q: Potential, n: int, v: Potential,
     psidot_prime0 = float(rec.psi.z_derivs_prime[0])
     results = []
     for dz in (Z_DIFF_STEP * (1.0 + abs(lam)), 0.5 * Z_DIFF_STEP * (1.0 + abs(lam))):
-        ddot = (_psi_dot0_at(q, lam + dz, grid) - _psi_dot0_at(q, lam - dz, grid)) / (2.0 * dz)
+        ddot = (_psi_dot0_at(q, lam + dz, base) - _psi_dot0_at(q, lam - dz, base)) / (2.0 * dz)
         b_n = psidot_prime0 / rec.psi_prime0 - ddot / rec.psi_dot0
         results.append(a_part + b_n * lambda_directional_derivative(q, n, v, rec))
     if abs(results[0] - results[1]) > 1e-3 * max(abs(results[0]), 1e-300):
@@ -287,7 +295,7 @@ def scan_low_eigenvalues(q: Potential, step: float = 0.1) -> list:
     found = []
     for i in range(len(lams) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            root = brentq(lambda t: shooting_value(q, t, grid),
-                          lams[i], lams[i + 1], xtol=ROOT_XTOL, rtol=8.9e-16)
+            root = brentq(_shoot, lams[i], lams[i + 1], args=(q, grid),
+                          xtol=ROOT_XTOL, rtol=8.9e-16)
             found.append(_finalize(q, root, 0, math.nan, (lams[i], lams[i + 1]), "scan"))
     return found

@@ -15,6 +15,7 @@ J0(z,x,x) = 0).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ __all__ = [
     "Grid",
     "SolutionProfile",
     "Workspace",
+    "airy_shift",
+    "shift_limit",
     "build_grid",
     "default_grid",
     "envelope_offset",
@@ -36,7 +39,9 @@ __all__ = [
     "solve_psi",
     "solve_theta",
     "solve_sc",
+    "workspace",
     "DEFAULT_TAIL_TOL",
+    "SHIFT_CUTOVER",
 ]
 
 PICARD_TOL = 1e-12
@@ -209,35 +214,108 @@ def default_grid(q: Potential | None, z: float,
     return build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP, tail_tol))
 
 
+#: largest |z0 - z| * sqrt(max |x - z0|) over the grid at which a Workspace
+#: moves its Airy table from z0 to z by the Taylor series of the Airy
+#: equation; past it AMOS is called again. The series cancels like
+#: exp(2 |h| sqrt(w)) where Ai decays, and test_airy_shift_accuracy holds the
+#: moved table to 1e-12 of AMOS in the envelope-weighted norm up to here
+SHIFT_CUTOVER = 1.5
+
+
+def shift_limit(w) -> float:
+    """Largest step |h| that SHIFT_CUTOVER admits for a table at points w."""
+    return SHIFT_CUTOVER / math.sqrt(max(float(np.max(np.abs(w))), 1.0))
+
+
+def airy_shift(w, table, h):
+    """(Ai, Ai', Bi, Bi') at w + h from ``table``, the same four rows at w.
+
+    Both Ai and Bi solve f'' = w f, so their Taylor coefficients about w
+    share the recurrence c_{k+2} = (w c_k + c_{k-1}) / ((k+2)(k+1)),
+    seeded by c_0 = f, c_1 = f'. The same recurrence with max |w| and |h|
+    bounds |c_k h^k| / (|f| + |h f'|) at every point; terms are added until
+    that bound falls below 2^-60 for two consecutive k. ``h = 0`` returns a
+    copy.
+    """
+    if h == 0.0:
+        return table.copy()
+    wh2, h3 = w * (h * h), h ** 3
+    bound_wh2, bound_h3 = float(np.max(np.abs(wh2))), abs(h3)
+    r_prev, r, r_next = 0.0, 1.0, 1.0
+    d_prev, d, d_next = 0.0, table[0::2], table[1::2] * h
+    val = d + d_next
+    der_h = np.zeros_like(d)            # sum over k >= 2 of k c_k h^k
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports overflow
+        while r + r_next > 2.0 ** -60:
+            inv = 1.0 / ((k + 2) * (k + 1))
+            r_prev, r, r_next = r, r_next, (bound_wh2 * r + bound_h3 * r_prev) * inv
+            step = wh2 * d
+            step += h3 * d_prev
+            step *= inv
+            d_prev, d, d_next = d, d_next, step
+            val += step
+            der_h += (k + 2) * step
+            k += 1
+    out = np.empty_like(table)
+    out[0::2] = val
+    out[1::2] = table[1::2] + der_h / h
+    return out
+
+
 class Workspace:
-    """Per-(q, z, grid) basis tables and the Picard/running-integral engine."""
+    """Per-(q, z, grid) basis tables and the Picard/running-integral engine.
+
+    The basis columns are sqrt(pi) Ai(x - z), sqrt(pi) Bi(x - z) and their
+    derivatives at the Gauss nodes (``psi0``, ``th0``, ...) and the panel
+    boundaries (``b_psi0``, ...). The constructor evaluates them with AMOS;
+    :meth:`at` moves them to another z on the same grid.
+    """
 
     def __init__(self, q: Potential | None, z: float, grid: Grid):
-        self.z = z
+        self.q = q
         self.grid = grid
         self.qg = np.zeros_like(grid.gauss_x) if q is None else np.asarray(q.q(grid.gauss_x))
-        ai, aip, bi, bip = special.airy(grid.gauss_x - z)
-        if not np.all(np.isfinite(bi)):
+        self._q_tail = self._q_tail_estimate(q)
+        w = np.concatenate([grid.gauss_x.ravel(), grid.nodes]) - z
+        table = np.array(special.airy(w))
+        #: the AMOS table every Workspace moved from this one starts from
+        self._origin = (z, w, table, shift_limit(w))
+        self._set_table(z, table)
+
+    def at(self, z: float) -> Workspace:
+        """This Workspace moved to ``z``: same grid and potential samples,
+        the Airy table carried over from the AMOS evaluation it started
+        from by :func:`airy_shift`, or evaluated anew past SHIFT_CUTOVER."""
+        if z == self.z:
+            return self
+        z0, w0, table, limit = self._origin
+        h = z0 - z
+        if abs(h) > limit:
+            return Workspace(self.q, z, self.grid)
+        ws = copy.copy(self)
+        ws._set_table(z, airy_shift(w0, table, h))
+        return ws
+
+    def _set_table(self, z: float, table):
+        """Basis columns from the (Ai, Ai', Bi, Bi') rows at x - z, and what
+        else depends on z: envelope weights and the tail bound."""
+        if not np.all(np.isfinite(table)):
             raise NumericError("workspace: Bi overflow on grid; x_max - z too large")
-        self.psi0 = _SQRT_PI * ai
-        self.psi0p = _SQRT_PI * aip
-        self.th0 = _SQRT_PI * bi
-        self.th0p = _SQRT_PI * bip
-        ai, aip, bi, bip = special.airy(grid.nodes - z)
-        self.b_psi0 = _SQRT_PI * ai
-        self.b_psi0p = _SQRT_PI * aip
-        self.b_th0 = _SQRT_PI * bi
-        self.b_th0p = _SQRT_PI * bip
+        grid = self.grid
+        self.z = z
+        n_g = grid.gauss_x.size
+        cols = _SQRT_PI * table
+        self.psi0, self.psi0p, self.th0, self.th0p = (
+            c[:n_g].reshape(grid.gauss_x.shape) for c in cols)
+        self.b_psi0, self.b_psi0p, self.b_th0, self.b_th0p = (c[n_g:] for c in cols)
         w = grid.gauss_x - z
         E = (2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5
         sigma = 1.0 + np.abs(w) ** 0.25
         self.weight_decay = sigma * np.exp(E)     # inverse envelope of the psi class
         self.weight_grow = sigma * np.exp(-E)     # inverse envelope of the theta class
-        wb = grid.nodes - z
-        self.b_E = (2.0 / 3.0) * np.maximum(wb, 0.0) ** 1.5
-        self.b_sigma = 1.0 + np.abs(wb) ** 0.25
         self.tail_bound = (math.exp(-(2.0 / 3.0) * max(grid.x_max - z, 0.0) ** 1.5)
-                           + self._q_tail_estimate(q))
+                           + self._q_tail)
 
     def _q_tail_estimate(self, q: Potential | None) -> float:
         """Envelope-relative weight of the potential beyond the grid.
@@ -363,16 +441,25 @@ def _solve_linear(ws: Workspace, inhom, direction):
     return vg, dg, vb, db, defect, iters, runints
 
 
-def _solve_class(q: Potential, z: float, grid: Grid | None, direction: str) -> SolutionProfile:
+def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> Workspace:
+    """The Workspace at z on ``grid``: built there (on the default grid when
+    None), or, when ``grid`` is a Workspace, moved from it by
+    :meth:`Workspace.at`."""
+    if isinstance(grid, Workspace):
+        return grid.at(z)
+    return Workspace(q, z, default_grid(q, z) if grid is None else grid)
+
+
+def _solve_class(q: Potential, z: float, grid: Grid | Workspace | None,
+                 direction: str) -> SolutionProfile:
     """The class solution seeded by psi0 ("back") or theta0 ("fwd"), with
     its z-derivative.
 
     The z-differentiated equation has the seed's z-derivative -seed' as
     inhomogeneity, plus the dJ0/dz coupling to the converged solution.
     """
-    if grid is None:
-        grid = default_grid(q, z)
-    ws = Workspace(q, z, grid)
+    ws = workspace(q, z, grid)
+    grid = ws.grid
     if direction == "back":
         inhom = (ws.psi0, ws.psi0p, ws.b_psi0, ws.b_psi0p)
     else:
@@ -388,30 +475,33 @@ def _solve_class(q: Potential, z: float, grid: Grid | None, direction: str) -> S
                            z_derivs_prime=ddb)
 
 
-def solve_psi(q: Potential, z: float, grid: Grid | None = None) -> SolutionProfile:
+def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
     """The square-integrable solution and its z-derivative.
 
     psi solves the backward Volterra equation with inhomogeneity psi0.
+    ``grid`` is a Grid, None for the default grid, or a Workspace on the
+    grid to use, whose Airy table is moved to z (see :func:`workspace`).
     """
     return _solve_class(q, z, grid, "back")
 
 
-def solve_theta(q: Potential, z: float, grid: Grid | None = None) -> SolutionProfile:
-    """The forward-normalized growing solution and its z-derivative."""
+def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
+    """The forward-normalized growing solution and its z-derivative;
+    ``grid`` as for :func:`solve_psi`."""
     return _solve_class(q, z, grid, "fwd")
 
 
-def solve_sc(q: Potential, z: float, grid: Grid | None = None):
-    """The fundamental pair normalized at 0, with z-derivatives.
+def solve_sc(q: Potential, z: float, grid: Grid | Workspace | None = None):
+    """The fundamental pair normalized at 0, with z-derivatives; ``grid``
+    as for :func:`solve_psi`.
 
     s(z,0) = 0, s'(z,0) = 1, c(z,0) = 1, c'(z,0) = 0 hold exactly by
     construction of the inhomogeneities. s_dot seeds with the identity
     s0_dot = c0 - s0'; the z-derivatives of the c0 boundary coefficients
     use d/dz theta0'(z,0) = z theta0(z,0) (Airy equation at x = 0).
     """
-    if grid is None:
-        grid = default_grid(q, z)
-    ws = Workspace(q, z, grid)
+    ws = workspace(q, z, grid)
+    grid = ws.grid
     p0, pp0 = ws.b_psi0[0], ws.b_psi0p[0]
     t0, tp0 = ws.b_th0[0], ws.b_th0p[0]
 

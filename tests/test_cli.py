@@ -1,11 +1,14 @@
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import jsonschema
+import numpy as np
 import pytest
+from scipy import special
 
 import starkspec.cli as cli
-from starkspec import asymptotics, spectrum
+from starkspec import asymptotics, spectrum, volterra
 from starkspec.errors import ValidationError
 
 EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
@@ -154,6 +157,27 @@ def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
                                    "output_dir": str(tmp_path / "o")}))
     assert cli.main(["asympt", "--config", str(cfgfile)]) in (cli.EXIT_OK, cli.EXIT_CHECK)
     assert calls == {"lambda_prediction": 8, "kappa_prediction": 8, "build_report": 1}
+
+
+def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
+    # AMOS calls and points of every Workspace Airy table in an eig campaign;
+    # moving the tables to nearby z took these down from 180 calls and
+    # 516,380 points
+    amos = Counter()
+
+    def airy(w):
+        amos["calls"] += 1
+        amos["points"] += np.size(w)
+        return special.airy(w)
+
+    monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
+                                   "output_dir": str(tmp_path / "o")}))
+    assert cli.main(["eig", "--config", str(cfgfile), "--method", "shooting"]) == cli.EXIT_OK
+    # 16 tables for the bracket and polish grids, 34 re-evaluations past the
+    # cut-over (indices 1..8 have the widest brackets)
+    assert amos["calls"] <= 50 and amos["points"] <= 287_405
 
 
 def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):

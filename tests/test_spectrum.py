@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -189,3 +190,20 @@ def test_scan_survives_deep_potential():
         assert rec.lam == pytest.approx(float(ref), abs=1e-6)
     # min-max: spectrum sits above the free ground state minus sup|q|
     assert all(f.lam >= 2.338107 - 8.0 - 1e-9 for f in found)
+
+
+def test_locate_leaves_no_grid_in_reference_cycles(q_exp):
+    # a Grid or Workspace caught in a cycle (brentq's wrapper is one) lives
+    # with its Airy table until the next collection
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ss.locate_eigenvalue(q_exp, 3)
+        gc.collect()
+        caught = [type(o).__name__ for o in gc.garbage if isinstance(o, (ss.Grid, ss.Workspace))]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert caught == []

@@ -1,13 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy import special
 
 import starkspec as ss
+from starkspec import volterra
 from starkspec.errors import NumericError
-from starkspec.volterra import (FAR_EXTENSION_CAP, Workspace, default_grid,
-                                envelope_offset)
+from starkspec.volterra import (FAR_EXTENSION_CAP, Workspace, airy_shift, default_grid,
+                                envelope_offset, grid_from_nodes, shift_limit)
 
 A1 = 2.3381074104597670  # -a_1
 
@@ -253,3 +257,82 @@ def test_concurrent_solves_are_pure(q_exp):
         ref = ss.solve_psi(q_exp, z)
         assert np.array_equal(prof.values, ref.values)
         assert np.array_equal(prof.z_derivs, ref.z_derivs)
+
+
+def _airy_envelope_error(w, got, ref):
+    """Largest |got - ref| over the (Ai, Ai', Bi, Bi') rows, the Ai rows
+    weighted by sigma e^E and the Bi rows by sigma e^-E at w."""
+    E = (2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5
+    sigma = 1.0 + np.abs(w) ** 0.25
+    weights = (sigma * np.exp(E),) * 2 + (sigma * np.exp(-E),) * 2
+    return max(float(np.max(np.abs(g - r) * wt)) for g, r, wt in zip(got, ref, weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-45.0, 40.0), st.floats(0.0, 6.0), st.floats(-1.0, 1.0))
+def test_airy_shift_accuracy(w_lo, span, frac):
+    # every step the cut-over admits, for tables anywhere in [-45, 40]
+    w = np.linspace(w_lo, min(w_lo + span, 40.0), 7)
+    h = frac * shift_limit(w)
+    got = airy_shift(w, np.array(special.airy(w)), h)
+    assert _airy_envelope_error(w + h, got, np.array(special.airy(w + h))) <= 1e-12
+
+
+def test_airy_shift_accuracy_at_the_cutover():
+    # unit windows across [-45, 40], and one table over the whole range
+    tables = [np.linspace(c - 0.5, c + 0.5, 41) for c in np.arange(-44.5, 40.0, 2.5)]
+    for w in tables + [np.linspace(-45.0, 40.0, 2001)]:
+        table = np.array(special.airy(w))
+        for h in (-shift_limit(w), shift_limit(w)):
+            ref = np.array(special.airy(w + h))
+            assert _airy_envelope_error(w + h, airy_shift(w, table, h), ref) <= 1e-12
+
+
+def test_airy_shift_zero_step_is_exact(q_exp):
+    w = np.linspace(-45.0, 40.0, 301)
+    table = np.array(special.airy(w))
+    assert np.array_equal(airy_shift(w, table, 0.0), table)
+    grid = default_grid(q_exp, 6.0)
+    base = Workspace(q_exp, 6.0, grid)
+    back = base.at(6.05).at(6.0)
+    for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
+                "weight_decay", "weight_grow"):
+        assert np.array_equal(getattr(back, col), getattr(base, col))
+    assert back.tail_bound == base.tail_bound
+
+
+def test_moved_workspace_solves_like_a_fresh_one(q_exp, monkeypatch):
+    z0 = 9.0
+    grid = default_grid(q_exp, z0)
+    base = Workspace(q_exp, z0, grid)
+    calls = []
+
+    def airy(w):
+        calls.append(np.size(w))
+        return special.airy(w)
+
+    monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
+    for z in (z0 - 0.9 * shift_limit(grid.nodes - z0), z0 + 0.05):
+        moved = ss.solve_psi(q_exp, z, base)
+        fresh = ss.solve_psi(q_exp, z, grid)
+        scale = np.max(np.abs(fresh.values) * envelope_weights(grid, z))
+        assert np.max(np.abs(moved.values - fresh.values)
+                      * envelope_weights(grid, z)) <= 1e-11 * scale
+        assert moved.z_derivs[0] == pytest.approx(fresh.z_derivs[0], rel=1e-10)
+        assert moved.tail_bound == fresh.tail_bound
+    assert len(calls) == 2          # the two fresh solves
+    # past the cut-over the move is a fresh AMOS evaluation
+    far = z0 + 1.1 * shift_limit(grid.nodes - z0)
+    assert base.at(far).b_psi0[0] == Workspace(q_exp, far, grid).b_psi0[0]
+    assert len(calls) == 4
+
+
+def test_moved_workspace_reports_bi_overflow():
+    # AMOS returns nan for Bi' past w ~ 103.4; a table that ends at 103 is
+    # finite, and the admitted steps keep it finite
+    grid = grid_from_nodes(np.linspace(0.0, 103.0, 516))
+    base = Workspace(None, 0.0, grid)
+    assert base.at(0.0) is base
+    assert np.isfinite(base.at(-shift_limit(grid.nodes)).b_th0p[-1])
+    with pytest.raises(NumericError, match="Bi overflow"):
+        base.at(-0.6)
