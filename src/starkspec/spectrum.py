@@ -1,9 +1,10 @@
 """Eigenvalues by shooting, norming constants, and spectral-data gradients.
 
 The shooting function is the value at 0 of the square-integrable
-solution; its zeros are the Dirichlet eigenvalues. Brackets seed at the
-unperturbed eigenvalues and expand by doubling until a sign change is
-found. The norming constant is log(-psi'(0) / psi_dot(0)).
+solution; its zeros are the Dirichlet eigenvalues. Each is found by
+Newton from its first-order prediction, with the z-derivative of the
+same solve as slope, on one grid, and certified by the eigenfunction's
+oscillation count. The norming constant is log(-psi'(0) / psi_dot(0)).
 """
 from __future__ import annotations
 
@@ -12,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .airy import airy_zero
 from .asymptotics import lambda_prediction
-from .errors import BracketError, DegeneracyError, InconsistencyError, NumericError
+from .errors import (BracketError, DegeneracyError, InconsistencyError, NumericError,
+                     StarkSpecError)
 from .potentials import Potential
-from .volterra import (Grid, SolutionProfile, Workspace, build_grid,
+from .volterra import (REFINE_RADIUS, TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
                        default_grid, envelope_offset, solve_psi, solve_sc, workspace)
 
 __all__ = [
@@ -35,12 +36,15 @@ __all__ = [
 
 BRACKET_COEFF = 4.0
 BRACKET_EXPONENT = -2.0 / 3.0 + 0.05
-MAX_DOUBLINGS = 6
-ROOT_XTOL = 1e-13
+NEWTON_MAX_ITER = 40
+#: relative step below which a Newton step that fails to shrink is roundoff
+NEWTON_NOISE = 1e-8
 Z_DIFF_STEP = 1e-4
 _SQRT_PI = math.sqrt(math.pi)
-#: grid length past the largest bracketed z, from the envelope decay rule
-_GA_OFFSET = envelope_offset()
+#: grid length past the root at which the decaying envelope falls to the
+#: tail tolerance: default_grid's length without its safety margin, which
+#: absorbs Newton's move from the grid centre as the refinement radius does
+_DECAY_LENGTH = envelope_offset() - TRUNCATION_MARGIN
 
 
 @dataclass
@@ -50,8 +54,8 @@ class EigenRecord:
     n: int
     lam: float
     kappa: float
-    lam_pred: float         # first-order prediction centring the bracket; nan for scans
-    bracket: tuple
+    lam_pred: float         # first-order prediction Newton starts from; nan for scans
+    bracket: tuple          # Newton window: an iterate outside it raises
     shoot_residual: float
     norm_sq: float          # quadrature of psi^2 plus tail estimate
     kappa_alt: float        # norm-based definition log(psi'(0)^2 / norm_sq)
@@ -85,72 +89,95 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
     return body + max(tail, 0.0)
 
 
-def _finalize(q: Potential, lam: float, n: int, lam_pred: float, bracket,
-              method: str) -> EigenRecord:
-    """Re-grid at the root, Newton-polish with psi_dot, build the record."""
-    base = Workspace(q, lam, default_grid(q, lam))
-    prof = solve_psi(q, lam, base)
-    for _ in range(3):
-        if prof.z_derivs[0] == 0.0:
-            raise DegeneracyError("psi_dot(0) vanished during polish")
-        step = prof.values[0] / prof.z_derivs[0]
-        if abs(step) <= 1e-15 * (1.0 + abs(lam)):
-            break
-        lam = lam - step
-        prof = solve_psi(q, lam, base)
-    psi_prime0 = float(prof.derivs[0])
-    psi_dot0 = float(prof.z_derivs[0])
-    if psi_dot0 == 0.0:
-        raise DegeneracyError("psi_dot(0) = 0 at a root; numerically degenerate")
-    ratio = -psi_prime0 / psi_dot0
-    if ratio <= 0.0:
-        raise DegeneracyError(
-            f"-psi'(0)/psi_dot(0) = {ratio:g} <= 0 at lam = {lam:g}; "
-            "not a simple Dirichlet eigenvalue")
-    kappa = math.log(ratio)
+def _newton(q: Potential, lam: float, window) -> tuple:
+    """Newton on the shooting function from ``lam`` on default_grid(q, lam),
+    with its Airy table moved to each iterate; returns the root and its
+    profile.
+
+    Converged when the step falls to 1e-15 (1 + |lam|), or to roundoff: a
+    step below NEWTON_NOISE (1 + |lam|) that is not a quarter of the last
+    one, as every step in Newton's quadratic range would be. Iterates that
+    leave ``window`` raise.
+    """
+    lo, hi = window
+    prev = math.inf
+    base = default_grid(q, lam)
+    for _ in range(NEWTON_MAX_ITER):
+        try:
+            # a table rebuilt past the shift cut-over is the next move's origin
+            base = workspace(q, lam, base)
+            prof = solve_psi(q, lam, base)
+        except StarkSpecError as err:
+            raise type(err)(f"at z = {lam!r}: {err}") from err
+        psi_dot0 = float(prof.z_derivs[0])
+        if psi_dot0 == 0.0:
+            raise DegeneracyError(f"psi_dot(0) vanished at z = {lam!r}")
+        step = float(prof.values[0]) / psi_dot0
+        scale = 1.0 + abs(lam)
+        if abs(step) <= 1e-15 * scale or NEWTON_NOISE * scale >= abs(step) >= 0.25 * prev:
+            return lam, prof
+        prev = abs(step)
+        lam -= step
+        if not lo <= lam <= hi:
+            raise BracketError(f"Newton step to z = {lam!r} left the window "
+                               f"[{lo!r}, {hi!r}]")
+    raise BracketError(f"Newton did not converge in {NEWTON_MAX_ITER} steps; "
+                       f"last z = {lam!r}, step {step:.3g}")
+
+
+def _record(q: Potential, n: int, lam0: float, window, lam_pred: float,
+            method: str) -> EigenRecord:
+    """The record of the Newton root from ``lam0``, built from the root's
+    profile, which is the eigenfunction. Errors name ``n`` and the stage.
+
+    The grid must fit the root as default_grid fits its centre: the root
+    lies in the refinement window and the envelope decays before x_max.
+    Otherwise Newton polishes once more on the default grid at the root,
+    which moves it by the change of grid only.
+    """
+    stage = "newton"
+    try:
+        lam, prof = _newton(q, lam0, window)
+        if abs(lam - lam0) > REFINE_RADIUS or prof.grid.x_max < lam + _DECAY_LENGTH:
+            stage = "regrid"
+            lam, prof = _newton(q, lam, window)
+        psi_prime0 = float(prof.derivs[0])
+        psi_dot0 = float(prof.z_derivs[0])
+        ratio = -psi_prime0 / psi_dot0
+        if ratio <= 0.0:
+            raise DegeneracyError(
+                f"-psi'(0)/psi_dot(0) = {ratio:g} <= 0 at z = {lam!r}; "
+                "not a simple Dirichlet eigenvalue")
+    except StarkSpecError as err:
+        raise type(err)(f"n={n}, stage {stage}: {err}") from err
     norm_sq = _norm_sq_from_profile(prof)
-    kappa_alt = math.log(psi_prime0 ** 2 / norm_sq)
-    return EigenRecord(n, lam, kappa, lam_pred, bracket, abs(float(prof.values[0])),
-                       norm_sq, kappa_alt, method, psi_prime0, psi_dot0, prof)
+    return EigenRecord(n, lam, math.log(ratio), lam_pred, window,
+                       abs(float(prof.values[0])), norm_sq,
+                       math.log(psi_prime0 ** 2 / norm_sq), method,
+                       psi_prime0, psi_dot0, prof)
 
 
 def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
-    """Bracketed Brent root of the shooting function near the n-th
-    unperturbed eigenvalue, then a Newton polish on a fresh grid.
+    """The n-th Dirichlet eigenvalue: Newton on the shooting function from
+    the first-order prediction, certified by the oscillation count.
 
-    The bracket half-width is the crude-localization scale or twice the
-    first-order correction, whichever is larger; it doubles (at most 6
-    times) until the shooting function changes sign.
+    Iterates must stay within the window around -a_n whose half-width is
+    the crude-localization scale or twice the first-order correction,
+    whichever is larger. By Sturm oscillation the root is the n-th
+    eigenvalue exactly when its eigenfunction has n - 1 sign changes;
+    any other root raises BracketError.
     """
-    a_n = airy_zero(n).a_n
-    center = -a_n
+    center = -airy_zero(n).a_n
     lam_pred = lambda_prediction(q, n)
-    correction = lam_pred - center
     delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
-                2.0 * abs(correction))
-    base = None
-    for _ in range(MAX_DOUBLINGS + 1):
-        lo, hi = center - delta, center + delta
-        if base is None or base.grid.x_max < hi + _GA_OFFSET:
-            base = Workspace(q, center, build_grid(center, hi + _GA_OFFSET))
-        f_lo = shooting_value(q, lo, base)
-        f_hi = shooting_value(q, hi, base)
-        if f_lo * f_hi < 0.0:
-            break
-        delta *= 2.0
-    else:
+                2.0 * abs(lam_pred - center))
+    rec = _record(q, n, lam_pred, (center - delta, center + delta), lam_pred, "shooting")
+    count = oscillation_count(rec)
+    if count != n - 1:
         raise BracketError(
-            f"no sign change around -a_{n} after {MAX_DOUBLINGS} doublings; "
-            "neighboring eigenvalue interference or mislabeled index")
-    lam = brentq(_shoot, lo, hi, args=(q, base), xtol=ROOT_XTOL, rtol=8.9e-16)
-    del base  # free the bracket grid's table before the polish grid's is made
-    return _finalize(q, lam, n, lam_pred, (lo, hi), "shooting")
-
-
-def _shoot(lam: float, q: Potential, base: Grid | Workspace) -> float:
-    # a module-level root function: brentq keeps its wrapper in a reference
-    # cycle, which a closure over the bracket Workspace would join
-    return shooting_value(q, lam, base)
+            f"n={n}, stage certificate: the eigenfunction at z = {rec.lam!r} has "
+            f"{count} sign changes, not {n - 1}; the root is another eigenvalue")
+    return rec
 
 
 def oscillation_count(record: EigenRecord, rel_floor: float = 1e-8) -> int:
@@ -275,7 +302,7 @@ def _kappa_gradient_tail(lam: float, x_max: float, v: Potential,
 
 
 def scan_low_eigenvalues(q: Potential, step: float = 0.1) -> list:
-    """Coarse sweep of the shooting function below the first bracket seed.
+    """Coarse sweep of the shooting function below the first Newton window.
 
     Finds any eigenvalues under -a_1 (finitely many exist); they are
     reported with index 0 and excluded from asymptotic fits by callers.
@@ -295,7 +322,9 @@ def scan_low_eigenvalues(q: Potential, step: float = 0.1) -> list:
     found = []
     for i in range(len(lams) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            root = brentq(_shoot, lams[i], lams[i + 1], args=(q, grid),
-                          xtol=ROOT_XTOL, rtol=8.9e-16)
-            found.append(_finalize(q, root, 0, math.nan, (lams[i], lams[i + 1]), "scan"))
+            # Newton from the secant root of the sign change
+            lo, hi = float(lams[i]), float(lams[i + 1])
+            lam0 = lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i])
+            window = (lo - step, hi + step)
+            found.append(_record(q, 0, lam0, window, math.nan, "scan"))
     return found

@@ -300,9 +300,12 @@ class Workspace:
     def _set_table(self, z: float, table):
         """Basis columns from the (Ai, Ai', Bi, Bi') rows at x - z, and what
         else depends on z: envelope weights and the tail bound."""
-        if not np.all(np.isfinite(table)):
-            raise NumericError("workspace: Bi overflow on grid; x_max - z too large")
         grid = self.grid
+        if not np.all(np.isfinite(table)):
+            # AMOS returns nan for Bi from w ~ 103.4, before Bi' overflows
+            raise NumericError(
+                f"workspace: Airy table non-finite at z = {z!r}, max w = "
+                f"{grid.x_max - z:.6g}; x_max - z too large for Bi")
         self.z = z
         n_g = grid.gauss_x.size
         cols = _SQRT_PI * table

@@ -112,7 +112,7 @@ def test_second_order_remainder_scaling(records_cache):
 
 def test_report_assembly(records_cache):
     q, recs = records_cache("exp+", 20)
-    # the record keeps the prediction that centred its bracket
+    # the record keeps the prediction that Newton started from
     assert recs[2].lam_pred == ss.lambda_prediction(q, 2)
     rep = asym_report(q, recs, n_hi=20)
     assert len(rep.lambda_resid) == len(rep.kappa_resid) == 19

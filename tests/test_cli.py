@@ -160,24 +160,35 @@ def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
 
 
 def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
-    # AMOS calls and points of every Workspace Airy table in an eig campaign;
-    # moving the tables to nearby z took these down from 180 calls and
-    # 516,380 points
-    amos = Counter()
+    # AMOS calls and points of every Workspace Airy table in an eig campaign,
+    # and the Picard solves and sweeps; Newton from the prediction on one
+    # grid per index took these down from 50 calls, 287,405 points, 99
+    # solves and 705 sweeps (180 calls and 516,380 points before the tables
+    # were moved to nearby z)
+    work = Counter()
 
     def airy(w):
-        amos["calls"] += 1
-        amos["points"] += np.size(w)
+        work["amos_calls"] += 1
+        work["amos_points"] += np.size(w)
         return special.airy(w)
 
+    picard = volterra.Workspace.picard
+
+    def counted_picard(self, inhom, direction):
+        f, sweeps = picard(self, inhom, direction)
+        work["picard_calls"] += 1
+        work["picard_sweeps"] += sweeps
+        return f, sweeps
+
     monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
+    monkeypatch.setattr(volterra.Workspace, "picard", counted_picard)
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
                                    "output_dir": str(tmp_path / "o")}))
     assert cli.main(["eig", "--config", str(cfgfile), "--method", "shooting"]) == cli.EXIT_OK
-    # 16 tables for the bracket and polish grids, 34 re-evaluations past the
-    # cut-over (indices 1..8 have the widest brackets)
-    assert amos["calls"] <= 50 and amos["points"] <= 287_405
+    # one table per index, moved along the Newton iterates
+    assert work["amos_calls"] <= 8 and work["amos_points"] <= 51_258
+    assert work["picard_calls"] <= 48 and work["picard_sweeps"] <= 339
 
 
 def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):

@@ -1,7 +1,9 @@
+import functools
 import gc
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 import starkspec as ss
@@ -193,8 +195,8 @@ def test_scan_survives_deep_potential():
 
 
 def test_locate_leaves_no_grid_in_reference_cycles(q_exp):
-    # a Grid or Workspace caught in a cycle (brentq's wrapper is one) lives
-    # with its Airy table until the next collection
+    # a Grid or Workspace caught in a cycle (a root finder's wrapper can
+    # make one) lives with its Airy table until the next collection
     flags = gc.get_debug()
     gc.collect()
     gc.garbage.clear()
@@ -207,3 +209,57 @@ def test_locate_leaves_no_grid_in_reference_cycles(q_exp):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert caught == []
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_exp(c, a):
+    return ss.extrapolated_spectrum(ss.exp_decay(c, a, r=2.0), 40.0, 10)
+
+
+# strong potentials whose index the doubling bracket mislabelled: it returned
+# 37.25, -5.87 and 6.71 for exp(-20, 1), n = 1..3, 6.62 and 12.41 for
+# exp(5, 0.5), n = 2, 3, and "Bi overflow" and 8.58 for exp(-8, 1), n = 1, 3
+@pytest.mark.parametrize("c, a, n, lam", [
+    (-20.0, 1.0, 1, -5.87196), (-20.0, 1.0, 2, 0.35116), (-20.0, 1.0, 3, 3.39368),
+    (5.0, 0.5, 2, 5.52818), (5.0, 0.5, 3, 6.62331),
+    (-8.0, 1.0, 1, -0.34652), (-8.0, 1.0, 3, 4.72324),
+])
+def test_locate_certifies_the_index_of_strong_potentials(c, a, n, lam):
+    rec = ss.locate_eigenvalue(ss.exp_decay(c, a, r=2.0), n)
+    assert rec.lam == pytest.approx(float(_oracle_exp(c, a)[n - 1]), abs=1e-6)
+    assert rec.lam == pytest.approx(lam, abs=1e-5)
+    assert ss.oscillation_count(rec) == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_locate_solves_or_names_the_failure(n):
+    # Newton from the prediction of exp(20, 0.5) reaches higher eigenvalues;
+    # the oscillation count must catch them (the doubling bracket returned
+    # lambda_5 for n = 3)
+    q = ss.exp_decay(20.0, 0.5, r=2.0)
+    try:
+        rec = ss.locate_eigenvalue(q, n)
+    except ss.BracketError as err:
+        msg = str(err)
+        assert f"n={n}," in msg and "z = " in msg and "stage certificate" in msg
+    else:
+        assert rec.lam == pytest.approx(float(_oracle_exp(20.0, 0.5)[n - 1]), abs=1e-6)
+        assert ss.oscillation_count(rec) == n - 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(-20.0, 20.0), st.floats(0.5, 2.0), st.integers(1, 10))
+@example(-20.0, 1.0, 1)
+@example(-20.0, 1.0, 3)
+@example(5.0, 0.5, 2)
+@example(-8.0, 1.0, 1)
+@example(20.0, 0.5, 3)
+@example(-20.0, 0.5, 3)
+def test_locate_agrees_with_oracle_or_names_the_index(c, a, n):
+    try:
+        rec = ss.locate_eigenvalue(ss.exp_decay(c, a, r=2.0), n)
+    except ss.StarkSpecError as err:
+        assert f"n={n}," in str(err)
+        return
+    assert ss.oscillation_count(rec) == n - 1
+    assert rec.lam == pytest.approx(float(_oracle_exp(c, a)[n - 1]), abs=1e-6)

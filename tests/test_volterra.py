@@ -334,5 +334,6 @@ def test_moved_workspace_reports_bi_overflow():
     base = Workspace(None, 0.0, grid)
     assert base.at(0.0) is base
     assert np.isfinite(base.at(-shift_limit(grid.nodes)).b_th0p[-1])
-    with pytest.raises(NumericError, match="Bi overflow"):
+    # the message says what is wrong and where: the table, z and max w
+    with pytest.raises(NumericError, match=r"Airy table non-finite at z = -0\.6, max w = 103\.6;"):
         base.at(-0.6)
