@@ -22,8 +22,7 @@ from .potentials import (NormBundle, Potential, alg_decay, blend, bump,
                          tabulated)
 from .spectrum import (EigenRecord, kappa_directional_derivative,
                        lambda_directional_derivative, locate_eigenvalue,
-                       norm_sq_psi, oscillation_count, scan_low_eigenvalues,
-                       shooting_value)
+                       norm_sq_psi, oscillation_count, shooting_value)
 from .volterra import (Grid, SolutionProfile, Workspace, build_grid,
                        default_grid, solve_psi, solve_sc, solve_theta)
 

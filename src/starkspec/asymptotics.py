@@ -2,7 +2,8 @@
 
 The predictions are the leading corrections to the unperturbed data:
 an Ai^2 pairing for the eigenvalues and an Ai*Ai' pairing for the
-norming constants, both divided by sqrt(-a_n). Remainder decay is
+norming constants, both divided by sqrt(-a_n), each a Gauss sum on the
+Airy table of the index's Workspace at z = -a_n. Remainder decay is
 quantified by a log-log least-squares slope with a noise-floor guard.
 """
 from __future__ import annotations
@@ -11,11 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .airy import airy_zero
-from .errors import InsufficientDataError, NumericError
+from .errors import InsufficientDataError
 from .potentials import Potential
+from .volterra import Workspace, workspace
 
 __all__ = [
     "AsymptoticsReport",
@@ -25,47 +27,33 @@ __all__ = [
     "build_report",
 ]
 
-_PRED_RTOL = 1e-11
 #: residuals below 10x these are treated as solver noise in the fits
 LAMBDA_NOISE_FLOOR = 1e-9
 KAPPA_NOISE_FLOOR = 1e-8
 
 
-def _airy_pairing(q: Potential, a_n: float, kernel) -> float:
-    """Adaptive quadrature of kernel(Ai, Ai')(x + a_n) * q(x) over [0, inf).
+def lambda_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float:
+    """-a_n plus the first-order eigenvalue correction
+    pi (-a_n)^(-1/2) int Ai^2(x + a_n) q.
 
-    Split at the turning point -a_n; beyond it the Airy factors decay
-    doubly-exponentially, so 30 more units always exhaust the mass.
+    The integral is the Gauss sum over the Airy table of ``ws``, the
+    Workspace of q at z = -a_n, where psi0 = sqrt(pi) Ai(x + a_n); None
+    builds it on the default grid.
     """
-    turn = max(-a_n, 0.0)
-
-    def f(x):
-        ai, aip, _, _ = special.airy(x + a_n)
-        return kernel(ai, aip) * q.q(x)
-
-    pts = sorted(k for k in q.kinks if 0.0 < k < turn)
-    head, _ = integrate.quad(f, 0.0, turn, points=pts or None,
-                             limit=800, epsabs=1e-15, epsrel=_PRED_RTOL)
-    tail, _ = integrate.quad(f, turn, turn + 30.0, limit=300,
-                             epsabs=1e-15, epsrel=_PRED_RTOL)
-    out = head + tail
-    if not math.isfinite(out):
-        raise NumericError("prediction quadrature did not converge")
-    return out
+    if ws is None:
+        ws = workspace(q, -airy_zero(n).a_n)
+    pairing = float(np.sum(ws.grid.weights * ws.qg * ws.psi0 * ws.psi0))
+    return ws.z + pairing / math.sqrt(ws.z)
 
 
-def lambda_prediction(q: Potential, n: int) -> float:
-    """-a_n plus the first-order eigenvalue correction."""
-    a_n = airy_zero(n).a_n
-    pairing = _airy_pairing(q, a_n, lambda ai, aip: ai * ai)
-    return -a_n + math.pi * pairing / math.sqrt(-a_n)
-
-
-def kappa_prediction(q: Potential, n: int) -> float:
-    """First-order norming-constant correction (zero at q = 0)."""
-    a_n = airy_zero(n).a_n
-    pairing = _airy_pairing(q, a_n, lambda ai, aip: ai * aip)
-    return -2.0 * math.pi * pairing / math.sqrt(-a_n)
+def kappa_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float:
+    """First-order norming-constant correction
+    -2 pi (-a_n)^(-1/2) int Ai Ai'(x + a_n) q (zero at q = 0); ``ws`` as
+    for :func:`lambda_prediction`."""
+    if ws is None:
+        ws = workspace(q, -airy_zero(n).a_n)
+    pairing = float(np.sum(ws.grid.weights * ws.qg * ws.psi0 * ws.psi0p))
+    return -2.0 * pairing / math.sqrt(ws.z)
 
 
 def decay_rate_fit(resid, ns, tolerance_floor: float):

@@ -180,7 +180,7 @@ def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list,
     for n in ns:
         rec = records[n]
         lam_p = rec.lam_pred if with_pred else float("nan")
-        kap_p = asymptotics.kappa_prediction(q, n) if with_pred else float("nan")
+        kap_p = rec.kappa_pred if with_pred else float("nan")
         rows.append({
             "n": n,
             "lambda_shoot": rec.lam,

@@ -47,7 +47,8 @@ class Potential:
     sup_norm: float = 0.0
     #: point beyond which |q| and |q'| stay below _ENVELOPE_FLOOR * peak
     decay_point: float = 0.0
-    #: interior points where q or |q| loses smoothness (quadrature hints)
+    #: interior points where q or |q| loses smoothness: panel ends of every
+    #: default grid and break points of the norm quadratures
     kinks: tuple = ()
 
     def __call__(self, x):

@@ -3,8 +3,9 @@
 The shooting function is the value at 0 of the square-integrable
 solution; its zeros are the Dirichlet eigenvalues. Each is found by
 Newton from its first-order prediction, with the z-derivative of the
-same solve as slope, on one grid, and certified by the eigenfunction's
-oscillation count. The norming constant is log(-psi'(0) / psi_dot(0)).
+same solve as slope, on one grid whose Airy table at -a_n also gives
+both predictions, and certified by the eigenfunction's oscillation
+count. The norming constant is log(-psi'(0) / psi_dot(0)).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .airy import airy_zero
-from .asymptotics import lambda_prediction
+from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import (BracketError, DegeneracyError, InconsistencyError, NumericError,
                      StarkSpecError)
 from .potentials import Potential
@@ -31,7 +32,6 @@ __all__ = [
     "oscillation_count",
     "lambda_directional_derivative",
     "kappa_directional_derivative",
-    "scan_low_eigenvalues",
 ]
 
 BRACKET_COEFF = 4.0
@@ -54,12 +54,12 @@ class EigenRecord:
     n: int
     lam: float
     kappa: float
-    lam_pred: float         # first-order prediction Newton starts from; nan for scans
+    lam_pred: float         # first-order prediction Newton starts from
+    kappa_pred: float       # first-order norming-constant prediction
     bracket: tuple          # Newton window: an iterate outside it raises
     shoot_residual: float
     norm_sq: float          # quadrature of psi^2 plus tail estimate
     kappa_alt: float        # norm-based definition log(psi'(0)^2 / norm_sq)
-    method: str
     psi_prime0: float
     psi_dot0: float
     psi: SolutionProfile = field(repr=False)
@@ -89,8 +89,8 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
     return body + max(tail, 0.0)
 
 
-def _newton(q: Potential, lam: float, window) -> tuple:
-    """Newton on the shooting function from ``lam`` on default_grid(q, lam),
+def _newton(q: Potential, lam: float, base: Grid | Workspace, window) -> tuple:
+    """Newton on the shooting function from ``lam`` on the grid of ``base``,
     with its Airy table moved to each iterate; returns the root and its
     profile.
 
@@ -101,7 +101,6 @@ def _newton(q: Potential, lam: float, window) -> tuple:
     """
     lo, hi = window
     prev = math.inf
-    base = default_grid(q, lam)
     for _ in range(NEWTON_MAX_ITER):
         try:
             # a table rebuilt past the shift cut-over is the next move's origin
@@ -125,22 +124,35 @@ def _newton(q: Potential, lam: float, window) -> tuple:
                        f"last z = {lam!r}, step {step:.3g}")
 
 
-def _record(q: Potential, n: int, lam0: float, window, lam_pred: float,
-            method: str) -> EigenRecord:
-    """The record of the Newton root from ``lam0``, built from the root's
-    profile, which is the eigenfunction. Errors name ``n`` and the stage.
+def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
+    """The n-th Dirichlet eigenvalue: Newton on the shooting function from
+    the first-order prediction, certified by the oscillation count.
 
-    The grid must fit the root as default_grid fits its centre: the root
-    lies in the refinement window and the envelope decays before x_max.
-    Otherwise Newton polishes once more on the default grid at the root,
-    which moves it by the change of grid only.
+    One Workspace at -a_n gives both first-order predictions; moved to
+    the lambda prediction, it starts Newton. Iterates must stay within the
+    window around -a_n whose half-width is the crude-localization scale or
+    twice the first-order correction, whichever is larger. The grid must
+    fit the root as default_grid fits its centre: the root lies in the
+    refinement window and the envelope decays before x_max. Otherwise
+    Newton polishes once more on the default grid at the root, which moves
+    it by the change of grid only. By Sturm oscillation the root is the
+    n-th eigenvalue exactly when its eigenfunction has n - 1 sign changes;
+    any other root raises BracketError. Errors name ``n`` and the stage.
     """
+    ws = workspace(q, -airy_zero(n).a_n)
+    center = ws.z
+    lam_pred = lambda_prediction(q, n, ws)
+    kappa_pred = kappa_prediction(q, n, ws)
+    delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
+                2.0 * abs(lam_pred - center))
+    window = (center - delta, center + delta)
     stage = "newton"
     try:
-        lam, prof = _newton(q, lam0, window)
-        if abs(lam - lam0) > REFINE_RADIUS or prof.grid.x_max < lam + _DECAY_LENGTH:
+        ws = ws.at(lam_pred)        # rebound, so the columns at -a_n can go
+        lam, prof = _newton(q, lam_pred, ws, window)
+        if abs(lam - center) > REFINE_RADIUS or prof.grid.x_max < lam + _DECAY_LENGTH:
             stage = "regrid"
-            lam, prof = _newton(q, lam, window)
+            lam, prof = _newton(q, lam, default_grid(q, lam), window)
         psi_prime0 = float(prof.derivs[0])
         psi_dot0 = float(prof.z_derivs[0])
         ratio = -psi_prime0 / psi_dot0
@@ -151,27 +163,9 @@ def _record(q: Potential, n: int, lam0: float, window, lam_pred: float,
     except StarkSpecError as err:
         raise type(err)(f"n={n}, stage {stage}: {err}") from err
     norm_sq = _norm_sq_from_profile(prof)
-    return EigenRecord(n, lam, math.log(ratio), lam_pred, window,
-                       abs(float(prof.values[0])), norm_sq,
-                       math.log(psi_prime0 ** 2 / norm_sq), method,
-                       psi_prime0, psi_dot0, prof)
-
-
-def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
-    """The n-th Dirichlet eigenvalue: Newton on the shooting function from
-    the first-order prediction, certified by the oscillation count.
-
-    Iterates must stay within the window around -a_n whose half-width is
-    the crude-localization scale or twice the first-order correction,
-    whichever is larger. By Sturm oscillation the root is the n-th
-    eigenvalue exactly when its eigenfunction has n - 1 sign changes;
-    any other root raises BracketError.
-    """
-    center = -airy_zero(n).a_n
-    lam_pred = lambda_prediction(q, n)
-    delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
-                2.0 * abs(lam_pred - center))
-    rec = _record(q, n, lam_pred, (center - delta, center + delta), lam_pred, "shooting")
+    rec = EigenRecord(n, lam, math.log(ratio), lam_pred, kappa_pred, window,
+                      abs(float(prof.values[0])), norm_sq,
+                      math.log(psi_prime0 ** 2 / norm_sq), psi_prime0, psi_dot0, prof)
     count = oscillation_count(rec)
     if count != n - 1:
         raise BracketError(
@@ -299,32 +293,3 @@ def _kappa_gradient_tail(lam: float, x_max: float, v: Potential,
     hi = min(v.decay_point, x_max + 80.0)
     out = quad(f, x_max, hi, limit=200, epsabs=1e-13, epsrel=1e-9, full_output=1)
     return float(out[0])
-
-
-def scan_low_eigenvalues(q: Potential, step: float = 0.1) -> list:
-    """Coarse sweep of the shooting function below the first Newton window.
-
-    Finds any eigenvalues under -a_1 (finitely many exist); they are
-    reported with index 0 and excluded from asymptotic fits by callers.
-    The sweep floor is the min-max bound: no spectrum can sit below the
-    free ground state minus the potential's sup norm, and chasing the
-    coarse -10(1+sup) floor past that would underflow the decaying basis
-    solution for deep potentials.
-    """
-    a_1 = airy_zero(1).a_n
-    lam_min = max(-10.0 * (1.0 + q.sup_norm), -a_1 - 1.05 * q.sup_norm - 0.5)
-    top = -a_1 - BRACKET_COEFF * (1.5 * math.pi) ** BRACKET_EXPONENT
-    if top <= lam_min:
-        return []
-    grid = default_grid(q, top)
-    lams = np.arange(lam_min, top + step, step)
-    vals = [shooting_value(q, t, grid) for t in lams]
-    found = []
-    for i in range(len(lams) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            # Newton from the secant root of the sign change
-            lo, hi = float(lams[i]), float(lams[i + 1])
-            lam0 = lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i])
-            window = (lo - step, hi + step)
-            found.append(_record(q, 0, lam0, window, math.nan, "scan"))
-    return found

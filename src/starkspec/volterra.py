@@ -207,11 +207,16 @@ def grid_from_nodes(nodes) -> Grid:
 def default_grid(q: Potential | None, z: float,
                  tail_tol: float = DEFAULT_TAIL_TOL) -> Grid:
     """Grid satisfying the envelope decay condition, extended while the
-    potential still carries weight there (capped; see FAR_EXTENSION_CAP)."""
+    potential still carries weight there (capped; see FAR_EXTENSION_CAP).
+
+    Every kink of q inside the grid ends a panel, so each Gauss rule sees a
+    smooth piece of q."""
     base = z + envelope_offset(tail_tol)
     if q is None:
         return build_grid(z, base)
-    return build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP, tail_tol))
+    grid = build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP, tail_tol))
+    kinks = [k for k in q.kinks if 0.0 < k < grid.x_max]
+    return grid_from_nodes(np.union1d(grid.nodes, kinks)) if kinks else grid
 
 
 #: largest |z0 - z| * sqrt(max |x - z0|) over the grid at which a Workspace

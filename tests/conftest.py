@@ -1,24 +1,35 @@
 """Shared fixtures: the test potential family and cached eigen-solves."""
+import numpy as np
 import pytest
 
 import starkspec as ss
 
-# the four cross-method potentials plus a slow-decay low-r family
+
+def _table30():
+    # the cubic spline of the asympt-table30 benchmark campaign: 49
+    # equispaced knots on [0, 12], the last one 0
+    xs = np.linspace(0.0, 12.0, 49)
+    ys = 0.4 * np.exp(-xs / 2) * np.cos(1.3 * xs) * (1 - (xs / 12) ** 2) ** 3
+    return ss.tabulated(xs, ys, r=2.0)
+
+
+# the four cross-method potentials, a slow-decay low-r family and a spline
 POTENTIALS = {
     "exp+": lambda: ss.exp_decay(0.3, 1.0, r=2.0),
     "exp-": lambda: ss.exp_decay(-0.3, 1.0, r=2.0),
     "alg": lambda: ss.alg_decay(0.5, 3.0, r=2.0),
     "bump": lambda: ss.bump(0.4, 2.0, 1.0, r=2.0),
     "low_r": lambda: ss.alg_decay(0.4, 1.5, r=1.5),
+    "table30": _table30,
 }
 
 
-def asym_report(q, recs, n_hi=40):
+def asym_report(recs, n_hi=40):
     """build_report on the records' residuals against both first-order
     predictions, over n = 2..n_hi."""
     ns = [n for n in sorted(recs) if 2 <= n <= n_hi]
     return ss.build_report(ns, [recs[n].lam - recs[n].lam_pred for n in ns],
-                           [recs[n].kappa - ss.kappa_prediction(q, n) for n in ns])
+                           [recs[n].kappa - recs[n].kappa_pred for n in ns])
 
 
 @pytest.fixture(scope="session")

@@ -62,12 +62,12 @@ def test_criterion_3_eigenvalue_remainder_decay(records_cache):
     details = []
     for key in ("exp+", "exp-", "bump"):
         q, recs = records_cache(key, 40)
-        rep = asym_report(q, recs)
+        rep = asym_report(recs)
         slope = rep.fitted_slope_lambda[0]
         ok = ok and slope <= -0.8
         details.append(f"{key}: {slope:.3f} (<=-0.8)")
     q, recs = records_cache("low_r", 40)
-    rep = asym_report(q, recs)
+    rep = asym_report(recs)
     slope = rep.fitted_slope_lambda[0]
     ok = ok and slope <= -0.75
     details.append(f"low_r: {slope:.3f} (<=-0.75)")
@@ -83,7 +83,7 @@ def test_criterion_3_eigenvalue_remainder_decay(records_cache):
     "extended window in the companion test."))
 def test_criterion_3_alg_literal_window(records_cache):
     q, recs = records_cache("alg", 40)
-    rep = asym_report(q, recs)
+    rep = asym_report(recs)
     slope = rep.fitted_slope_lambda[0]
     report("3-alg", slope <= -0.8,
            f"alg over the literal n=2..40 window: slope={slope:.3f} "
@@ -98,7 +98,7 @@ def test_criterion_3_alg_extended_window(records_cache):
     resid = []
     for n in ns:
         rec = ss.locate_eigenvalue(q, n)
-        resid.append(rec.lam - ss.lambda_prediction(q, n))
+        resid.append(rec.lam - rec.lam_pred)
     slope, half = ss.decay_rate_fit(resid, ns, 1e-9)
     ok = slope <= -0.8
     assert report("3-alg-ext", ok,
@@ -111,7 +111,7 @@ def test_criterion_4_norming_remainder_decay(records_cache):
     details = []
     for key in R2_KEYS:
         q, recs = records_cache(key, 40)
-        rep = asym_report(q, recs)
+        rep = asym_report(recs)
         slope = rep.fitted_slope_kappa[0]
         ok = ok and slope <= -0.8
         details.append(f"{key}: {slope:.3f} (<=-0.8)")

@@ -6,16 +6,18 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 import starkspec as ss
-from conftest import asym_report
+from conftest import POTENTIALS, asym_report
 from starkspec.errors import InsufficientDataError
 
 
 def composite_gl_pairing(q, n, kernel, points_per_unit=20, order=12):
-    """Independent quadrature oracle: dense composite Gauss-Legendre."""
+    """Independent quadrature oracle: dense composite Gauss-Legendre with
+    panel edges at the kinks of q."""
     a_n = ss.airy_zero(n).a_n
     turn = -a_n
     edges = np.linspace(0.0, turn, max(2, int(turn * points_per_unit)))
     edges = np.concatenate([edges, turn + np.linspace(0, 30.0, 160)[1:]])
+    edges = np.union1d(edges, [k for k in q.kinks if 0.0 < k < edges[-1]])
     gn, gw = leggauss(order)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -44,15 +46,23 @@ def test_prediction_correction_is_linear_in_q(q_exp):
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 40])
-def test_prediction_quadratures_vs_gl_oracle(q_exp, n):
+# the bump and the spline are not analytic at their kinks, where the
+# grids end panels
+@pytest.mark.parametrize("key, n, tol", [
+    pytest.param("exp+", 1, {"rel": 1e-8}, id="1"),
+    pytest.param("exp+", 40, {"rel": 1e-8}, id="40"),
+    *(pytest.param("bump", n, {"abs": 1e-9}, id=f"bump-{n}") for n in (1, 4, 15)),
+    *(pytest.param("table30", n, {"rel": 1e-11}, id=f"table30-{n}") for n in (1, 9, 15)),
+])
+def test_prediction_quadratures_vs_gl_oracle(key, n, tol):
+    q = POTENTIALS[key]()
     a_n = ss.airy_zero(n).a_n
-    lam_pair = composite_gl_pairing(q_exp, n, lambda ai, aip: ai * ai)
-    kap_pair = composite_gl_pairing(q_exp, n, lambda ai, aip: ai * aip)
-    assert ss.lambda_prediction(q_exp, n) == pytest.approx(
-        -a_n + math.pi * lam_pair / math.sqrt(-a_n), rel=1e-8)
-    assert ss.kappa_prediction(q_exp, n) == pytest.approx(
-        -2.0 * math.pi * kap_pair / math.sqrt(-a_n), rel=1e-8)
+    lam_pair = composite_gl_pairing(q, n, lambda ai, aip: ai * ai)
+    kap_pair = composite_gl_pairing(q, n, lambda ai, aip: ai * aip)
+    assert ss.lambda_prediction(q, n) == pytest.approx(
+        -a_n + math.pi * lam_pair / math.sqrt(-a_n), **tol)
+    assert ss.kappa_prediction(q, n) == pytest.approx(
+        -2.0 * math.pi * kap_pair / math.sqrt(-a_n), **tol)
 
 
 def test_kappa_prediction_by_parts_identity(q_exp):
@@ -105,16 +115,17 @@ def test_second_order_remainder_scaling(records_cache):
     for c in (1.0, 0.5):
         q = q_full.scale(c)
         rec = ss.locate_eigenvalue(q, n)
-        resid[c] = rec.lam - ss.lambda_prediction(q, n)
+        resid[c] = rec.lam - rec.lam_pred
     ratio = resid[1.0] / resid[0.5]
     assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
 
 
 def test_report_assembly(records_cache):
     q, recs = records_cache("exp+", 20)
-    # the record keeps the prediction that Newton started from
+    # the record keeps both predictions, Newton's start among them
     assert recs[2].lam_pred == ss.lambda_prediction(q, 2)
-    rep = asym_report(q, recs, n_hi=20)
+    assert recs[2].kappa_pred == ss.kappa_prediction(q, 2)
+    rep = asym_report(recs, n_hi=20)
     assert len(rep.lambda_resid) == len(rep.kappa_resid) == 19
     slope, half = rep.fitted_slope_lambda
     assert slope < -0.5 and half < 0.5

@@ -137,6 +137,7 @@ def test_malformed_config_exits_with_config_error(tmp_path, config):
 
 
 def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
+    # and reads both from each index's Airy table, with no Airy call of its own
     calls = Counter()
 
     def count(module, name):
@@ -149,9 +150,20 @@ def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(spectrum, "lambda_prediction")
+    count(spectrum, "kappa_prediction")
     count(asymptotics, "lambda_prediction")
     count(asymptotics, "kappa_prediction")
     count(asymptotics, "build_report")
+
+    class CountedSpecial:
+        def __getattr__(self, attr):
+            return getattr(special, attr)
+
+        def airy(self, w):
+            calls["special.airy"] += 1
+            return special.airy(w)
+
+    monkeypatch.setattr(asymptotics, "special", CountedSpecial())
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
                                    "output_dir": str(tmp_path / "o")}))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 import starkspec as ss
+from conftest import POTENTIALS
 
 # frozen high-precision values (50-digit quadrature/series oracles)
 A = [-2.3381074104597670, -4.0879494441309706, -5.5205598280955511]
@@ -148,19 +149,6 @@ def test_kappa_gradient_with_slow_direction(records_cache):
     assert dk == pytest.approx((plus.kappa - minus.kappa) / (2 * h), rel=1e-3)
 
 
-def test_scan_finds_shifted_ground_state():
-    q = ss.bump(-3.0, 1.0, 1.0, r=2.0)
-    found = ss.scan_low_eigenvalues(q)
-    assert len(found) == 1
-    assert found[0].method == "scan" and found[0].n == 0
-    lam_o = ss.extrapolated_spectrum(q, 20.0, 1, meshes=(0.02, 0.01, 0.005))
-    assert found[0].lam == pytest.approx(float(lam_o[0]), abs=1e-6)
-
-
-def test_scan_empty_for_small_potentials(q_exp):
-    assert ss.scan_low_eigenvalues(q_exp) == []
-
-
 def test_kappa_gradient_zero_direction(zero_records):
     q, recs = zero_records
     assert ss.kappa_directional_derivative(
@@ -181,17 +169,35 @@ def test_tabulated_potential_through_the_full_pipeline():
     assert rec.lam == pytest.approx(ref.lam, abs=1e-4)
 
 
-def test_scan_survives_deep_potential():
-    # sup norm 8 pushes the coarse sweep floor far below where the decaying
-    # basis solution underflows; the min-max floor keeps the scan finite
-    q = ss.bump(-8.0, 1.0, 1.0, r=2.0)
-    found = ss.scan_low_eigenvalues(q)
-    assert len(found) >= 1
-    lam_o = ss.extrapolated_spectrum(q, 20.0, len(found))
-    for rec, ref in zip(found, lam_o):
+# two wells that pull lambda_1 far below -a_1, the deeper one below 0, and
+# a small potential: the lowest eigenvalue is lambda_1, whatever the well
+@pytest.mark.parametrize("q", [
+    pytest.param(ss.bump(-3.0, 1.0, 1.0, r=2.0), id="bump-3"),
+    pytest.param(ss.exp_decay(0.3, 1.0, r=2.0), id="exp"),
+    pytest.param(ss.bump(-8.0, 1.0, 1.0, r=2.0), id="bump-8"),
+])
+def test_locate_low_eigenvalues(q):
+    lam_o = ss.extrapolated_spectrum(q, 40.0, 4)
+    recs = [ss.locate_eigenvalue(q, n) for n in range(1, 5)]
+    for rec, ref in zip(recs, lam_o):
         assert rec.lam == pytest.approx(float(ref), abs=1e-6)
-    # min-max: spectrum sits above the free ground state minus sup|q|
-    assert all(f.lam >= 2.338107 - 8.0 - 1e-9 for f in found)
+    # min-max: the spectrum sits above the free ground state minus sup|q|
+    assert recs[0].lam >= -ss.airy_zero(1).a_n - q.sup_norm
+
+
+def test_spline_root_does_not_depend_on_the_grid_centre():
+    # panels straddling a knot, where the spline's third derivative jumps,
+    # moved this root by 1.8e-12 between the three grids
+    q = POTENTIALS["table30"]()
+    lam = ss.locate_eigenvalue(q, 1).lam
+    roots = []
+    for z in (lam, lam + 3.7e-3, lam - 0.05):
+        grid, root = ss.default_grid(q, z), lam
+        for _ in range(4):
+            prof = ss.solve_psi(q, root, grid)
+            root -= prof.values[0] / prof.z_derivs[0]
+        roots.append(root)
+    assert max(roots) - min(roots) <= 1e-14
 
 
 def test_locate_leaves_no_grid_in_reference_cycles(q_exp):
