@@ -206,7 +206,7 @@ def make_potential(spec: dict) -> Potential:
             out[m] = dspline(x[m])
             return out
 
-        return Potential(family, dict(params), r, q, qp, peak, last, tuple(xs[1:-1]))
+        return Potential(family, dict(params), r, q, qp, peak, last, tuple(xs[1:]))
 
     raise ValidationError(f"unknown potential family {family!r}")
 

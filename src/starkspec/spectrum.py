@@ -21,7 +21,7 @@ from .errors import (BracketError, DegeneracyError, InconsistencyError, NumericE
                      StarkSpecError)
 from .potentials import Potential
 from .volterra import (REFINE_RADIUS, TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
-                       default_grid, envelope_offset, solve_psi, solve_sc, workspace)
+                       envelope_offset, solve_psi, solve_sc, workspace)
 
 __all__ = [
     "EigenRecord",
@@ -89,10 +89,9 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
     return body + max(tail, 0.0)
 
 
-def _newton(q: Potential, lam: float, base: Grid | Workspace, window) -> tuple:
+def _newton(q: Potential, lam: float, base: Workspace, window) -> tuple:
     """Newton on the shooting function from ``lam`` on the grid of ``base``,
-    with its Airy table moved to each iterate; returns the root and its
-    profile.
+    moved to each iterate; returns the root and its profile.
 
     Converged when the step falls to 1e-15 (1 + |lam|), or to roundoff: a
     step below NEWTON_NOISE (1 + |lam|) that is not a quarter of the last
@@ -103,8 +102,6 @@ def _newton(q: Potential, lam: float, base: Grid | Workspace, window) -> tuple:
     prev = math.inf
     for _ in range(NEWTON_MAX_ITER):
         try:
-            # a table rebuilt past the shift cut-over is the next move's origin
-            base = workspace(q, lam, base)
             prof = solve_psi(q, lam, base)
         except StarkSpecError as err:
             raise type(err)(f"at z = {lam!r}: {err}") from err
@@ -148,11 +145,10 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     window = (center - delta, center + delta)
     stage = "newton"
     try:
-        ws = ws.at(lam_pred)        # rebound, so the columns at -a_n can go
         lam, prof = _newton(q, lam_pred, ws, window)
         if abs(lam - center) > REFINE_RADIUS or prof.grid.x_max < lam + _DECAY_LENGTH:
             stage = "regrid"
-            lam, prof = _newton(q, lam, default_grid(q, lam), window)
+            lam, prof = _newton(q, lam, workspace(q, lam), window)
         psi_prime0 = float(prof.derivs[0])
         psi_dot0 = float(prof.z_derivs[0])
         ratio = -psi_prime0 / psi_dot0

@@ -30,8 +30,7 @@ __all__ = [
     "Grid",
     "SolutionProfile",
     "Workspace",
-    "airy_shift",
-    "shift_limit",
+    "airy_table",
     "build_grid",
     "default_grid",
     "envelope_offset",
@@ -41,7 +40,7 @@ __all__ = [
     "solve_sc",
     "workspace",
     "DEFAULT_TAIL_TOL",
-    "SHIFT_CUTOVER",
+    "LATTICE_STEP",
 ]
 
 PICARD_TOL = 1e-12
@@ -219,53 +218,63 @@ def default_grid(q: Potential | None, z: float,
     return grid_from_nodes(np.union1d(grid.nodes, kinks)) if kinks else grid
 
 
-#: largest |z0 - z| * sqrt(max |x - z0|) over the grid at which a Workspace
-#: moves its Airy table from z0 to z by the Taylor series of the Airy
-#: equation; past it AMOS is called again. The series cancels like
-#: exp(2 |h| sqrt(w)) where Ai decays, and test_airy_shift_accuracy holds the
-#: moved table to 1e-12 of AMOS in the envelope-weighted norm up to here
-SHIFT_CUTOVER = 1.5
+#: spacing of the process-wide AMOS lattice every Airy table steps from;
+#: steps of at most half of it need about 10 Taylor terms, and their
+#: cancellation, like exp(2 |h| sqrt(w)) where Ai decays, stays harmless
+LATTICE_STEP = 2.0 ** -6
+_CHUNK = 1024       # lattice points per AMOS evaluation: 16 units of w
+#: chunk c -> (Ai, Ai', Bi, Bi') at w = (c _CHUNK + j) LATTICE_STEP, j < _CHUNK;
+#: growth assigns a new dict, so concurrent readers see whole chunks only
+_lattice: dict = {}
 
 
-def shift_limit(w) -> float:
-    """Largest step |h| that SHIFT_CUTOVER admits for a table at points w."""
-    return SHIFT_CUTOVER / math.sqrt(max(float(np.max(np.abs(w))), 1.0))
+def airy_table(w):
+    """(Ai, Ai', Bi, Bi') at the points w, each stepped by h = w - w_k,
+    |h| <= LATTICE_STEP / 2, from its nearest lattice point w_k.
 
-
-def airy_shift(w, table, h):
-    """(Ai, Ai', Bi, Bi') at w + h from ``table``, the same four rows at w.
-
-    Both Ai and Bi solve f'' = w f, so their Taylor coefficients about w
-    share the recurrence c_{k+2} = (w c_k + c_{k-1}) / ((k+2)(k+1)),
-    seeded by c_0 = f, c_1 = f'. The same recurrence with max |w| and |h|
-    bounds |c_k h^k| / (|f| + |h f'|) at every point; terms are added until
-    that bound falls below 2^-60 for two consecutive k. ``h = 0`` returns a
-    copy.
+    Both Ai and Bi solve f'' = w f, so their Taylor coefficients about w_k
+    share the recurrence c_{j+2} = (w_k c_j + c_{j-1}) / ((j+2)(j+1)),
+    seeded by the lattice's c_0 = f, c_1 = f' (DLMF 9.2). The recurrence
+    with max |w_k| and |h| bounds |c_j h^j| / (|f| + |h f'|) at every
+    point; terms are added until that bound falls below 2^-60 for two
+    consecutive j. Lattice points get their AMOS values exactly, and no
+    value depends on what the lattice held before.
     """
-    if h == 0.0:
-        return table.copy()
-    wh2, h3 = w * (h * h), h ** 3
-    bound_wh2, bound_h3 = float(np.max(np.abs(wh2))), abs(h3)
+    global _lattice
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.abs(w) <= 2.0 ** 40):
+        raise DomainError("airy_table: need finite |w| <= 2^40")
+    k = np.rint(w / LATTICE_STEP)
+    wk = k * LATTICE_STEP
+    h = w - wk                          # exact: w and w_k share the scale 2^-6
+    k = k.astype(np.int64)
+    chunks, inv = np.unique(k // _CHUNK, return_inverse=True)
+    lattice = _lattice
+    missing = [c for c in chunks.tolist() if c not in lattice]
+    if missing:                         # one AMOS call, for the new chunks only
+        new = (np.array(missing)[:, None] * _CHUNK + np.arange(_CHUNK)) * LATTICE_STEP
+        rows = np.array(special.airy(new)).transpose(1, 0, 2)
+        _lattice = lattice = {**lattice, **dict(zip(missing, rows))}
+    rows = np.concatenate([lattice[c] for c in chunks.tolist()], axis=1)
+    base = np.take(rows, inv.reshape(k.shape) * _CHUNK + k % _CHUNK, axis=-1)
+    wh2, h3 = wk * (h * h), h ** 3
+    bound_wh2, bound_h3 = float(np.max(np.abs(wh2))), float(np.max(np.abs(h3)))
     r_prev, r, r_next = 0.0, 1.0, 1.0
-    d_prev, d, d_next = 0.0, table[0::2], table[1::2] * h
+    d_prev, d, d_next = 0.0, base[0::2], base[1::2] * h
     val = d + d_next
-    der_h = np.zeros_like(d)            # sum over k >= 2 of k c_k h^k
-    k = 0
+    der_h = np.zeros_like(d)            # sum over j >= 2 of j c_j h^j
+    j = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports overflow
         while r + r_next > 2.0 ** -60:
-            inv = 1.0 / ((k + 2) * (k + 1))
-            r_prev, r, r_next = r, r_next, (bound_wh2 * r + bound_h3 * r_prev) * inv
-            step = wh2 * d
-            step += h3 * d_prev
-            step *= inv
+            inv_jj = 1.0 / ((j + 2) * (j + 1))
+            r_prev, r, r_next = r, r_next, (bound_wh2 * r + bound_h3 * r_prev) * inv_jj
+            step = (wh2 * d + h3 * d_prev) * inv_jj
             d_prev, d, d_next = d, d_next, step
             val += step
-            der_h += (k + 2) * step
-            k += 1
-    out = np.empty_like(table)
-    out[0::2] = val
-    out[1::2] = table[1::2] + der_h / h
-    return out
+            der_h += (j + 2) * step
+            j += 1
+        der = base[1::2] + der_h / np.where(h == 0.0, 1.0, h)   # der_h is 0 at h = 0
+    return np.stack([val[0], der[0], val[1], der[1]])
 
 
 class Workspace:
@@ -273,8 +282,8 @@ class Workspace:
 
     The basis columns are sqrt(pi) Ai(x - z), sqrt(pi) Bi(x - z) and their
     derivatives at the Gauss nodes (``psi0``, ``th0``, ...) and the panel
-    boundaries (``b_psi0``, ...). The constructor evaluates them with AMOS;
-    :meth:`at` moves them to another z on the same grid.
+    boundaries (``b_psi0``, ...), from :func:`airy_table`; :meth:`at`
+    builds them for another z on the same grid.
     """
 
     def __init__(self, q: Potential | None, z: float, grid: Grid):
@@ -282,30 +291,24 @@ class Workspace:
         self.grid = grid
         self.qg = np.zeros_like(grid.gauss_x) if q is None else np.asarray(q.q(grid.gauss_x))
         self._q_tail = self._q_tail_estimate(q)
-        w = np.concatenate([grid.gauss_x.ravel(), grid.nodes]) - z
-        table = np.array(special.airy(w))
-        #: the AMOS table every Workspace moved from this one starts from
-        self._origin = (z, w, table, shift_limit(w))
-        self._set_table(z, table)
+        #: the Gauss then the boundary abscissae, the points of the Airy table
+        self.x = np.concatenate([grid.gauss_x.ravel(), grid.nodes])
+        self._set_table(z)
 
     def at(self, z: float) -> Workspace:
-        """This Workspace moved to ``z``: same grid and potential samples,
-        the Airy table carried over from the AMOS evaluation it started
-        from by :func:`airy_shift`, or evaluated anew past SHIFT_CUTOVER."""
+        """This Workspace at ``z``: same grid and potential samples, the
+        Airy table built as the constructor builds it."""
         if z == self.z:
             return self
-        z0, w0, table, limit = self._origin
-        h = z0 - z
-        if abs(h) > limit:
-            return Workspace(self.q, z, self.grid)
         ws = copy.copy(self)
-        ws._set_table(z, airy_shift(w0, table, h))
+        ws._set_table(z)
         return ws
 
-    def _set_table(self, z: float, table):
+    def _set_table(self, z: float):
         """Basis columns from the (Ai, Ai', Bi, Bi') rows at x - z, and what
         else depends on z: envelope weights and the tail bound."""
         grid = self.grid
+        table = airy_table(self.x - z)
         if not np.all(np.isfinite(table)):
             # AMOS returns nan for Bi from w ~ 103.4, before Bi' overflows
             raise NumericError(

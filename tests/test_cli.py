@@ -172,11 +172,12 @@ def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
 
 
 def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
-    # AMOS calls and points of every Workspace Airy table in an eig campaign,
-    # and the Picard solves and sweeps; Newton from the prediction on one
-    # grid per index took these down from 50 calls, 287,405 points, 99
-    # solves and 705 sweeps (180 calls and 516,380 points before the tables
-    # were moved to nearby z)
+    # AMOS calls and points behind every Workspace Airy table in an eig
+    # campaign, from a cold lattice, and the Picard solves and sweeps; Newton
+    # from the prediction on one grid per index took these down from 50
+    # calls, 287,405 points, 99 solves and 705 sweeps, and the shared lattice
+    # from 8 calls and 51,258 points (180 calls and 516,380 points before the
+    # tables were moved to nearby z)
     work = Counter()
 
     def airy(w):
@@ -192,14 +193,15 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
         work["picard_sweeps"] += sweeps
         return f, sweeps
 
+    monkeypatch.setattr(volterra, "_lattice", {})    # cold, whatever ran before
     monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
     monkeypatch.setattr(volterra.Workspace, "picard", counted_picard)
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
                                    "output_dir": str(tmp_path / "o")}))
     assert cli.main(["eig", "--config", str(cfgfile), "--method", "shooting"]) == cli.EXIT_OK
-    # one table per index, moved along the Newton iterates
-    assert work["amos_calls"] <= 8 and work["amos_points"] <= 51_258
+    # one lattice growth of three 1,024-point chunks serves every table
+    assert work["amos_calls"] <= 1 and work["amos_points"] <= 3_072
     assert work["picard_calls"] <= 48 and work["picard_sweeps"] <= 339
 
 

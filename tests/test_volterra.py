@@ -10,8 +10,8 @@ from scipy import special
 import starkspec as ss
 from starkspec import volterra
 from starkspec.errors import NumericError
-from starkspec.volterra import (FAR_EXTENSION_CAP, Workspace, airy_shift, default_grid,
-                                envelope_offset, grid_from_nodes, shift_limit)
+from starkspec.volterra import (FAR_EXTENSION_CAP, LATTICE_STEP, Workspace, airy_table,
+                                default_grid, envelope_offset, grid_from_nodes)
 
 A1 = 2.3381074104597670  # -a_1
 
@@ -50,6 +50,14 @@ def test_truncation_point_respects_potential_decay(q_exp):
     assert abs(float(q_exp.q(x_max))) <= 1e-12 * (1.0 + q_exp.sup_norm)
     slow = ss.alg_decay(0.5, 3.0, r=2.0)
     assert default_grid(slow, 0.0, 1e-12).x_max == pytest.approx(base + FAR_EXTENSION_CAP)
+
+
+def test_table_grid_ends_a_panel_at_the_last_knot():
+    # the spline is cut to 0 past its last knot, at 12, a kink of q
+    from conftest import POTENTIALS
+    q = POTENTIALS["table30"]()
+    assert 12.0 in q.kinks
+    assert 12.0 in default_grid(q, A1).nodes
 
 
 def test_grid_structure():
@@ -248,11 +256,19 @@ def test_eigenvalue_shooting_consistency(q_exp):
     assert abs(psi.values[0]) <= 1e-10 * abs(psi.derivs[0])
 
 
-def test_concurrent_solves_are_pure(q_exp):
+def test_concurrent_solves_are_pure(q_exp, monkeypatch):
+    import sys
     from concurrent.futures import ThreadPoolExecutor
-    zs = [1.5, 4.0, 7.5, 11.0]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda z: ss.solve_psi(q_exp, z), zs))
+    monkeypatch.setattr(volterra, "_lattice", {})   # the threads race through its growth
+    zs = [1.5, 4.0, 7.5, 11.0, -2.0, 25.0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(zs)) as pool:
+            futures = [pool.submit(ss.solve_psi, q_exp, z) for z in zs]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
     for z, prof in zip(zs, results):
         ref = ss.solve_psi(q_exp, z)
         assert np.array_equal(prof.values, ref.values)
@@ -269,71 +285,96 @@ def _airy_envelope_error(w, got, ref):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(-45.0, 40.0), st.floats(0.0, 6.0), st.floats(-1.0, 1.0))
-def test_airy_shift_accuracy(w_lo, span, frac):
-    # every step the cut-over admits, for tables anywhere in [-45, 40]
-    w = np.linspace(w_lo, min(w_lo + span, 40.0), 7)
-    h = frac * shift_limit(w)
-    got = airy_shift(w, np.array(special.airy(w)), h)
-    assert _airy_envelope_error(w + h, got, np.array(special.airy(w + h))) <= 1e-12
+@given(st.floats(-45.0, 46.0), st.floats(0.0, 6.0))
+def test_airy_table_accuracy(w_lo, span):
+    # every point steps from its nearest lattice point, anywhere in [-45, 46]
+    w = np.linspace(w_lo, min(w_lo + span, 46.0), 7)
+    assert _airy_envelope_error(w, airy_table(w), np.array(special.airy(w))) <= 1e-12
 
 
-def test_airy_shift_accuracy_at_the_cutover():
-    # unit windows across [-45, 40], and one table over the whole range
-    tables = [np.linspace(c - 0.5, c + 0.5, 41) for c in np.arange(-44.5, 40.0, 2.5)]
-    for w in tables + [np.linspace(-45.0, 40.0, 2001)]:
-        table = np.array(special.airy(w))
-        for h in (-shift_limit(w), shift_limit(w)):
-            ref = np.array(special.airy(w + h))
-            assert _airy_envelope_error(w + h, airy_shift(w, table, h), ref) <= 1e-12
+def test_airy_table_accuracy_across_the_range():
+    # one table over the whole range, and the points halfway between
+    # lattice points, where the step is longest
+    for w in (np.linspace(-45.0, 46.0, 20001),
+              (np.arange(-45 * 64, 46 * 64) + 0.5) * LATTICE_STEP):
+        assert _airy_envelope_error(w, airy_table(w), np.array(special.airy(w))) <= 1e-12
 
 
-def test_airy_shift_zero_step_is_exact(q_exp):
-    w = np.linspace(-45.0, 40.0, 301)
-    table = np.array(special.airy(w))
-    assert np.array_equal(airy_shift(w, table, 0.0), table)
-    grid = default_grid(q_exp, 6.0)
-    base = Workspace(q_exp, 6.0, grid)
-    back = base.at(6.05).at(6.0)
-    for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
-                "weight_decay", "weight_grow"):
-        assert np.array_equal(getattr(back, col), getattr(base, col))
-    assert back.tail_bound == base.tail_bound
+def test_airy_table_is_amos_at_lattice_points():
+    w = np.arange(-45 * 64, 46 * 64 + 1, 7) * LATTICE_STEP
+    assert np.array_equal(airy_table(w), np.array(special.airy(w)))
 
 
-def test_moved_workspace_solves_like_a_fresh_one(q_exp, monkeypatch):
+def test_airy_table_vs_mpmath_off_the_lattice():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    w = np.array([-40.123456789, -7.3, -0.01, 0.0071, 1.234567, 9.87654321, 29.99])
+    got = airy_table(w)
+    ref = np.array([[float(mpmath.airyai(x)), float(mpmath.airyai(x, 1)),
+                     float(mpmath.airybi(x)), float(mpmath.airybi(x, 1))] for x in w]).T
+    assert _airy_envelope_error(w, got, ref) <= 1e-12
+
+
+def test_airy_table_does_not_depend_on_the_lattice_history(monkeypatch):
+    # cold, warm, or grown from the other end: the same bits
+    w_lo, w_hi = np.linspace(-44.0, -20.0, 999), np.linspace(10.0, 45.0, 999)
+    monkeypatch.setattr(volterra, "_lattice", {})
+    cold = airy_table(w_lo), airy_table(w_hi)
+    warm = airy_table(w_lo), airy_table(w_hi)
+    monkeypatch.setattr(volterra, "_lattice", {})
+    reverse = airy_table(w_hi), airy_table(w_lo)
+    for got in (warm, reverse[::-1]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, cold))
+
+
+def test_airy_table_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, 1e300):
+        with pytest.raises(ss.DomainError, match="airy_table"):
+            airy_table(np.array([0.0, bad]))
+
+
+def test_lattice_grows_by_new_chunks_only(monkeypatch):
+    points = []
+
+    def airy(w):
+        points.extend(np.ravel(w))
+        return special.airy(w)
+
+    monkeypatch.setattr(volterra, "_lattice", {})
+    monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
+    airy_table(np.linspace(-10.0, 10.0, 101))
+    first = len(points)
+    airy_table(np.linspace(-10.0, 10.0, 101))
+    assert len(points) == first
+    airy_table(np.linspace(-30.0, 30.0, 101))
+    assert len(set(points)) == len(points)          # no lattice point twice
+
+
+def test_moved_workspace_solves_like_a_fresh_one(q_exp):
+    # one path builds every table, so a move and a build agree to the bit
     z0 = 9.0
     grid = default_grid(q_exp, z0)
     base = Workspace(q_exp, z0, grid)
-    calls = []
-
-    def airy(w):
-        calls.append(np.size(w))
-        return special.airy(w)
-
-    monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
-    for z in (z0 - 0.9 * shift_limit(grid.nodes - z0), z0 + 0.05):
-        moved = ss.solve_psi(q_exp, z, base)
-        fresh = ss.solve_psi(q_exp, z, grid)
-        scale = np.max(np.abs(fresh.values) * envelope_weights(grid, z))
-        assert np.max(np.abs(moved.values - fresh.values)
-                      * envelope_weights(grid, z)) <= 1e-11 * scale
-        assert moved.z_derivs[0] == pytest.approx(fresh.z_derivs[0], rel=1e-10)
+    for z in (z0 - 1.7, z0 + 0.05, z0 + 3.1):
+        moved, fresh = base.at(z), Workspace(q_exp, z, grid)
+        for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
+                    "weight_decay", "weight_grow"):
+            assert np.array_equal(getattr(moved, col), getattr(fresh, col))
         assert moved.tail_bound == fresh.tail_bound
-    assert len(calls) == 2          # the two fresh solves
-    # past the cut-over the move is a fresh AMOS evaluation
-    far = z0 + 1.1 * shift_limit(grid.nodes - z0)
-    assert base.at(far).b_psi0[0] == Workspace(q_exp, far, grid).b_psi0[0]
-    assert len(calls) == 4
+        moved, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
+        assert np.array_equal(moved.values, fresh.values)
+        assert np.array_equal(moved.z_derivs, fresh.z_derivs)
+    back = base.at(z0 + 0.05).at(z0)
+    assert np.array_equal(back.psi0, base.psi0) and np.array_equal(back.b_th0p, base.b_th0p)
 
 
 def test_moved_workspace_reports_bi_overflow():
     # AMOS returns nan for Bi' past w ~ 103.4; a table that ends at 103 is
-    # finite, and the admitted steps keep it finite
+    # finite, and so is its move by 0.15
     grid = grid_from_nodes(np.linspace(0.0, 103.0, 516))
     base = Workspace(None, 0.0, grid)
     assert base.at(0.0) is base
-    assert np.isfinite(base.at(-shift_limit(grid.nodes)).b_th0p[-1])
+    assert np.isfinite(base.at(-0.15).b_th0p[-1])
     # the message says what is wrong and where: the table, z and max w
     with pytest.raises(NumericError, match=r"Airy table non-finite at z = -0\.6, max w = 103\.6;"):
         base.at(-0.6)
