@@ -364,8 +364,21 @@ def test_moved_workspace_solves_like_a_fresh_one(q_exp):
         moved, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
         assert np.array_equal(moved.values, fresh.values)
         assert np.array_equal(moved.z_derivs, fresh.z_derivs)
-    back = base.at(z0 + 0.05).at(z0)
-    assert np.array_equal(back.psi0, base.psi0) and np.array_equal(back.b_th0p, base.b_th0p)
+
+
+def test_airy_shift_zero_step_is_exact(q_exp):
+    # a point on the lattice takes a zero Taylor step: the AMOS bits
+    w = np.arange(-45 * 64, 40 * 64 + 1) * LATTICE_STEP
+    assert np.array_equal(airy_table(w), np.array(special.airy(w)))
+    # a zero move is the table itself, and a move and back gives its bits
+    grid = default_grid(q_exp, 6.0)
+    base = Workspace(q_exp, 6.0, grid)
+    assert base.at(6.0) is base
+    back = base.at(6.05).at(6.0)
+    for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
+                "weight_decay", "weight_grow"):
+        assert np.array_equal(getattr(back, col), getattr(base, col))
+    assert back.tail_bound == base.tail_bound
 
 
 def test_moved_workspace_reports_bi_overflow():
