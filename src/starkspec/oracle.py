@@ -143,13 +143,11 @@ def richardson(values, order: int) -> RichardsonResult:
     return RichardsonResult(value, last_correction, observed, order_ok)
 
 
-def extrapolated_spectrum(q: Potential, L: float, count: int,
-                          meshes=DEFAULT_MESHES) -> np.ndarray:
-    vals = [(h, oracle_spectrum(q, L, h, count)) for h in meshes]
+def extrapolated_spectrum(q: Potential, L: float, count: int) -> np.ndarray:
+    vals = [(h, oracle_spectrum(q, L, h, count)) for h in DEFAULT_MESHES]
     return np.asarray(richardson(vals, order=2).value)
 
 
-def extrapolated_norming(q: Potential, L: float, count: int,
-                         meshes=DEFAULT_MESHES) -> np.ndarray:
-    vals = [(h, _norming_single_mesh(q, L, h, count)) for h in meshes]
+def extrapolated_norming(q: Potential, L: float, count: int) -> np.ndarray:
+    vals = [(h, _norming_single_mesh(q, L, h, count)) for h in DEFAULT_MESHES]
     return np.asarray(richardson(vals, order=2).value)

@@ -33,6 +33,9 @@ __all__ = [
 
 _QUAD_RTOL = 1e-10
 _ENVELOPE_FLOOR = 1e-14
+#: family -> its parameter names, the only entries its params may hold
+_FAMILY_PARAMS = {"exp": ("c", "a"), "alg": ("c", "p"), "bump": ("c", "x0", "w"),
+                  "table": ("x", "y")}
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,8 @@ def make_potential(spec: dict) -> Potential:
 
     Descriptor schema: {"family": "exp"|"alg"|"bump"|"table",
     "params": {...}, "r": number}. Raises ValidationError naming the
-    offending field; every number must be finite.
+    offending field, unknown fields and parameters included; every number
+    must be finite.
     """
     if not isinstance(spec, dict):
         raise ValidationError("potential descriptor must be a mapping")
@@ -114,8 +118,17 @@ def make_potential(spec: dict) -> Potential:
         params = spec["params"]
     except KeyError as exc:
         raise ValidationError(f"potential descriptor missing field {exc}") from exc
+    for key in spec:
+        if key not in ("family", "params", "r"):
+            raise ValidationError(f"potential: unknown field {key!r}")
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+        raise ValidationError(f"unknown potential family {family!r}")
     if not isinstance(params, dict):
         raise ValidationError(f"potential.params must be a mapping, got {params!r}")
+    for key in params:
+        if key not in _FAMILY_PARAMS[family]:
+            raise ValidationError(f"potential.params: unknown entry {key!r} "
+                                  f"for the {family} family")
     r = _number(spec, "r", "potential.r")
     if not r > 1.0:
         raise ValidationError(f"potential.r must be > 1, got {r!r}")
@@ -169,46 +182,43 @@ def make_potential(spec: dict) -> Potential:
         kinks = tuple(k for k in (x0 - w, x0, x0 + w) if k > 0)
         return Potential(family, dict(params), r, q, qp, abs(c), max(x0 + w, 0.0), kinks)
 
-    if family == "table":
-        try:
-            xs = np.asarray(params["x"], dtype=float)
-            ys = np.asarray(params["y"], dtype=float)
-        except KeyError as exc:
-            raise ValidationError(f"potential.params.{exc.args[0]} is missing") from None
-        except (TypeError, ValueError):
-            raise ValidationError("table family needs numeric x/y arrays") from None
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValidationError("table.x and table.y must be finite")
-        if xs.ndim != 1 or xs.size < 4 or xs.size != ys.size:
-            raise ValidationError("table family needs matching x/y arrays, >= 4 samples")
-        if np.any(np.diff(xs) <= 0):
-            raise ValidationError("table.x must be strictly increasing")
-        if xs[0] != 0.0:
-            raise ValidationError("table.x must start at 0")
-        peak = float(np.max(np.abs(ys))) or 1.0
-        if abs(ys[-1]) > 1e-12 * peak:
-            raise ValidationError("table.y must decay to 0 at the last node")
-        spline = CubicSpline(xs, ys, bc_type="natural")
-        dspline = spline.derivative()
-        last = float(xs[-1])
+    try:
+        xs = np.asarray(params["x"], dtype=float)
+        ys = np.asarray(params["y"], dtype=float)
+    except KeyError as exc:
+        raise ValidationError(f"potential.params.{exc.args[0]} is missing") from None
+    except (TypeError, ValueError):
+        raise ValidationError("table family needs numeric x/y arrays") from None
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValidationError("table.x and table.y must be finite")
+    if xs.ndim != 1 or xs.size < 4 or xs.size != ys.size:
+        raise ValidationError("table family needs matching x/y arrays, >= 4 samples")
+    if np.any(np.diff(xs) <= 0):
+        raise ValidationError("table.x must be strictly increasing")
+    if xs[0] != 0.0:
+        raise ValidationError("table.x must start at 0")
+    peak = float(np.max(np.abs(ys))) or 1.0
+    if abs(ys[-1]) > 1e-12 * peak:
+        raise ValidationError("table.y must decay to 0 at the last node")
+    spline = CubicSpline(xs, ys, bc_type="natural")
+    dspline = spline.derivative()
+    last = float(xs[-1])
 
-        def q(x, spline=spline, last=last):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            m = x <= last
-            out[m] = spline(x[m])
-            return out
+    def q(x, spline=spline, last=last):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        m = x <= last
+        out[m] = spline(x[m])
+        return out
 
-        def qp(x, dspline=dspline, last=last):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros_like(x)
-            m = x <= last
-            out[m] = dspline(x[m])
-            return out
+    def qp(x, dspline=dspline, last=last):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        m = x <= last
+        out[m] = dspline(x[m])
+        return out
 
-        return Potential(family, dict(params), r, q, qp, peak, last, tuple(xs[1:]))
-
-    raise ValidationError(f"unknown potential family {family!r}")
+    return Potential(family, dict(params), r, q, qp, peak, last, tuple(xs[1:]))
 
 
 def blend(q: Potential, v: Potential | None, t: float, self_factor: float = 1.0) -> Potential:

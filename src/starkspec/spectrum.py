@@ -40,6 +40,9 @@ NEWTON_MAX_ITER = 40
 #: relative step below which a Newton step that fails to shrink is roundoff
 NEWTON_NOISE = 1e-8
 Z_DIFF_STEP = 1e-4
+#: samples below this fraction of the eigenfunction's maximum count as
+#: zeros when its sign changes are counted
+OSCILLATION_FLOOR = 1e-8
 _SQRT_PI = math.sqrt(math.pi)
 #: grid length past the root at which the decaying envelope falls to the
 #: tail tolerance: default_grid's length without its safety margin, which
@@ -66,13 +69,11 @@ class EigenRecord:
 
 
 def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
-    """psi(q, lam, 0) without assembling the full profile; ``grid`` as for
+    """psi(q, lam, 0) without its z-derivative; ``grid`` as for
     :func:`solve_psi`."""
     ws = workspace(q, lam, grid)
-    f, _ = ws.picard(ws.psi0, "back")
-    a0 = float(np.sum(ws.grid.weights * ws.psi0 * ws.qg * f))
-    b0 = float(np.sum(ws.grid.weights * ws.th0 * ws.qg * f))
-    return float(ws.b_psi0[0] - ws.b_th0[0] * a0 + ws.b_psi0[0] * b0)
+    (_, _, values, _, _), _ = ws.picard(ws.combo(1.0, 0.0), "back")
+    return float(values[0])
 
 
 def _norm_sq_from_profile(prof: SolutionProfile) -> float:
@@ -170,10 +171,10 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     return rec
 
 
-def oscillation_count(record: EigenRecord, rel_floor: float = 1e-8) -> int:
+def oscillation_count(record: EigenRecord) -> int:
     """Sign changes of the eigenfunction on (0, x_max), noise-floored."""
     v = record.psi.gauss_values.ravel()
-    v = v[np.abs(v) > rel_floor * np.max(np.abs(v))]
+    v = v[np.abs(v) > OSCILLATION_FLOOR * np.max(np.abs(v))]
     return int(np.sum(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
 
 

@@ -1,17 +1,17 @@
 """Picard solves of the Volterra equations on a graded panel grid.
 
 The kernel J0(z,x,y) separates into the decaying/growing basis pair, so
-each Picard sweep reduces to two running integrals of scalar products
-over the grid. Panels carry 4-point Gauss nodes; integrals from a panel
-boundary are sums of full-panel rules, integrals from an interior node
-add the exact integral of the panel's cubic interpolant. Convergence is
-measured in the envelope-weighted max norm, which compares oscillatory
-and decaying regions fairly.
+K f = sgn int J0 q f needs the running integrals of psi0 q f and theta0 q f,
+taken in one stacked call. Panels carry 4-point Gauss nodes; integrals
+from an interior node add the exact integral of the panel's cubic
+interpolant to sums of full-panel rules.
 
-Solutions are represented by their values at the Gauss nodes; values and
-x-derivatives at the panel boundaries are assembled afterwards from the
-converged running integrals (the local Leibniz terms cancel because
-J0(z,x,x) = 0).
+A solve sweeps f <- inhom + K f until the update, in the envelope-weighted
+max norm that compares oscillatory and decaying regions fairly, falls
+below tolerance; the last sweep's integrals also give the values and
+x-derivatives at the panel boundaries. Each class, psi, theta, s and c, is
+seeded by a psi0 + b theta0, and one rule gives the inhomogeneity of its
+z-derivative (see :func:`_solve`).
 """
 from __future__ import annotations
 
@@ -103,22 +103,22 @@ class SolutionProfile:
     z_derivs: np.ndarray
     tail_bound: float
     iterations: int
-    residual: float          # envelope-weighted relative defect after convergence
+    residual: float          # last Picard update, envelope-weighted, relative
     grid: Grid
     # Gauss-node samples, used for downstream quadratures
-    gauss_values: np.ndarray | None = None
-    gauss_derivs: np.ndarray | None = None
-    gauss_z_derivs: np.ndarray | None = None
+    gauss_values: np.ndarray
+    gauss_derivs: np.ndarray
+    gauss_z_derivs: np.ndarray
     # d/dx of the z-derivative at the nodes (gradient assembly needs it at 0)
-    z_derivs_prime: np.ndarray | None = None
+    z_derivs_prime: np.ndarray
 
 
-def build_grid(z: float, x_max: float, base_spacing: float = BASE_SPACING) -> Grid:
+def build_grid(z: float, x_max: float) -> Grid:
     """Graded grid: baseline spacing away from the turning point, at least
     4x denser within |x - z| <= 2, geometric transitions with ratio 0.8."""
     if not (math.isfinite(z) and math.isfinite(x_max)) or x_max <= 0:
         raise DomainError("build_grid: need finite z and x_max > 0")
-    h0 = base_spacing * (1.0 + abs(z)) ** -0.25
+    h0 = BASE_SPACING * (1.0 + abs(z)) ** -0.25
     hmin = h0 / REFINE_FACTOR
     win_lo, win_hi = z - REFINE_RADIUS, z + REFINE_RADIUS
     pts = [0.0]
@@ -320,6 +320,8 @@ class Workspace:
         self.psi0, self.psi0p, self.th0, self.th0p = (
             c[:n_g].reshape(grid.gauss_x.shape) for c in cols)
         self.b_psi0, self.b_psi0p, self.b_th0, self.b_th0p = (c[n_g:] for c in cols)
+        #: psi0 q, theta0 q (the kernel's factors), psi0' q, theta0' q
+        self.kq = np.stack([self.psi0, self.th0, self.psi0p, self.th0p]) * self.qg
         w = grid.gauss_x - z
         E = (2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5
         sigma = 1.0 + np.abs(w) ** 0.25
@@ -344,98 +346,62 @@ class Workspace:
         nodes = mid + half * _GAUSS20_NODES
         return 0.7 * half * float(np.sum(_GAUSS20_WEIGHTS * np.abs(q.q(nodes))))
 
-    # -- running integrals ------------------------------------------------
+    # -- the Volterra operator -----------------------------------------------
 
-    def run_back(self, integrand):
-        """Suffix integrals int_x^{x_max}: at Gauss nodes and at boundaries."""
-        full = np.sum(self.grid.weights * integrand, axis=1)
-        suffix = np.concatenate([np.cumsum(full[::-1])[::-1][1:], [0.0]])
-        at_g = (integrand @ _PARTIAL_RIGHT.T) * (self.grid.widths[:, None] / 2.0) + suffix[:, None]
-        at_b = np.concatenate([full + suffix, [0.0]])
-        return at_g, at_b
+    def integrals(self, integrands, direction):
+        """int_x^{x_max} ("back") or int_0^x ("fwd") of each Gauss-node
+        integrand in a stack ``(..., panels, 4)``, at the Gauss nodes and
+        at the boundaries ``(..., panels + 1)``; each row gets the bits a
+        call on that row alone gives."""
+        grid = self.grid
+        full = np.sum(grid.weights * integrands, axis=-1)
+        zero = np.zeros(full.shape[:-1] + (1,))
+        half = grid.widths[:, None] / 2.0
+        if direction == "back":
+            suffix = np.concatenate([np.cumsum(full[..., ::-1], axis=-1)[..., -2::-1], zero],
+                                    axis=-1)
+            at_g = (integrands @ _PARTIAL_RIGHT.T) * half + suffix[..., None]
+            return at_g, np.concatenate([full + suffix, zero], axis=-1)
+        prefix = np.concatenate([zero, np.cumsum(full, axis=-1)[..., :-1]], axis=-1)
+        at_g = prefix[..., None] + (integrands @ _PARTIAL_LEFT.T) * half
+        return at_g, np.concatenate([zero, prefix + full], axis=-1)
 
-    def run_fwd(self, integrand):
-        """Prefix integrals int_0^x: at Gauss nodes and at boundaries."""
-        full = np.sum(self.grid.weights * integrand, axis=1)
-        prefix = np.concatenate([[0.0], np.cumsum(full)[:-1]])
-        at_g = prefix[:, None] + (integrand @ _PARTIAL_LEFT.T) * (self.grid.widths[:, None] / 2.0)
-        at_b = np.concatenate([[0.0], prefix + full])
-        return at_g, at_b
+    def kernel(self, u_g, u_b):
+        """theta0 u[0] - psi0 u[1] and its x-derivative, at the Gauss nodes
+        and the boundaries, from running integrals u of psi0 q f and
+        theta0 q f: int J0 q f up to the direction's sign. The Leibniz
+        terms of the derivative cancel because J0(z,x,x) = 0."""
+        return (self.th0 * u_g[0] - self.psi0 * u_g[1],
+                self.th0p * u_g[0] - self.psi0p * u_g[1],
+                self.b_th0 * u_b[0] - self.b_psi0 * u_b[1],
+                self.b_th0p * u_b[0] - self.b_psi0p * u_b[1])
 
-    def _run(self, integrand, direction):
-        return self.run_back(integrand) if direction == "back" else self.run_fwd(integrand)
+    def picard(self, inhom, direction):
+        """Solve f = inhom + sgn int J0 q f by the sweeps f <- inhom + K f.
 
-    # -- Picard iteration --------------------------------------------------
-
-    def picard(self, inhom_g, direction):
-        """Sum the Picard series for f = inhom + sgn * int J0 q f.
-
-        Terms are accumulated until the next one falls below PICARD_TOL of
-        the inhomogeneity scale in the class-appropriate weighted norm.
-        """
-        weight = self.weight_decay if direction == "back" else self.weight_grow
-        sgn = -1.0 if direction == "back" else 1.0
-        scale = float(np.max(np.abs(inhom_g) * weight))
-        if scale == 0.0:
-            scale = 1.0
-        f = inhom_g.copy()
-        term = inhom_g
-        for it in range(1, PICARD_MAX_ITER + 1):
-            u1, _ = self._run(self.psi0 * self.qg * term, direction)
-            u2, _ = self._run(self.th0 * self.qg * term, direction)
-            term = sgn * (self.th0 * u1 - self.psi0 * u2)
-            f = f + term
-            if np.max(np.abs(term) * weight) <= PICARD_TOL * scale:
-                return f, it
+        ``inhom`` holds values and x-derivatives at the Gauss nodes and the
+        boundaries. Sweeps stop when the envelope-weighted update falls to
+        PICARD_TOL of the inhomogeneity's. Returns the last sweep's values
+        and derivatives there, its update relative to the solution, and
+        the number of sweeps."""
+        ig = inhom[0]
+        sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
+                       else (1.0, self.weight_grow))
+        scale = float(np.max(np.abs(ig) * weight)) or 1.0
+        kq = self.kq[:2]
+        f = ig
+        for sweeps in range(1, PICARD_MAX_ITER + 1):
+            u_g, u_b = self.integrals(kq * f, direction)
+            vg = ig + sgn * (self.th0 * u_g[0] - self.psi0 * u_g[1])
+            update = float(np.max(np.abs(vg - f) * weight))
+            f = vg
+            if update <= PICARD_TOL * scale:
+                vg, dg, vb, db = (i + sgn * k for i, k in zip(inhom, self.kernel(u_g, u_b)))
+                return (vg, dg, vb, db,
+                        update / (float(np.max(np.abs(vg) * weight)) or 1.0)), sweeps
         raise NumericError(
             f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {self.z:g}; "
             "grid or truncation defect (the series converges factorially)")
-
-    def assemble(self, f_gauss, inhom, direction):
-        """Values and x-derivatives at Gauss nodes and boundaries.
-
-        ``inhom`` holds (value, deriv) pairs at Gauss nodes and boundaries.
-        Also returns the envelope-weighted relative defect of one more
-        operator application (the converged fixed point's residual).
-        """
-        (ig, ipg, ib, ipb) = inhom
-        sgn = -1.0 if direction == "back" else 1.0
-        a_g, a_b = self._run(self.psi0 * self.qg * f_gauss, direction)
-        b_g, b_b = self._run(self.th0 * self.qg * f_gauss, direction)
-        vg = ig + sgn * (self.th0 * a_g - self.psi0 * b_g)
-        dg = ipg + sgn * (self.th0p * a_g - self.psi0p * b_g)
-        vb = ib + sgn * (self.b_th0 * a_b - self.b_psi0 * b_b)
-        db = ipb + sgn * (self.b_th0p * a_b - self.b_psi0p * b_b)
-        weight = self.weight_decay if direction == "back" else self.weight_grow
-        scale = float(np.max(np.abs(vg) * weight)) or 1.0
-        defect = float(np.max(np.abs(vg - f_gauss) * weight)) / scale
-        return vg, dg, vb, db, defect, (a_g, a_b, b_g, b_b)
-
-    def dz_kernel_term(self, base_gauss, direction):
-        """Inhomogeneity contribution sgn * int dJ0/dz (base) q dy and its
-        x-derivative, at Gauss nodes and boundaries.
-
-        dJ0/dz = -dJ0/dx - dJ0/dy separates into four basis products; the
-        local terms of the x-derivative cancel pairwise.
-        """
-        sgn = -1.0 if direction == "back" else 1.0
-        qb = self.qg * base_gauss
-        u1g, u1b = self._run(self.psi0 * qb, direction)
-        u2g, u2b = self._run(self.th0 * qb, direction)
-        u3g, u3b = self._run(self.psi0p * qb, direction)
-        u4g, u4b = self._run(self.th0p * qb, direction)
-        wg = self.grid.gauss_x - self.z
-        wb = self.grid.nodes - self.z
-        val_g = sgn * (-self.th0p * u1g + self.psi0p * u2g - self.th0 * u3g + self.psi0 * u4g)
-        der_g = sgn * (-wg * self.th0 * u1g + wg * self.psi0 * u2g
-                       - self.th0p * u3g + self.psi0p * u4g)
-        val_b = sgn * (-self.b_th0p * u1b + self.b_psi0p * u2b
-                       - self.b_th0 * u3b + self.b_psi0 * u4b)
-        der_b = sgn * (-wb * self.b_th0 * u1b + wb * self.b_psi0 * u2b
-                       - self.b_th0p * u3b + self.b_psi0p * u4b)
-        return val_g, der_g, val_b, der_b
-
-    # -- boundary data helpers ----------------------------------------------
 
     def combo(self, c_psi, c_th):
         """(value, deriv) tables of c_psi*psi0 + c_th*theta0 at Gauss/boundary nodes."""
@@ -443,13 +409,6 @@ class Workspace:
                 c_psi * self.psi0p + c_th * self.th0p,
                 c_psi * self.b_psi0 + c_th * self.b_th0,
                 c_psi * self.b_psi0p + c_th * self.b_th0p)
-
-
-def _solve_linear(ws: Workspace, inhom, direction):
-    """Picard-solve f = inhom + sgn*K f and assemble the full profile data."""
-    f, iters = ws.picard(inhom[0], direction)
-    vg, dg, vb, db, defect, runints = ws.assemble(f, inhom, direction)
-    return vg, dg, vb, db, defect, iters, runints
 
 
 def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> Workspace:
@@ -461,29 +420,30 @@ def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> W
     return Workspace(q, z, default_grid(q, z) if grid is None else grid)
 
 
-def _solve_class(q: Potential, z: float, grid: Grid | Workspace | None,
-                 direction: str) -> SolutionProfile:
-    """The class solution seeded by psi0 ("back") or theta0 ("fwd"), with
-    its z-derivative.
+def _solve(ws: Workspace, coef, coef_dot, direction: str) -> SolutionProfile:
+    """The solution seeded by a psi0 + b theta0, ``coef = (a, b)``, and its
+    z-derivative; ``coef_dot`` is (da/dz, db/dz).
 
-    The z-differentiated equation has the seed's z-derivative -seed' as
-    inhomogeneity, plus the dJ0/dz coupling to the converged solution.
+    The basis depends on x - z, so the seed's z-derivative is
+    a_dot psi0 + b_dot theta0 - seed', with seed'' = (x - z) seed from the
+    Airy equation. The coupling sgn int dJ0/dz q f dy to the solution f
+    adds, as dJ0/dz = -dJ0/dx - dJ0/dy, minus the kernel on (psi0', theta0')
+    q f and minus the x-derivative of the kernel on (psi0, theta0) q f.
     """
-    ws = workspace(q, z, grid)
-    grid = ws.grid
-    if direction == "back":
-        inhom = (ws.psi0, ws.psi0p, ws.b_psi0, ws.b_psi0p)
-    else:
-        inhom = (ws.th0, ws.th0p, ws.b_th0, ws.b_th0p)
-    f_g, fp_g, f_b, fp_b = inhom
-    vg, dg, vb, db, defect, iters, _ = _solve_linear(ws, inhom, direction)
-    dz_g, dz_der_g, dz_b, dz_der_b = ws.dz_kernel_term(vg, direction)
-    dot_inhom = (-fp_g + dz_g, -(grid.gauss_x - z) * f_g + dz_der_g,
-                 -fp_b + dz_b, -(grid.nodes - z) * f_b + dz_der_b)
-    dvg, _, dvb, ddb, _, _, _ = _solve_linear(ws, dot_inhom, direction)
-    return SolutionProfile(z, vb, db, dvb, ws.tail_bound, iters, defect, grid,
-                           gauss_values=vg, gauss_derivs=dg, gauss_z_derivs=dvg,
-                           z_derivs_prime=ddb)
+    seed = ws.combo(*coef)
+    (vg, dg, vb, db, residual), sweeps = ws.picard(seed, direction)
+    sgn = -1.0 if direction == "back" else 1.0
+    u_g, u_b = ws.integrals(ws.kq * vg, direction)
+    k, kp = ws.kernel(u_g[:2], u_b[:2]), ws.kernel(u_g[2:], u_b[2:])
+    w_g, w_b = ws.grid.gauss_x - ws.z, ws.grid.nodes - ws.z
+    lin = ws.combo(*coef_dot)
+    dot_inhom = (lin[0] - seed[1] - sgn * (k[1] + kp[0]),
+                 lin[1] - w_g * seed[0] - sgn * (w_g * k[0] + kp[1]),
+                 lin[2] - seed[3] - sgn * (k[3] + kp[2]),
+                 lin[3] - w_b * seed[2] - sgn * (w_b * k[2] + kp[3]))
+    (dvg, _, dvb, ddb, _), _ = ws.picard(dot_inhom, direction)
+    return SolutionProfile(ws.z, vb, db, dvb, ws.tail_bound, sweeps, residual, ws.grid,
+                           vg, dg, dvg, ddb)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
@@ -493,56 +453,26 @@ def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> S
     ``grid`` is a Grid, None for the default grid, or a Workspace on the
     grid to use, whose Airy table is moved to z (see :func:`workspace`).
     """
-    return _solve_class(q, z, grid, "back")
+    return _solve(workspace(q, z, grid), (1.0, 0.0), (0.0, 0.0), "back")
 
 
 def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
     """The forward-normalized growing solution and its z-derivative;
     ``grid`` as for :func:`solve_psi`."""
-    return _solve_class(q, z, grid, "fwd")
+    return _solve(workspace(q, z, grid), (0.0, 1.0), (0.0, 0.0), "fwd")
 
 
 def solve_sc(q: Potential, z: float, grid: Grid | Workspace | None = None):
     """The fundamental pair normalized at 0, with z-derivatives; ``grid``
     as for :func:`solve_psi`.
 
-    s(z,0) = 0, s'(z,0) = 1, c(z,0) = 1, c'(z,0) = 0 hold exactly by
-    construction of the inhomogeneities. s_dot seeds with the identity
-    s0_dot = c0 - s0'; the z-derivatives of the c0 boundary coefficients
-    use d/dz theta0'(z,0) = z theta0(z,0) (Airy equation at x = 0).
+    The seeds s0 = psi0(0) theta0 - theta0(0) psi0 and c0 = theta0'(0) psi0
+    - psi0'(0) theta0 and the unit Wronskian of (psi0, theta0) make
+    s(z,0) = 0, s'(z,0) = 1, c(z,0) = 1, c'(z,0) = 0 hold by construction.
+    The coefficients' z-derivatives follow from d/dz f(-z) = -f'(-z) and
+    the Airy equation at x = 0, d/dz theta0'(z,0) = z theta0(z,0).
     """
     ws = workspace(q, z, grid)
-    grid = ws.grid
-    p0, pp0 = ws.b_psi0[0], ws.b_psi0p[0]
-    t0, tp0 = ws.b_th0[0], ws.b_th0p[0]
-
-    s_inhom = ws.combo(-t0, p0)
-    svg, sdg, svb, sdb, s_defect, s_iters, _ = _solve_linear(ws, s_inhom, "fwd")
-    c_inhom = ws.combo(tp0, -pp0)
-    cvg, cdg, cvb, cdb, c_defect, c_iters, _ = _solve_linear(ws, c_inhom, "fwd")
-
-    # s_dot: inhomogeneity (c0 - s0') plus the dJ0/dz coupling to s
-    c0_g, c0p_g, c0_b, c0p_b = c_inhom
-    s0_g, s0p_g, s0_b, s0p_b = s_inhom
-    wg = grid.gauss_x - z
-    wb = grid.nodes - z
-    dz_g, dz_der_g, dz_b, dz_der_b = ws.dz_kernel_term(svg, "fwd")
-    sdot_inhom = (c0_g - s0p_g + dz_g, c0p_g - wg * s0_g + dz_der_g,
-                  c0_b - s0p_b + dz_b, c0p_b - wb * s0_b + dz_der_b)
-    sdot_g, _, sdot_b, _, _, _, _ = _solve_linear(ws, sdot_inhom, "fwd")
-
-    # c_dot: d/dz of the c0 coefficients gives z*theta0(z,0) and z*psi0(z,0)
-    cdot0 = ws.combo(z * t0, -z * p0)
-    shift = ws.combo(-tp0, pp0)  # theta0'(0) * psi0_dot - psi0'(0) * theta0_dot, via dot = -prime
-    dzc_g, dzc_der_g, dzc_b, dzc_der_b = ws.dz_kernel_term(cvg, "fwd")
-    cdot_inhom = (cdot0[0] + shift[1] + dzc_g,
-                  cdot0[1] + wg * shift[0] + dzc_der_g,
-                  cdot0[2] + shift[3] + dzc_b,
-                  cdot0[3] + wb * shift[2] + dzc_der_b)
-    cdot_g, _, cdot_b, _, _, _, _ = _solve_linear(ws, cdot_inhom, "fwd")
-
-    s_prof = SolutionProfile(z, svb, sdb, sdot_b, ws.tail_bound, s_iters, s_defect, grid,
-                             gauss_values=svg, gauss_derivs=sdg, gauss_z_derivs=sdot_g)
-    c_prof = SolutionProfile(z, cvb, cdb, cdot_b, ws.tail_bound, c_iters, c_defect, grid,
-                             gauss_values=cvg, gauss_derivs=cdg, gauss_z_derivs=cdot_g)
-    return s_prof, c_prof
+    p0, pp0, t0, tp0 = ws.b_psi0[0], ws.b_psi0p[0], ws.b_th0[0], ws.b_th0p[0]
+    return (_solve(ws, (-t0, p0), (tp0, -pp0), "fwd"),
+            _solve(ws, (tp0, -pp0), (z * t0, -z * p0), "fwd"))

@@ -177,7 +177,9 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     # from the prediction on one grid per index took these down from 50
     # calls, 287,405 points, 99 solves and 705 sweeps, and the shared lattice
     # from 8 calls and 51,258 points (180 calls and 516,380 points before the
-    # tables were moved to nearby z)
+    # tables were moved to nearby z). Each solve applies the operator once per
+    # Picard sweep and takes one more set of running integrals for its
+    # z-derivative's coupling, none for assembly
     work = Counter()
 
     def airy(w):
@@ -193,9 +195,16 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
         work["picard_sweeps"] += sweeps
         return f, sweeps
 
+    integrals = volterra.Workspace.integrals
+
+    def counted_integrals(self, integrands, direction):
+        work["integral_calls"] += 1
+        return integrals(self, integrands, direction)
+
     monkeypatch.setattr(volterra, "_lattice", {})    # cold, whatever ran before
     monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
     monkeypatch.setattr(volterra.Workspace, "picard", counted_picard)
+    monkeypatch.setattr(volterra.Workspace, "integrals", counted_integrals)
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
                                    "output_dir": str(tmp_path / "o")}))
@@ -203,6 +212,7 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     # one lattice growth of three 1,024-point chunks serves every table
     assert work["amos_calls"] <= 1 and work["amos_points"] <= 3_072
     assert work["picard_calls"] <= 48 and work["picard_sweeps"] <= 339
+    assert work["integral_calls"] == work["picard_sweeps"] + work["picard_calls"] // 2
 
 
 def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):

@@ -38,6 +38,9 @@ def test_r_at_most_one_rejected():
     ({"family": "table", "params": {"x": [0, 1, 2, 3], "y": [1, math.nan, 0, 0]},
       "r": 2}, "table"),
     ({"family": "table", "params": {"y": [1, 0.5, 0, 0]}, "r": 2}, "params.x"),
+    ({"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0, "kinks": [1.0]}, "kinks"),
+    ({"family": "exp", "params": {"c": 0.3, "a": 1.0, "p": 2.0}, "r": 2.0},
+     "params: unknown entry 'p'"),
 ])
 def test_malformed_parameters_rejected_by_name(spec, field):
     with pytest.raises(ValidationError, match=field):

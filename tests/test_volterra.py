@@ -71,6 +71,39 @@ def test_grid_structure():
     assert np.max(np.diff(g.nodes)[window]) <= h0 / 4.0 + 1e-12
 
 
+def test_running_integrals():
+    # a different cubic on each panel: the Gauss rule and the interpolating
+    # cubic make every running integral exact, in both directions
+    rng = np.random.default_rng(8)
+    grid = grid_from_nodes(np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 15))]))
+    ws = Workspace(None, 1.0, grid)
+    coef = rng.normal(size=(3, grid.n_panels, 4))   # powers of x - panel start
+    t = grid.gauss_x - grid.nodes[:-1, None]
+    integrands = sum(coef[..., k, None] * t ** k for k in range(4))
+
+    def primitive(c, t):
+        return sum(c[..., k] * t ** (k + 1) / (k + 1) for k in range(4))
+
+    prefix = np.cumsum(primitive(coef, grid.widths), axis=-1)
+    fwd_b = np.concatenate([np.zeros((3, 1)), prefix], axis=-1)
+    fwd_g = fwd_b[:, :-1, None] + primitive(coef[..., None, :], t)
+    total = prefix[:, -1:]
+    exact = {"fwd": (fwd_g, fwd_b), "back": (total[..., None] - fwd_g, total - fwd_b)}
+    got = {d: ws.integrals(integrands, d) for d in ("fwd", "back")}
+    for d in ("fwd", "back"):
+        for have, want in zip(got[d], exact[d]):
+            assert have.shape == want.shape
+            assert_allclose(have, want, rtol=0.0, atol=1e-13)
+        # a stacked call gives each row what a call on that row alone gives
+        for i in range(3):
+            single = ws.integrals(integrands[i], d)
+            assert np.array_equal(single[0], got[d][0][i])
+            assert np.array_equal(single[1], got[d][1][i])
+    # back plus forward is the total at every boundary
+    assert_allclose(got["back"][1] + got["fwd"][1], np.broadcast_to(total, fwd_b.shape),
+                    rtol=0.0, atol=1e-13)
+
+
 def test_free_solves_reproduce_basis(q_zero):
     z = 3.7
     psi = ss.solve_psi(q_zero, z)
