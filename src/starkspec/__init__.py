@@ -12,11 +12,10 @@ from .asymptotics import (AsymptoticsReport, build_report, decay_rate_fit,
                           kappa_prediction, lambda_prediction)
 from .basis import BasisValues, basis_eval, green0
 from .errors import (BracketError, DegeneracyError, DomainError,
-                     InconsistencyError, InsufficientDataError, NumericError,
-                     StarkSpecError, TruncationError, ValidationError)
-from .oracle import (DiscreteOperator, RichardsonResult, extrapolated_norming,
-                     extrapolated_spectrum, oracle_norming, oracle_spectrum,
-                     richardson)
+                     InsufficientDataError, NumericError, StarkSpecError,
+                     TruncationError, ValidationError)
+from .oracle import (DiscreteOperator, RichardsonResult, extrapolated_spectrum,
+                     oracle_spectrum, richardson)
 from .potentials import (NormBundle, Potential, alg_decay, blend, bump,
                          exp_decay, make_potential, norms, omega, omega_r,
                          tabulated)

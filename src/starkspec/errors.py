@@ -25,10 +25,6 @@ class DegeneracyError(NumericError):
     """psi_dot vanished at a root; impossible at a true eigenvalue."""
 
 
-class InconsistencyError(NumericError):
-    """Two mathematically equal routes disagreed beyond tolerance."""
-
-
 class TruncationError(NumericError):
     """Computational domain too small for the requested accuracy."""
 

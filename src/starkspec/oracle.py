@@ -2,7 +2,8 @@
 
 Second-order central differences with Dirichlet clipping at 0 and L;
 eigenvalues by LAPACK Sturm-sequence bisection (stebz), which targets
-only the lowest indices and is bit-reproducible. The artificial wall at
+only the lowest indices and is bit-reproducible, and norming constants
+from the eigenvectors of the same decomposition. The artificial wall at
 L is admissible because eigenfunctions decay doubly-exponentially past
 their turning point.
 """
@@ -21,11 +22,9 @@ __all__ = [
     "DiscreteOperator",
     "build_operator",
     "oracle_spectrum",
-    "oracle_norming",
     "richardson",
     "RichardsonResult",
     "extrapolated_spectrum",
-    "extrapolated_norming",
     "DEFAULT_MESHES",
 ]
 
@@ -39,7 +38,6 @@ class DiscreteOperator:
     h: float
     diag: np.ndarray
     offdiag: np.ndarray
-    boundary: str = "dirichlet"
 
     @property
     def dim(self) -> int:
@@ -56,12 +54,6 @@ def build_operator(q: Potential, L: float, h: float) -> DiscreteOperator:
     return DiscreteOperator(L, h, diag, offdiag)
 
 
-def _eigenpairs(op: DiscreteOperator, count: int):
-    w, v = eigh_tridiagonal(op.diag, op.offdiag, select="i",
-                            select_range=(0, count - 1))
-    return w, v
-
-
 def _check_edge_mass(op: DiscreteOperator, v: np.ndarray, count: int):
     tail_nodes = int(math.ceil(0.1 * op.dim))
     vn = v[:, count - 1]
@@ -73,31 +65,18 @@ def _check_edge_mass(op: DiscreteOperator, v: np.ndarray, count: int):
 
 
 def oracle_spectrum(q: Potential, L: float, h: float, count: int) -> np.ndarray:
-    """Lowest `count` discrete eigenvalues at mesh width h."""
+    """Lowest `count` discrete eigenvalues and norming constants at mesh
+    width h, as the rows of a (2, count) array, from one eigendecomposition."""
     if count < 1:
         raise DomainError("oracle_spectrum: count must be >= 1")
     op = build_operator(q, L, h)
-    w, v = _eigenpairs(op, count)
+    w, v = eigh_tridiagonal(op.diag, op.offdiag, select="i",
+                            select_range=(0, count - 1))
     _check_edge_mass(op, v, count)
-    return w
-
-
-def _norming_single_mesh(q: Potential, L: float, h: float, count: int) -> np.ndarray:
-    op = build_operator(q, L, h)
-    w, v = _eigenpairs(op, count)
-    _check_edge_mass(op, v, count)
-    nrm = np.sqrt(h * np.sum(v ** 2, axis=0))
-    v = v / nrm
+    v = v / np.sqrt(h * np.sum(v ** 2, axis=0))
     # one-sided second-order derivative at 0 with psi(0) = 0
     dpsi0 = (4.0 * v[0, :] - v[1, :]) / (2.0 * h)
-    return np.log(dpsi0 ** 2)
-
-
-def oracle_norming(q: Potential, L: float, h: float, n: int) -> float:
-    """Norming constant of the n-th eigenvalue, Richardson-extrapolated
-    over the meshes (4h, 2h, h)."""
-    vals = [(hh, _norming_single_mesh(q, L, hh, n)[n - 1]) for hh in (4 * h, 2 * h, h)]
-    return richardson(vals, order=2).value
+    return np.stack((w, np.log(dpsi0 ** 2)))
 
 
 @dataclass(frozen=True)
@@ -143,11 +122,15 @@ def richardson(values, order: int) -> RichardsonResult:
     return RichardsonResult(value, last_correction, observed, order_ok)
 
 
-def extrapolated_spectrum(q: Potential, L: float, count: int) -> np.ndarray:
+def extrapolated_spectrum(q: Potential, L: float, count: int) -> tuple:
+    """(lambda, kappa) of the lowest `count` indices, Richardson-extrapolated
+    over DEFAULT_MESHES; the elimination is elementwise, so each row gets
+    the bits of extrapolating it alone."""
     vals = [(h, oracle_spectrum(q, L, h, count)) for h in DEFAULT_MESHES]
-    return np.asarray(richardson(vals, order=2).value)
+    lam, kappa = richardson(vals, order=2).value
+    return lam, kappa
 
 
 def extrapolated_norming(q: Potential, L: float, count: int) -> np.ndarray:
-    vals = [(h, _norming_single_mesh(q, L, h, count)) for h in DEFAULT_MESHES]
-    return np.asarray(richardson(vals, order=2).value)
+    # kept only because bench/tracing.py wraps this name; nothing here calls it
+    return extrapolated_spectrum(q, L, count)[1]

@@ -45,8 +45,7 @@ def test_criterion_2_cross_method_agreement(records_cache):
     ok = True
     for key in R2_KEYS:
         q, recs = records_cache(key, 30)
-        lam_o = ss.extrapolated_spectrum(q, L, 30)
-        kap_o = ss.extrapolated_norming(q, L, 30)
+        lam_o, kap_o = ss.extrapolated_spectrum(q, L, 30)
         dl = max(abs(recs[n].lam - lam_o[n - 1]) for n in range(1, 31))
         dk = max(abs(recs[n].kappa - kap_o[n - 1]) for n in range(1, 31))
         ok = ok and dl <= 1e-6 and dk <= 1e-4
@@ -188,7 +187,7 @@ def test_criterion_6_structural_invariants(records_cache, zero_records):
     for key in R2_KEYS:
         qk, rk = records_cache(key, 30)
         for n, rec in rk.items():
-            worst_gap = max(worst_gap, ss.norm_sq_psi(qk, rec).rel_gap)
+            worst_gap = max(worst_gap, ss.norm_sq_psi(rec))
             osc_ok = osc_ok and ss.oscillation_count(rec) == n - 1
     for n, rec in zero_records[1].items():
         osc_ok = osc_ok and ss.oscillation_count(rec) == n - 1

@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 import starkspec.cli as cli
-from starkspec import asymptotics, spectrum, volterra
+from starkspec import asymptotics, oracle, spectrum, volterra
 from starkspec.errors import ValidationError
 
 EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
@@ -129,6 +129,10 @@ def test_cli_exit_codes(tmp_path):
     '{"methods": 3}',
     '{"tolerances": [1e-6]}',
     '{"tolerances": {"wronskian": Infinity}}',
+    '{"n_max": 2.5}',
+    '{"n_max": true}',
+    '{"n_min": "7"}',
+    '{"tolerances": {"wronskian": true}}',
 ])
 def test_malformed_config_exits_with_config_error(tmp_path, config):
     cfgfile = tmp_path / "c.json"
@@ -213,6 +217,43 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     assert work["amos_calls"] <= 1 and work["amos_points"] <= 3_072
     assert work["picard_calls"] <= 48 and work["picard_sweeps"] <= 339
     assert work["integral_calls"] == work["picard_sweeps"] + work["picard_calls"] // 2
+
+
+def test_verify_decomposes_each_oracle_mesh_once(tmp_path, monkeypatch):
+    # lambda and kappa come from the same eigenpairs: one decomposition per
+    # mesh of DEFAULT_MESHES
+    calls = Counter()
+    eigh = oracle.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
+                                   "output_dir": str(tmp_path / "o")}))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == cli.EXIT_OK
+    assert calls["eigh"] == len(oracle.DEFAULT_MESHES) == 3
+
+
+@pytest.mark.parametrize("tolerances, code", [({}, cli.EXIT_CHECK),
+                                              ({"norm_identity_gap": 1e-4}, cli.EXIT_OK)])
+def test_norm_identity_gap_is_gated_by_the_config(tmp_path, monkeypatch, tolerances, code):
+    # a 5e-5 gap between the quadrature and -psi'(0) psi_dot(0) is a check
+    # failure at the default 1e-6 and passes under a looser tolerance
+    norm_sq = spectrum._norm_sq_from_profile
+    monkeypatch.setattr(spectrum, "_norm_sq_from_profile",
+                        lambda prof: norm_sq(prof) * (1.0 + 5e-5))
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 3,
+                                   "methods": ["shooting"], "checks": ["invariants"],
+                                   "tolerances": tolerances,
+                                   "output_dir": str(tmp_path / "o")}))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == code
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["checks"]["invariants"]["norm_identity_worst_gap"] == pytest.approx(
+        5e-5, rel=1e-3)
 
 
 def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):

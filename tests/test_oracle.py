@@ -4,7 +4,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import starkspec as ss
 from starkspec.errors import DomainError, TruncationError
-from starkspec.oracle import build_operator, richardson
+from starkspec.oracle import DEFAULT_MESHES, build_operator, richardson
 
 
 def test_operator_structure(q_exp):
@@ -16,13 +16,13 @@ def test_operator_structure(q_exp):
 
 
 def test_free_ground_state_matches_airy_zero(q_zero):
-    vals = [(h, ss.oracle_spectrum(q_zero, 40.0, h, 1)[0]) for h in (0.02, 0.01, 0.005)]
+    vals = [(h, ss.oracle_spectrum(q_zero, 40.0, h, 1)[0, 0]) for h in (0.02, 0.01, 0.005)]
     lam = richardson(vals, order=2).value
     assert lam == pytest.approx(2.3381074, abs=1e-6)
 
 
 def test_extrapolated_spectrum_vs_zeros(q_zero):
-    lam = ss.extrapolated_spectrum(q_zero, 40.0, 5)
+    lam, _ = ss.extrapolated_spectrum(q_zero, 40.0, 5)
     for n in range(1, 6):
         assert lam[n - 1] == pytest.approx(-ss.airy_zero(n).a_n, abs=1e-7)
 
@@ -38,22 +38,31 @@ def test_shift_identity(q_exp):
 
 
 def test_observed_convergence_order(q_exp):
-    vals = [(h, ss.oracle_spectrum(q_exp, 35.0, h, 3)) for h in (0.02, 0.01, 0.005)]
+    vals = [(h, ss.oracle_spectrum(q_exp, 35.0, h, 3)[0]) for h in (0.02, 0.01, 0.005)]
     res = richardson(vals, order=2)
     assert res.order_ok
     assert 1.8 <= res.observed_order <= 2.2
 
 
 def test_free_norming_extrapolates_to_zero(q_zero):
+    _, kap = ss.extrapolated_spectrum(q_zero, 40.0, 3)
     for n in (1, 3):
-        kap = ss.oracle_norming(q_zero, 40.0, 0.005, n)
-        assert abs(kap) <= 1e-4
+        assert abs(kap[n - 1]) <= 1e-4
 
 
 def test_norming_cross_method(records_cache):
     q, recs = records_cache("exp+", 1)
-    kap = ss.oracle_norming(q, 25.0, 0.005, 1)
-    assert kap == pytest.approx(recs[1].kappa, abs=1e-4)
+    _, kap = ss.extrapolated_spectrum(q, 25.0, 1)
+    assert kap[0] == pytest.approx(recs[1].kappa, abs=1e-4)
+
+
+def test_richardson_on_stacked_rows_is_bitwise_per_row(q_exp):
+    stacked = [(h, ss.oracle_spectrum(q_exp, 35.0, h, 4)) for h in DEFAULT_MESHES]
+    both = richardson(stacked, order=2).value
+    assert both.shape == (2, 4)
+    for row in (0, 1):
+        alone = richardson([(h, rows[row]) for h, rows in stacked], order=2).value
+        assert np.array_equal(both[row], alone)
 
 
 def test_richardson_eliminates_exact_power():
@@ -92,6 +101,6 @@ def test_truncation_detector(q_zero):
 
 
 def test_domain_insensitivity(q_exp):
-    a = ss.extrapolated_spectrum(q_exp, 30.0, 3)
-    b = ss.extrapolated_spectrum(q_exp, 35.0, 3)
+    a, _ = ss.extrapolated_spectrum(q_exp, 30.0, 3)
+    b, _ = ss.extrapolated_spectrum(q_exp, 35.0, 3)
     assert np.max(np.abs(a - b)) <= 1e-9
