@@ -30,6 +30,8 @@ __all__ = [
 #: residuals below 10x these are treated as solver noise in the fits
 LAMBDA_NOISE_FLOOR = 1e-9
 KAPPA_NOISE_FLOOR = 1e-8
+#: fewest residuals above the noise a decay fit takes
+MIN_FIT_POINTS = 8
 
 
 def lambda_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float:
@@ -56,19 +58,25 @@ def kappa_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float
     return -2.0 * pairing / math.sqrt(ws.z)
 
 
+def above_noise(resid, tolerance_floor: float) -> np.ndarray:
+    """Mask of the residuals above 10x the tolerance floor; the others are
+    solver noise."""
+    return np.abs(np.asarray(resid, dtype=float)) > 10.0 * tolerance_floor
+
+
 def decay_rate_fit(resid, ns, tolerance_floor: float):
     """Least-squares slope of log|resid| vs log n, with a 95% half-width.
 
     Residuals below 10x the tolerance floor are excluded as solver noise;
-    fewer than 8 surviving points is an error.
+    fewer than MIN_FIT_POINTS surviving points is an error.
     """
     resid = np.abs(np.asarray(resid, dtype=float))
     ns = np.asarray(ns, dtype=float)
-    usable = resid > 10.0 * tolerance_floor
-    if int(np.sum(usable)) < 8:
+    usable = above_noise(resid, tolerance_floor)
+    if int(np.sum(usable)) < MIN_FIT_POINTS:
         raise InsufficientDataError(
             f"decay_rate_fit: only {int(np.sum(usable))} residuals above the "
-            f"noise floor {10.0 * tolerance_floor:g}; need >= 8")
+            f"noise floor {10.0 * tolerance_floor:g}; need >= {MIN_FIT_POINTS}")
     x = np.log(ns[usable])
     y = np.log(resid[usable])
     m = len(x)

@@ -5,7 +5,9 @@ solution; its zeros are the Dirichlet eigenvalues. Each is found by
 Newton from its first-order prediction, with the z-derivative of the
 same solve as slope, on one grid whose Airy table at -a_n also gives
 both predictions, and certified by the eigenfunction's oscillation
-count. The norming constant is log(-psi'(0) / psi_dot(0)).
+count. The norming constant is log(-psi'(0) / psi_dot(0)). Its gradient
+reads psi and psi_dot from the record's profile, and psi_ddot(0) from
+Green's identity on them; s and c take the only solve.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from scipy import special
 
 from .airy import airy_zero
 from .asymptotics import kappa_prediction, lambda_prediction
-from .errors import BracketError, DegeneracyError, NumericError, StarkSpecError
+from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential
 from .volterra import (REFINE_RADIUS, TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
                        envelope_offset, solve_psi, solve_sc, workspace)
@@ -37,7 +39,6 @@ BRACKET_EXPONENT = -2.0 / 3.0 + 0.05
 NEWTON_MAX_ITER = 40
 #: relative step below which a Newton step that fails to shrink is roundoff
 NEWTON_NOISE = 1e-8
-Z_DIFF_STEP = 1e-4
 #: samples below this fraction of the eigenfunction's maximum count as
 #: zeros when its sign changes are counted
 OSCILLATION_FLOOR = 1e-8
@@ -201,10 +202,6 @@ def lambda_directional_derivative(q: Potential, n: int, v: Potential,
     return _pair_with_direction(eta2, rec.psi.grid, v)
 
 
-def _psi_dot0_at(q: Potential, z: float, base: Workspace) -> float:
-    return float(solve_psi(q, z, base).z_derivs[0])
-
-
 def kappa_directional_derivative(q: Potential, n: int, v: Potential,
                                  record: EigenRecord | None = None) -> float:
     """Derivative of the n-th norming constant along v.
@@ -212,69 +209,24 @@ def kappa_directional_derivative(q: Potential, n: int, v: Potential,
     Assembles the two gradient pieces: the psi'- and psi_dot-gradient
     integrals built from the s, c, s_dot profiles at the eigenvalue, plus
     the second-derivative bracket B_n multiplying the eigenvalue gradient.
-    B_n uses psi_dot'(0) from the solved z-derivative profile and
-    psi_ddot(0) by centered z-differencing of psi_dot(0) with step
-    halving; disagreement beyond 1e-3 relative raises.
+    B_n takes psi_dot'(0) from the record's z-derivative profile and
+    psi_ddot(0) from Green's identity psi'(0) psi_ddot(0) = -2 int psi psi_dot:
+    psi_ddot solves -f'' + (x + q - z) f = 2 psi_dot, so the Wronskian of
+    psi and psi_ddot has derivative -2 psi psi_dot, and psi(0) = 0. The
+    pairing stops at x_max: kappa does not change when psi is rescaled, and
+    mass of v beyond the grid only rescales psi on it. One solve_sc call on
+    the record's grid is the only solve.
     """
     rec = record or locate_eigenvalue(q, n)
-    lam = rec.lam
-    grid = rec.psi.grid
-    base = Workspace(q, lam, grid)
-    s_prof, c_prof = solve_sc(q, lam, base)
-    psi_g = rec.psi.gauss_values
-    psidot_g = rec.psi.gauss_z_derivs
+    prof = rec.psi
+    grid = prof.grid
+    s_prof, c_prof = solve_sc(q, rec.lam, grid)
+    psi_g, psidot_g = prof.gauss_values, prof.gauss_z_derivs
     integrand = (-c_prof.gauss_values * psi_g / rec.psi_prime0
                  - (s_prof.gauss_z_derivs * psi_g + s_prof.gauss_values * psidot_g)
                  / rec.psi_dot0)
-    a_part = _pair_with_direction(integrand, grid, v)
-    a_part += _kappa_gradient_tail(lam, grid.x_max, v, rec.psi_prime0, rec.psi_dot0)
-
-    # B_n by differencing; psi_dot'(0) comes from the psi_dot solve itself
-    psidot_prime0 = float(rec.psi.z_derivs_prime[0])
-    dlam = lambda_directional_derivative(q, n, v, rec)
-    results = []
-    for dz in (Z_DIFF_STEP * (1.0 + abs(lam)), 0.5 * Z_DIFF_STEP * (1.0 + abs(lam))):
-        ddot = (_psi_dot0_at(q, lam + dz, base) - _psi_dot0_at(q, lam - dz, base)) / (2.0 * dz)
-        b_n = psidot_prime0 / rec.psi_prime0 - ddot / rec.psi_dot0
-        results.append(a_part + b_n * dlam)
-    if abs(results[0] - results[1]) > 1e-3 * max(abs(results[0]), 1e-300):
-        raise NumericError(
-            f"kappa gradient differencing unstable at n={n}: step halving moved "
-            f"the value by {abs(results[0] - results[1]):.3e}")
-    return results[1]
-
-
-def _kappa_gradient_tail(lam: float, x_max: float, v: Potential,
-                         psi_prime0: float, psi_dot0: float) -> float:
-    """Contribution of [x_max, inf) to the kappa gradient pairing.
-
-    Beyond the grid the profiles track their unperturbed forms, whose
-    products stay bounded, so the tail reduces to Airy-product integrals
-    against v. Skipped when v has no mass out there.
-    """
-    if v.decay_point <= x_max:
-        return 0.0
-    from scipy.integrate import quad
-
-    ai0, aip0, bi0, bip0 = special.airy(-lam)
-    t0, tp0 = _SQRT_PI * bi0, _SQRT_PI * bip0
-    p0, pp0 = _SQRT_PI * ai0, _SQRT_PI * aip0
-
-    def f(x):
-        # scaled Airy products: Bi alone overflows out here, the decaying
-        # and growing factors pair up into bounded combinations
-        w = x - lam
-        eai, eaip, ebi, ebip = special.airye(w)
-        damp = math.exp(-(4.0 / 3.0) * w ** 1.5)
-        p_aa = math.pi * eai * eai * damp
-        p_aap = math.pi * eai * eaip * damp
-        p_ab = math.pi * eai * ebi
-        p_abp = math.pi * eai * ebip
-        p_apb = math.pi * eaip * ebi
-        c0psi0 = tp0 * p_aa - pp0 * p_ab
-        sdot0psi0_plus = c0psi0 + t0 * 2.0 * p_aap - p0 * (p_abp + p_apb)
-        return (-c0psi0 / psi_prime0 - sdot0psi0_plus / psi_dot0) * float(v.q(x))
-
-    hi = min(v.decay_point, x_max + 80.0)
-    out = quad(f, x_max, hi, limit=200, epsabs=1e-13, epsrel=1e-9, full_output=1)
-    return float(out[0])
+    # psi psi_dot past x_max is below the squared envelope tail
+    psi_ddot0 = -2.0 * float(np.sum(grid.weights * psi_g * psidot_g)) / rec.psi_prime0
+    b_n = float(prof.z_derivs_prime[0]) / rec.psi_prime0 - psi_ddot0 / rec.psi_dot0
+    return (_pair_with_direction(integrand, grid, v)
+            + b_n * lambda_directional_derivative(q, n, v, rec))

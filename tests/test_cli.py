@@ -133,6 +133,8 @@ def test_cli_exit_codes(tmp_path):
     '{"n_max": true}',
     '{"n_min": "7"}',
     '{"tolerances": {"wronskian": true}}',
+    '{"output_dir": null}',
+    '{"output_dir": 3}',
 ])
 def test_malformed_config_exits_with_config_error(tmp_path, config):
     cfgfile = tmp_path / "c.json"
@@ -294,6 +296,19 @@ def test_airy_selftest():
     assert cli.main(["airy-selftest"]) == cli.EXIT_OK
 
 
+def test_airy_selftest_checks_the_solver_table(monkeypatch):
+    # a 1e-8 error in the Bi column of volterra.airy_table breaks the
+    # Wronskian line although AMOS itself is untouched
+    table = volterra.airy_table
+
+    def perturbed(w):
+        ai, aip, bi, bip = table(w)
+        return np.stack([ai, aip, bi * (1.0 + 1e-8), bip])
+
+    monkeypatch.setattr(volterra, "airy_table", perturbed)
+    assert cli.main(["airy-selftest"]) == cli.EXIT_CHECK
+
+
 def test_free_potential_verify_is_vacuously_green(tmp_path):
     cfg = cli.parse_config(json.dumps({
         "n_max": 4,
@@ -309,6 +324,20 @@ def test_free_potential_verify_is_vacuously_green(tmp_path):
         row = dict(zip(cli.CSV_COLUMNS, line.split(",")))
         assert abs(float(row["lambda_resid"])) <= 1e-9
         assert abs(float(row["kappa_resid"])) <= 1e-8
+
+
+def test_short_index_range_note_counts_the_residuals(tmp_path):
+    # n = 2..5 gives 4 fitted residuals of about 1e-3 on exp(0.3, 1): well
+    # above the noise, but fewer than the fit takes
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 5,
+                                   "output_dir": str(tmp_path / "o")}))
+    assert cli.main(["asympt", "--config", str(cfgfile)]) == cli.EXIT_OK
+    checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
+    for name in ("eigen_asym", "kappa_asym"):
+        assert checks[name]["passed"] and checks[name]["slope"] is None
+        assert checks[name]["note"] == (
+            "4 residuals above 10x the noise floor, the fit needs 8; vacuously consistent")
 
 
 def test_method_flag_disables_oracle(tmp_path):

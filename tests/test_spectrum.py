@@ -1,12 +1,14 @@
 import functools
 import gc
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 import starkspec as ss
+from starkspec import spectrum
 from conftest import POTENTIALS
 
 # frozen high-precision values (50-digit quadrature/series oracles)
@@ -103,7 +105,7 @@ def test_kappa_gradient_closed_form_at_zero(zero_records):
     q, recs = zero_records
     v = ss.exp_decay(1.0, 1.0, r=2.0)
     val = ss.kappa_directional_derivative(q, 1, v, recs[1])
-    assert val == pytest.approx(DKAP1_EXP, rel=1e-6)
+    assert val == pytest.approx(DKAP1_EXP, rel=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -113,15 +115,17 @@ def test_kappa_gradient_closed_form_general_n(zero_records, n):
     v = ss.exp_decay(1.0, 1.0, r=2.0)
     a_n = ss.airy_zero(n).a_n
     aip2 = special.airy(a_n)[1] ** 2
-    lam_exact = integrate.quad(
-        lambda x: special.airy(x + a_n)[0] ** 2 * math.exp(-x), 0, 40, limit=400)[0] / aip2
-    kap_exact = -2.0 * integrate.quad(
-        lambda x: special.airy(x + a_n)[0] * special.airy(x + a_n)[1] * math.exp(-x),
-        0, 40, limit=400)[0] / aip2
+
+    def pairing(f):
+        return integrate.quad(lambda x: f(*special.airy(x + a_n)) * math.exp(-x), 0, 60,
+                              epsabs=1e-15, epsrel=1e-13, limit=800)[0] / aip2
+
+    lam_exact = pairing(lambda ai, aip, bi, bip: ai * ai)
+    kap_exact = -2.0 * pairing(lambda ai, aip, bi, bip: ai * aip)
     assert ss.lambda_directional_derivative(q, n, v, recs[n]) == pytest.approx(
         lam_exact, rel=1e-7)
     assert ss.kappa_directional_derivative(q, n, v, recs[n]) == pytest.approx(
-        kap_exact, rel=1e-6)
+        kap_exact, rel=1e-10)
 
 
 def test_gradients_match_finite_differences(records_cache):
@@ -136,15 +140,47 @@ def test_gradients_match_finite_differences(records_cache):
     assert dk == pytest.approx((plus.kappa - minus.kappa) / (2 * h), rel=1e-3)
 
 
-def test_kappa_gradient_with_slow_direction(records_cache):
-    # v keeps mass past the grid end; exercises the unperturbed tail term
-    q, recs = records_cache("exp+", 1)
-    v = ss.alg_decay(0.5, 3.0, r=2.0)
+@pytest.mark.parametrize("c, v, oracle", [
+    (0.3, ss.alg_decay(0.5, 3.0, r=2.0), False),
+    (1.0, ss.alg_decay(1.0, 1.3, r=1.5), True),
+], ids=["exp0.3-alg3", "exp1-alg1.3"])
+def test_kappa_gradient_with_slow_direction(c, v, oracle):
+    # v keeps mass past the grid end, where psi has decayed to the envelope
+    # tolerance: that mass only rescales psi on the grid, so kappa ignores it
+    q = ss.exp_decay(c, 1.0, r=2.0)
     n, h = 1, 1e-4
-    dk = ss.kappa_directional_derivative(q, n, v, recs[n])
+    dk = ss.kappa_directional_derivative(q, n, v, ss.locate_eigenvalue(q, n))
     plus = ss.locate_eigenvalue(ss.blend(q, v, h), n)
     minus = ss.locate_eigenvalue(ss.blend(q, v, -h), n)
-    assert dk == pytest.approx((plus.kappa - minus.kappa) / (2 * h), rel=1e-3)
+    assert dk == pytest.approx((plus.kappa - minus.kappa) / (2 * h), rel=1e-6)
+    if oracle:
+        # Richardson difference in t of the finite-difference oracle's kappa
+        def diff(t):
+            return (ss.extrapolated_spectrum(ss.blend(q, v, t), 40.0, 1)[1][0]
+                    - ss.extrapolated_spectrum(ss.blend(q, v, -t), 40.0, 1)[1][0]) / (2 * t)
+
+        assert dk == pytest.approx((4.0 * diff(5e-3) - diff(1e-2)) / 3.0, rel=1e-5)
+
+
+def test_kappa_gradient_solves_only_the_fundamental_pair(records_cache, monkeypatch):
+    # psi and psi_dot come from the record; s and c need one solve, and
+    # psi_ddot(0) comes from Green's identity, not from solves at nearby z
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(spectrum, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, name, counted)
+
+    q, recs = records_cache("exp+", 1)
+    count("solve_psi")
+    count("solve_sc")
+    ss.kappa_directional_derivative(q, 1, ss.bump(1.0, 2.0, 1.0, r=2.0), recs[1])
+    assert calls == {"solve_sc": 1}
 
 
 def test_kappa_gradient_zero_direction(zero_records):
