@@ -6,19 +6,16 @@ quantifies the first-order asymptotic predictions and their remainder
 decay rates.
 """
 
-from .airy import (AiryValues, AiryZero, Envelope, airy_eval, airy_zero,
-                   envelope, envelope_margin)
+from .airy import airy_zero, envelope_margin
 from .asymptotics import (AsymptoticsReport, build_report, decay_rate_fit,
                           kappa_prediction, lambda_prediction)
-from .basis import BasisValues, basis_eval, green0
 from .errors import (BracketError, DegeneracyError, DomainError,
                      InsufficientDataError, NumericError, StarkSpecError,
                      TruncationError, ValidationError)
-from .oracle import (DiscreteOperator, RichardsonResult, extrapolated_spectrum,
-                     oracle_spectrum, richardson)
-from .potentials import (NormBundle, Potential, alg_decay, blend, bump,
-                         exp_decay, make_potential, norms, omega, omega_r,
-                         tabulated)
+from .oracle import (DiscreteOperator, extrapolated_spectrum, oracle_spectrum,
+                     richardson)
+from .potentials import (Potential, alg_decay, blend, bump, exp_decay,
+                         make_potential, omega_r, tabulated)
 from .spectrum import (EigenRecord, kappa_directional_derivative,
                        lambda_directional_derivative, locate_eigenvalue,
                        norm_sq_psi, oscillation_count, shooting_value)

@@ -1,90 +1,19 @@
-"""Airy functions, their zeros, and the envelope weights used in estimates.
+"""Airy zeros, their asymptotic seeds, and the envelope margin.
 
-Evaluation is backed by scipy.special (AMOS); this module adds the domain
-checks, the scaled representation past the Bi overflow point, zero
-refinement, and the envelope triple sigma, g_A, g_B.
+Evaluation is backed by scipy.special (AMOS); this module adds the
+refinement of the n-th Ai zero from its asymptotic seed, and the
+empirical constant of the envelope bound on a grid.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericError
 
-__all__ = [
-    "AiryValues",
-    "Envelope",
-    "AiryZero",
-    "airy_eval",
-    "airy_zero",
-    "envelope",
-    "envelope_margin",
-    "zero_seed",
-]
-
-#: beyond this the plain Bi overflows / Ai underflows; switch to the scaled form
-_SCALE_CUTOFF = 100.0
-#: hard domain limit
-_W_MAX = 200.0
-
-
-@dataclass(frozen=True)
-class AiryValues:
-    """Pointwise Ai, Bi and derivatives.
-
-    When ``scaled`` is True the stored numbers satisfy
-    ``Ai = ai * exp(-log_scale)`` and ``Bi = bi * exp(+log_scale)``
-    (same for the derivatives) with ``log_scale = (2/3) w**1.5``.
-    """
-
-    w: float
-    ai: float
-    ai_prime: float
-    bi: float
-    bi_prime: float
-    scaled: bool = False
-    log_scale: float = 0.0
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Envelope triple at w: sigma = 1 + |w|^(1/4), g_a decaying, g_b = 1/g_a."""
-
-    w: float
-    sigma: float
-    g_a: float
-    g_b: float
-
-
-@dataclass(frozen=True)
-class AiryZero:
-    n: int
-    a_n: float
-    refinement_residual: float
-
-
-def airy_eval(w: float) -> AiryValues:
-    """Evaluate Ai, Ai', Bi, Bi' at a real argument.
-
-    Accurate to ~1e-14 relative away from zeros of the functions. For
-    w > 100 a scaled representation is returned (``scaled`` flag set)
-    because Bi overflows the double range there.
-    """
-    w = float(w)
-    if math.isnan(w):
-        raise DomainError("airy_eval: argument is NaN")
-    if abs(w) > _W_MAX:
-        raise DomainError(f"airy_eval: |w| = {abs(w):g} exceeds supported range {_W_MAX:g}")
-    if w > _SCALE_CUTOFF:
-        eai, eaip, ebi, ebip = special.airye(w)
-        t = (2.0 / 3.0) * w ** 1.5
-        return AiryValues(w, float(eai), float(eaip), float(ebi), float(ebip),
-                          scaled=True, log_scale=t)
-    ai, aip, bi, bip = special.airy(w)
-    return AiryValues(w, float(ai), float(aip), float(bi), float(bip))
+__all__ = ["airy_zero", "envelope_margin", "zero_seed"]
 
 
 def zero_seed(n: int) -> float:
@@ -97,8 +26,9 @@ def _gap_estimate(n: int) -> float:
     return (math.pi) * (1.5 * math.pi * n) ** (-1.0 / 3.0)
 
 
-def airy_zero(n: int) -> AiryZero:
-    """The n-th (negative) zero of Ai, refined from the asymptotic seed.
+def airy_zero(n: int) -> float:
+    """The n-th (negative) zero a_n of Ai, refined from the asymptotic seed
+    until |Ai(a_n)| <= 1e-12.
 
     Safeguarded Newton inside a bracket around the seed; the bracket
     half-width is the remainder scale 5*n**(-4/3) clipped to a quarter of
@@ -128,22 +58,9 @@ def airy_zero(n: int) -> AiryZero:
             hi, fhi = x_new, f_new
         x, fx = x_new, f_new
         if abs(fx) <= 1e-12:
-            return AiryZero(n, x, fx)
+            return x
     raise NumericError(f"airy_zero: refinement did not converge for n={n} "
                        f"(last residual {fx:.3e})")
-
-
-def envelope(w: float) -> Envelope:
-    """sigma, g_A, g_B at real w; Re w^(3/2) = 0 on the negative axis."""
-    w = float(w)
-    if math.isnan(w):
-        raise DomainError("envelope: argument is NaN")
-    sigma = 1.0 + abs(w) ** 0.25
-    if w <= 0.0:
-        g_a = 1.0
-    else:
-        g_a = math.exp(-(2.0 / 3.0) * w ** 1.5)
-    return Envelope(w, sigma, g_a, 1.0 / g_a)
 
 
 def envelope_margin(grid) -> float:

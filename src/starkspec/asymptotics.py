@@ -43,7 +43,7 @@ def lambda_prediction(q: Potential, n: int, ws: Workspace | None = None) -> floa
     builds it on the default grid.
     """
     if ws is None:
-        ws = workspace(q, -airy_zero(n).a_n)
+        ws = workspace(q, -airy_zero(n))
     pairing = float(np.sum(ws.grid.weights * ws.qg * ws.psi0 * ws.psi0))
     return ws.z + pairing / math.sqrt(ws.z)
 
@@ -53,7 +53,7 @@ def kappa_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float
     -2 pi (-a_n)^(-1/2) int Ai Ai'(x + a_n) q (zero at q = 0); ``ws`` as
     for :func:`lambda_prediction`."""
     if ws is None:
-        ws = workspace(q, -airy_zero(n).a_n)
+        ws = workspace(q, -airy_zero(n))
     pairing = float(np.sum(ws.grid.weights * ws.qg * ws.psi0 * ws.psi0p))
     return -2.0 * pairing / math.sqrt(ws.z)
 

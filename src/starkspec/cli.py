@@ -159,7 +159,7 @@ def _fmt(x) -> str:
 
 def _oracle_length(n_max: int) -> float:
     # envelope decay offset past the highest turning point, plus the spec margin
-    return -airy_zero(n_max).a_n + envelope_offset() + 5.0
+    return -airy_zero(n_max) + envelope_offset() + 5.0
 
 
 def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list,
@@ -365,11 +365,11 @@ def _airy_selftest() -> int:
     ai, aip, bi, bip = volterra.airy_table(np.arange(-20.0, 10.0, 0.01))
     wr = ai * bip - aip * bi
     wr_dev = float(np.max(np.abs(wr * math.pi - 1.0)))
-    zeros_ok = all(abs(float(sp.airy(airy_zero(n).a_n)[0])) <= 1e-12 for n in range(1, 21))
+    zeros_ok = all(abs(float(sp.airy(airy_zero(n))[0])) <= 1e-12 for n in range(1, 21))
     margin = envelope_margin(np.arange(-30.0, 30.0, 0.01))
     margin_fine = envelope_margin(np.arange(-30.0, 30.0, 0.001))
     stable = abs(margin - margin_fine) <= 0.01 * margin
-    seeds = [abs(airy_zero(n).a_n - zero_seed(n)) * n ** (4.0 / 3.0) for n in range(5, 51)]
+    seeds = [abs(airy_zero(n) - zero_seed(n)) * n ** (4.0 / 3.0) for n in range(5, 51)]
     seeds_ok = max(seeds) < 0.05
     print(f"wronskian grid dev: {wr_dev:.3e} ({'pass' if wr_dev <= 1e-10 else 'FAIL'})")
     print(f"zero residuals <= 1e-12 for n=1..20: {'pass' if zeros_ok else 'FAIL'}")

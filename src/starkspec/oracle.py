@@ -23,7 +23,6 @@ __all__ = [
     "build_operator",
     "oracle_spectrum",
     "richardson",
-    "RichardsonResult",
     "extrapolated_spectrum",
     "DEFAULT_MESHES",
 ]
@@ -79,22 +78,12 @@ def oracle_spectrum(q: Potential, L: float, h: float, count: int) -> np.ndarray:
     return np.stack((w, np.log(dpsi0 ** 2)))
 
 
-@dataclass(frozen=True)
-class RichardsonResult:
-    value: float | np.ndarray
-    error_estimate: float
-    observed_order: float
-    order_ok: bool
-
-
-def richardson(values, order: int) -> RichardsonResult:
+def richardson(values, order: int):
     """Eliminate the h^order term (and successive even orders) from a
-    mesh-halving sequence.
+    mesh-halving sequence and return the extrapolated value.
 
     ``values`` is a list of (h, value) pairs with mesh ratio 2; at least
-    three levels are required. The error estimate is the magnitude of the
-    last correction. If the observed convergence order deviates from
-    ``order`` by more than 30% the result is flagged, not rejected.
+    three levels are required.
     """
     if len(values) < 3:
         raise DomainError("richardson: need at least 3 mesh levels")
@@ -104,22 +93,13 @@ def richardson(values, order: int) -> RichardsonResult:
     ratios = np.array([hs[i] / hs[i + 1] for i in range(len(hs) - 1)])
     if np.any(np.abs(ratios - 2.0) > 1e-9):
         raise DomainError("richardson: mesh sequence must halve between levels")
-    d1 = float(np.max(np.abs(vs[-2] - vs[-3])))
-    d2 = float(np.max(np.abs(vs[-1] - vs[-2])))
-    observed = math.log2(d1 / d2) if d2 > 0.0 and d1 > 0.0 else float(order)
-    order_ok = abs(observed - order) <= 0.3 * order
     p = order
-    last_correction = 0.0
     while len(vs) > 1:
         factor = 2.0 ** p
-        new = [(factor * vs[i + 1] - vs[i]) / (factor - 1.0) for i in range(len(vs) - 1)]
-        last_correction = float(np.max(np.abs(new[-1] - vs[-1])))
-        vs = new
+        vs = [(factor * vs[i + 1] - vs[i]) / (factor - 1.0) for i in range(len(vs) - 1)]
         p += 2
     value = vs[0]
-    if value.ndim == 0:
-        value = float(value)
-    return RichardsonResult(value, last_correction, observed, order_ok)
+    return float(value) if value.ndim == 0 else value
 
 
 def extrapolated_spectrum(q: Potential, L: float, count: int) -> tuple:
@@ -127,7 +107,7 @@ def extrapolated_spectrum(q: Potential, L: float, count: int) -> tuple:
     over DEFAULT_MESHES; the elimination is elementwise, so each row gets
     the bits of extrapolating it alone."""
     vals = [(h, oracle_spectrum(q, L, h, count)) for h in DEFAULT_MESHES]
-    lam, kappa = richardson(vals, order=2).value
+    lam, kappa = richardson(vals, order=2)
     return lam, kappa
 
 

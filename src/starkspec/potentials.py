@@ -1,4 +1,4 @@
-"""Admissible perturbations q, their derivatives, weighted norms, and omega.
+"""Admissible perturbations q, their derivatives, and the index-decay rate.
 
 A Potential carries vectorized callables for q and q' plus the weight
 exponent r > 1. Membership in the weighted space (q and q' square
@@ -12,26 +12,21 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "Potential",
-    "NormBundle",
     "make_potential",
     "exp_decay",
     "alg_decay",
     "bump",
     "tabulated",
     "blend",
-    "norms",
-    "omega",
     "omega_r",
 ]
 
-_QUAD_RTOL = 1e-10
 _ENVELOPE_FLOOR = 1e-14
 #: family -> its parameter names, the only entries its params may hold
 _FAMILY_PARAMS = {"exp": ("c", "a"), "alg": ("c", "p"), "bump": ("c", "x0", "w"),
@@ -51,27 +46,12 @@ class Potential:
     #: point beyond which |q| and |q'| stay below _ENVELOPE_FLOOR * peak
     decay_point: float = 0.0
     #: interior points where q or |q| loses smoothness: panel ends of every
-    #: default grid and break points of the norm quadratures
+    #: default grid
     kinks: tuple = ()
-
-    def __call__(self, x):
-        return self.q(x)
 
     def scale(self, t: float) -> "Potential":
         """The potential t*q (callables scaled, decay metadata kept)."""
         return blend(self, None, 0.0, self_factor=t)
-
-
-@dataclass(frozen=True)
-class NormBundle:
-    ar_norm: float
-    afr_norm: float
-    l1_norm: float
-    l1_bar: float
-
-
-def _vectorized_zero(x):
-    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def exp_decay(c: float, a: float, r: float = 2.0) -> Potential:
@@ -238,71 +218,6 @@ def blend(q: Potential, v: Potential | None, t: float, self_factor: float = 1.0)
                      abs(self_factor) * q.sup_norm + abs(t) * v.sup_norm,
                      max(q.decay_point, v.decay_point),
                      tuple(sorted(set(q.kinks) | set(v.kinks))))
-
-
-def _quad_semi(f, kinks=(), split: float = 10.0) -> float:
-    """Adaptive quadrature of f over [0, inf) with interior break hints.
-
-    Many break points (spline knots) are handled by chunking so every
-    QUADPACK call integrates an analytic piece and its error estimate is
-    trustworthy; the achieved error is then checked against the norm
-    tolerance directly.
-    """
-    pts = sorted(p for p in kinks if 0.0 < p < split)
-    if len(pts) <= 30:
-        bounds = [0.0, split]
-    else:
-        bounds = [0.0] + pts[29::30] + [split]
-    val = err = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b <= a:
-            continue
-        inner = [p for p in pts if a < p < b]
-        out = integrate.quad(f, a, b, points=inner or None, limit=400,
-                             epsabs=1e-14, epsrel=_QUAD_RTOL, full_output=1)
-        val += out[0]
-        err += out[1]
-    tail = integrate.quad(f, split, np.inf, limit=400,
-                          epsabs=1e-14, epsrel=_QUAD_RTOL, full_output=1)
-    val += tail[0]
-    err += tail[1]
-    if not math.isfinite(val) or err > max(1e-8 * abs(val), 1e-12):
-        raise NumericError(
-            f"semi-infinite quadrature did not converge (err {err:.2e})")
-    return val
-
-
-def norms(q: Potential) -> NormBundle:
-    """All four weighted norms by adaptive quadrature."""
-    r = q.r
-    split = max(10.0, min(q.decay_point, 50.0))
-    kinks = q.kinks
-    ar2 = _quad_semi(lambda x: q.q(x) ** 2 * (1.0 + x) ** r, kinks, split)
-    ap2 = _quad_semi(lambda x: q.q_prime(x) ** 2 * (1.0 + x) ** r, kinks, split)
-    l1 = _quad_semi(lambda x: abs(q.q(x)), kinks, split)
-    l1p = _quad_semi(lambda x: abs(q.q_prime(x)), kinks, split)
-    return NormBundle(math.sqrt(ar2), math.sqrt(ar2 + ap2), l1, l1 + l1p)
-
-
-def omega(q: Potential, z: float, with_derivative: bool = False) -> float:
-    """The decay modulus: integral of |q(x)| / sqrt(1 + |x - z|).
-
-    With ``with_derivative`` the same integral of |q'| is added (the
-    underlined variant used for the z-derivative estimates).
-    """
-    if not math.isfinite(z):
-        raise DomainError("omega: z must be finite")
-    split = max(10.0, min(q.decay_point, 50.0), z + 1.0)
-    kinks = tuple(q.kinks) + ((z,) if z > 0 else ())
-
-    def kernel(f):
-        return _quad_semi(lambda x: abs(f(x)) / np.sqrt(1.0 + np.abs(x - z)),
-                          kinks, split)
-
-    val = kernel(q.q)
-    if with_derivative:
-        val += kernel(q.q_prime)
-    return val
 
 
 def omega_r(r: float, n: int) -> float:

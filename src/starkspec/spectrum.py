@@ -59,9 +59,7 @@ class EigenRecord:
     lam_pred: float         # first-order prediction Newton starts from
     kappa_pred: float       # first-order norming-constant prediction
     bracket: tuple          # Newton window: an iterate outside it raises
-    shoot_residual: float
     norm_sq: float          # quadrature of psi^2 plus tail estimate
-    kappa_alt: float        # norm-based definition log(psi'(0)^2 / norm_sq)
     psi_prime0: float
     psi_dot0: float
     psi: SolutionProfile = field(repr=False)
@@ -136,7 +134,7 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     n-th eigenvalue exactly when its eigenfunction has n - 1 sign changes;
     any other root raises BracketError. Errors name ``n`` and the stage.
     """
-    ws = workspace(q, -airy_zero(n).a_n)
+    ws = workspace(q, -airy_zero(n))
     center = ws.z
     lam_pred = lambda_prediction(q, n, ws)
     kappa_pred = kappa_prediction(q, n, ws)
@@ -158,10 +156,8 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
                 "not a simple Dirichlet eigenvalue")
     except StarkSpecError as err:
         raise type(err)(f"n={n}, stage {stage}: {err}") from err
-    norm_sq = _norm_sq_from_profile(prof)
     rec = EigenRecord(n, lam, math.log(ratio), lam_pred, kappa_pred, window,
-                      abs(float(prof.values[0])), norm_sq,
-                      math.log(psi_prime0 ** 2 / norm_sq), psi_prime0, psi_dot0, prof)
+                      _norm_sq_from_profile(prof), psi_prime0, psi_dot0, prof)
     count = oscillation_count(rec)
     if count != n - 1:
         raise BracketError(

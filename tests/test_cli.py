@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -12,6 +16,20 @@ from starkspec import asymptotics, oracle, spectrum, volterra
 from starkspec.errors import ValidationError
 
 EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
+
+
+def test_cli_import_loads_only_the_pipeline():
+    # the references the tests check against stay out of the package, and
+    # with them QUADPACK; a fresh interpreter sees what importing cli loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, starkspec.cli; "
+             "print(sorted(m for m in ('scipy.integrate', 'starkspec.basis') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_empty_config_gets_defaults():

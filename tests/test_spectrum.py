@@ -10,6 +10,7 @@ from scipy import integrate, special
 import starkspec as ss
 from starkspec import spectrum
 from conftest import POTENTIALS
+from references import basis_eval
 
 # frozen high-precision values (50-digit quadrature/series oracles)
 A = [-2.3381074104597670, -4.0879494441309706, -5.5205598280955511]
@@ -22,10 +23,10 @@ DKAP1_EXP = -0.2599066122911657    # d kappa_1 [e^-x] at q = 0; equals -dlam by 
 def test_free_spectrum_is_airy_zeros(zero_records, n):
     q, recs = zero_records
     rec = recs[n]
-    assert rec.lam == pytest.approx(-ss.airy_zero(n).a_n, abs=1e-9)
+    assert rec.lam == pytest.approx(-ss.airy_zero(n), abs=1e-9)
     assert abs(rec.kappa) <= 1e-8
     assert rec.bracket[0] < rec.lam < rec.bracket[1]
-    assert rec.shoot_residual <= 1e-10 * abs(rec.psi_prime0)
+    assert abs(rec.psi.values[0]) <= 1e-10 * abs(rec.psi_prime0)
 
 
 def test_free_norm_squared_matches_airy_identity(zero_records):
@@ -46,7 +47,7 @@ def test_negative_perturbation_lowers(records_cache, zero_records):
 
 def test_cross_method_small_sample(records_cache):
     q, recs = records_cache("exp+", 6)
-    L = -ss.airy_zero(6).a_n + 21.0
+    L = -ss.airy_zero(6) + 21.0
     lam_o, kap_o = ss.extrapolated_spectrum(q, L, 6)
     for n in range(1, 7):
         assert recs[n].lam == pytest.approx(lam_o[n - 1], abs=1e-6)
@@ -57,7 +58,7 @@ def test_norm_identity_and_alt_kappa(records_cache):
     q, recs = records_cache("exp+", 8)
     for rec in recs.values():
         assert ss.norm_sq_psi(rec) <= 1e-6
-        assert abs(rec.kappa - rec.kappa_alt) <= 1e-6
+        assert abs(rec.kappa - math.log(rec.psi_prime0 ** 2 / rec.norm_sq)) <= 1e-6
 
 
 def test_oscillation_counts(records_cache):
@@ -71,7 +72,7 @@ def test_crude_localization_window(records_cache):
     ok_from = None
     for n in sorted(recs):
         width = 4.0 * (1.5 * math.pi * n) ** (-2.0 / 3.0 + 0.05)
-        inside = abs(recs[n].lam + ss.airy_zero(n).a_n) <= width
+        inside = abs(recs[n].lam + ss.airy_zero(n)) <= width
         if inside and ok_from is None:
             ok_from = n
         if not inside:
@@ -85,7 +86,7 @@ def test_unperturbed_trace_diagnostics(records_cache):
     q, recs = records_cache("exp+", 30)
     ratios, signs = [], []
     for n in range(10, 31):
-        b = ss.basis_eval(recs[n].lam, 0.0)
+        b = basis_eval(recs[n].lam, 0.0)
         scale = (1.5 * math.pi * n) ** (1.0 / 6.0)
         ratios.append(abs(b.psi0) * n ** (1.0 / 6.0) / ss.omega_r(q.r, n))
         signs.append(b.psi0_prime * (-1) ** (n + 1) / scale)
@@ -113,7 +114,7 @@ def test_kappa_gradient_closed_form_general_n(zero_records, n):
     # at q = 0 the gradients reduce to Airy pairings divided by Ai'(a_n)^2
     q, recs = zero_records
     v = ss.exp_decay(1.0, 1.0, r=2.0)
-    a_n = ss.airy_zero(n).a_n
+    a_n = ss.airy_zero(n)
     aip2 = special.airy(a_n)[1] ** 2
 
     def pairing(f):
@@ -216,7 +217,7 @@ def test_locate_low_eigenvalues(q):
     for rec, ref in zip(recs, lam_o):
         assert rec.lam == pytest.approx(float(ref), abs=1e-6)
     # min-max: the spectrum sits above the free ground state minus sup|q|
-    assert recs[0].lam >= -ss.airy_zero(1).a_n - q.sup_norm
+    assert recs[0].lam >= -ss.airy_zero(1) - q.sup_norm
 
 
 def test_spline_root_does_not_depend_on_the_grid_centre():

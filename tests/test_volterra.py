@@ -12,6 +12,7 @@ from starkspec import volterra
 from starkspec.errors import NumericError
 from starkspec.volterra import (FAR_EXTENSION_CAP, LATTICE_STEP, Workspace, airy_table,
                                 default_grid, envelope_offset, grid_from_nodes)
+from references import basis_eval, omega
 
 A1 = 2.3381074104597670  # -a_1
 
@@ -25,31 +26,24 @@ def envelope_weights(grid, z, grow=False):
 
 def test_truncation_point_free_case(q_zero):
     offset = 11.9763771 + 2.0
-    assert envelope_offset(1e-12) == pytest.approx(offset, abs=1e-6)
-    assert default_grid(q_zero, 0.0, 1e-12).x_max == pytest.approx(offset, abs=1e-6)
-
-
-def test_truncation_point_monotone_in_tolerance(q_zero, q_exp):
-    for q in (q_zero, q_exp):
-        t1 = default_grid(q, 0.0, 1e-8).x_max
-        t2 = default_grid(q, 0.0, 1e-12).x_max
-        assert t2 >= t1
+    assert envelope_offset() == pytest.approx(offset, abs=1e-6)
+    assert default_grid(q_zero, 0.0).x_max == pytest.approx(offset, abs=1e-6)
 
 
 def test_truncation_point_translates(q_zero):
-    assert default_grid(q_zero, 30.0, 1e-12).x_max == pytest.approx(
-        30.0 + default_grid(q_zero, 0.0, 1e-12).x_max, rel=1e-12)
+    assert default_grid(q_zero, 30.0).x_max == pytest.approx(
+        30.0 + default_grid(q_zero, 0.0).x_max, rel=1e-12)
 
 
 def test_truncation_point_respects_potential_decay(q_exp):
     # past the envelope point the grid chases q until it is negligible,
     # but by no more than FAR_EXTENSION_CAP
-    base = envelope_offset(1e-12)
-    x_max = default_grid(q_exp, 0.0, 1e-12).x_max
+    base = envelope_offset()
+    x_max = default_grid(q_exp, 0.0).x_max
     assert base < x_max < base + FAR_EXTENSION_CAP
     assert abs(float(q_exp.q(x_max))) <= 1e-12 * (1.0 + q_exp.sup_norm)
     slow = ss.alg_decay(0.5, 3.0, r=2.0)
-    assert default_grid(slow, 0.0, 1e-12).x_max == pytest.approx(base + FAR_EXTENSION_CAP)
+    assert default_grid(slow, 0.0).x_max == pytest.approx(base + FAR_EXTENSION_CAP)
 
 
 def test_table_grid_ends_a_panel_at_the_last_knot():
@@ -60,9 +54,9 @@ def test_table_grid_ends_a_panel_at_the_last_knot():
     assert 12.0 in default_grid(q, A1).nodes
 
 
-def test_grid_structure():
+def test_grid_structure(q_zero):
     z = 5.0
-    g = default_grid(None, z)
+    g = default_grid(q_zero, z)
     assert g.nodes[0] == 0.0
     assert np.all(np.diff(g.nodes) > 0)
     assert g.x_max >= z + (1.5 * math.log(1e12)) ** (2.0 / 3.0)
@@ -71,12 +65,12 @@ def test_grid_structure():
     assert np.max(np.diff(g.nodes)[window]) <= h0 / 4.0 + 1e-12
 
 
-def test_running_integrals():
+def test_running_integrals(q_zero):
     # a different cubic on each panel: the Gauss rule and the interpolating
     # cubic make every running integral exact, in both directions
     rng = np.random.default_rng(8)
     grid = grid_from_nodes(np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 15))]))
-    ws = Workspace(None, 1.0, grid)
+    ws = Workspace(q_zero, 1.0, grid)
     coef = rng.normal(size=(3, grid.n_panels, 4))   # powers of x - panel start
     t = grid.gauss_x - grid.nodes[:-1, None]
     integrands = sum(coef[..., k, None] * t ** k for k in range(4))
@@ -108,7 +102,7 @@ def test_free_solves_reproduce_basis(q_zero):
     z = 3.7
     psi = ss.solve_psi(q_zero, z)
     assert psi.iterations == 1
-    ref = [ss.basis_eval(z, x) for x in psi.grid.nodes]
+    ref = [basis_eval(z, x) for x in psi.grid.nodes]
     assert_allclose(psi.values, [b.psi0 for b in ref], rtol=1e-12)
     assert_allclose(psi.derivs, [b.psi0_prime for b in ref], rtol=1e-12)
     assert_allclose(psi.z_derivs, [-b.psi0_prime for b in ref], rtol=1e-12)
@@ -149,7 +143,7 @@ def test_perturbation_scale_is_first_order(q_zero, q_exp):
     for t in (1e-3, 1e-4):
         qt = ss.blend(q_exp, None, 0.0, self_factor=t / 0.3)
         theta = ss.solve_theta(qt, z)
-        th0 = np.array([ss.basis_eval(z, x).theta0 for x in theta.grid.nodes])
+        th0 = np.array([basis_eval(z, x).theta0 for x in theta.grid.nodes])
         w = envelope_weights(theta.grid, z, grow=True)
         dev[t] = np.max(np.abs(theta.values - th0) * w)
     assert dev[1e-3] / dev[1e-4] == pytest.approx(10.0, rel=0.05)
@@ -160,8 +154,8 @@ def test_psi_perturbation_bound(q_zero):
     q = ss.exp_decay(0.2, 1.0, r=2.0)
     z = A1
     psi = ss.solve_psi(q, z)
-    psi0_0 = ss.basis_eval(z, 0.0).psi0
-    bound_unit = ss.omega(q, z) / (1.0 + abs(z) ** 0.25)
+    psi0_0 = basis_eval(z, 0.0).psi0
+    bound_unit = omega(q, z) / (1.0 + abs(z) ** 0.25)
     assert abs(psi.values[0] - psi0_0) <= 3.0 * bound_unit
 
 
@@ -231,7 +225,7 @@ def test_wronskian_psi_theta_exact_identity(q_exp):
         ws = Workspace(q_exp, z, grid)
         corr = float(np.sum(grid.weights * ws.th0 * ws.qg * psi.gauss_values))
         assert np.max(np.abs(wr - (1.0 + corr))) <= 1e-8
-        assert abs(corr) <= 2.0 * ss.omega(q_exp, z)
+        assert abs(corr) <= 2.0 * omega(q_exp, z)
         assert np.max(np.abs(wr - 1.0)) == pytest.approx(abs(corr), rel=1e-4)
 
 
@@ -278,9 +272,26 @@ def test_tail_insensitivity(key):
 
 
 def test_picard_cap_signals(q_zero):
+    # at lambda_1 of this potential the psi_dot sweeps need more than the cap
     q_big = ss.exp_decay(300.0, 1.0, r=2.0)
     with pytest.raises(NumericError):
-        ss.solve_psi(q_big, 2.0)
+        ss.solve_psi(q_big, 7.3977570023)
+
+
+def test_picard_stops_on_a_solution_far_above_its_seed():
+    # q - z > 0 near 0 makes psi there about 4e4 times its seed psi0, and
+    # the update stalls at roundoff above PICARD_TOL of the seed's scale;
+    # the stop relative to the solution ends the sweeps on a converged solve
+    q = ss.exp_decay(20.0, 0.5, r=2.0)
+    z = 3.4630284272953684
+    grid = default_grid(q, z)
+    psi = ss.solve_psi(q, z, grid)
+    assert psi.iterations < volterra.PICARD_MAX_ITER
+    nodes = grid.nodes
+    halved = grid_from_nodes(np.union1d(nodes, 0.5 * (nodes[1:] + nodes[:-1])))
+    fine = ss.solve_psi(q, z, halved)
+    assert fine.values[0] == pytest.approx(psi.values[0], rel=1e-13)
+    assert fine.z_derivs[0] == pytest.approx(psi.z_derivs[0], rel=1e-13)
 
 
 def test_eigenvalue_shooting_consistency(q_exp):
@@ -414,11 +425,11 @@ def test_airy_shift_zero_step_is_exact(q_exp):
     assert back.tail_bound == base.tail_bound
 
 
-def test_moved_workspace_reports_bi_overflow():
+def test_moved_workspace_reports_bi_overflow(q_zero):
     # AMOS returns nan for Bi' past w ~ 103.4; a table that ends at 103 is
     # finite, and so is its move by 0.15
     grid = grid_from_nodes(np.linspace(0.0, 103.0, 516))
-    base = Workspace(None, 0.0, grid)
+    base = Workspace(q_zero, 0.0, grid)
     assert base.at(0.0) is base
     assert np.isfinite(base.at(-0.15).b_th0p[-1])
     # the message says what is wrong and where: the table, z and max w
