@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .airy import airy_zero
+from .airy import airy_zero  # noqa: F401  (bench/tracing.py wraps it by name)
 from .errors import InsufficientDataError
-from .potentials import Potential
-from .volterra import Workspace, workspace
+from .volterra import Workspace
 
 __all__ = [
     "AsymptoticsReport",
@@ -34,26 +33,21 @@ KAPPA_NOISE_FLOOR = 1e-8
 MIN_FIT_POINTS = 8
 
 
-def lambda_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float:
+def lambda_prediction(ws: Workspace) -> float:
     """-a_n plus the first-order eigenvalue correction
     pi (-a_n)^(-1/2) int Ai^2(x + a_n) q.
 
     The integral is the Gauss sum over the Airy table of ``ws``, the
-    Workspace of q at z = -a_n, where psi0 = sqrt(pi) Ai(x + a_n); None
-    builds it on the default grid.
+    Workspace of q at z = -a_n, where psi0 = sqrt(pi) Ai(x + a_n).
     """
-    if ws is None:
-        ws = workspace(q, -airy_zero(n))
     pairing = float(np.sum(ws.grid.weights * ws.qg * ws.psi0 * ws.psi0))
     return ws.z + pairing / math.sqrt(ws.z)
 
 
-def kappa_prediction(q: Potential, n: int, ws: Workspace | None = None) -> float:
+def kappa_prediction(ws: Workspace) -> float:
     """First-order norming-constant correction
     -2 pi (-a_n)^(-1/2) int Ai Ai'(x + a_n) q (zero at q = 0); ``ws`` as
     for :func:`lambda_prediction`."""
-    if ws is None:
-        ws = workspace(q, -airy_zero(n))
     pairing = float(np.sum(ws.grid.weights * ws.qg * ws.psi0 * ws.psi0p))
     return -2.0 * pairing / math.sqrt(ws.z)
 

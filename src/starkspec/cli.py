@@ -233,11 +233,11 @@ def _check_asym(q, rows, cfg) -> dict:
 def _check_gradients(q, records, cfg):
     tol = cfg.tolerances
     n = cfg.n_min
-    rec = records[n]
     probes = [exp_decay(1.0, 1.0, r=q.r), bump(1.0, 2.0, 1.0, r=q.r)]
     h = 1e-4
     worst_l, worst_k = 0.0, 0.0
     for v in probes:
+        rec = spectrum.paired_record(q, n, v, records[n])
         dl = spectrum.lambda_directional_derivative(q, n, v, rec)
         dk = spectrum.kappa_directional_derivative(q, n, v, rec)
         plus = spectrum.locate_eigenvalue(blend(q, v, h), n)

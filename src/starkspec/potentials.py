@@ -45,13 +45,10 @@ class Potential:
     sup_norm: float = 0.0
     #: point beyond which |q| and |q'| stay below _ENVELOPE_FLOOR * peak
     decay_point: float = 0.0
-    #: interior points where q or |q| loses smoothness: panel ends of every
-    #: default grid
+    #: panel ends of every default grid: interior points where q or |q|
+    #: loses smoothness, and for a bump its centre and points graded toward
+    #: the ends of its support
     kinks: tuple = ()
-
-    def scale(self, t: float) -> "Potential":
-        """The potential t*q (callables scaled, decay metadata kept)."""
-        return blend(self, None, 0.0, self_factor=t)
 
 
 def exp_decay(c: float, a: float, r: float = 2.0) -> Potential:
@@ -159,7 +156,11 @@ def make_potential(spec: dict) -> Potential:
                       * (-2.0 * tm / (1.0 - tm ** 2) ** 2) / w)
             return out
 
-        kinks = tuple(k for k in (x0 - w, x0, x0 + w) if k > 0)
+        # q is flat to all orders at x0 -+ w, not analytic: panels shrink
+        # toward them, the support ends x0 -+ w among the kinks
+        fracs = (1.0,) + tuple(1.0 - 2.0 ** -j for j in range(6))
+        ends = {x0 + s * w * f for s in (-1.0, 1.0) for f in fracs}
+        kinks = tuple(sorted(k for k in ends if k > 0))
         return Potential(family, dict(params), r, q, qp, abs(c), max(x0 + w, 0.0), kinks)
 
     try:
@@ -201,21 +202,13 @@ def make_potential(spec: dict) -> Potential:
     return Potential(family, dict(params), r, q, qp, peak, last, tuple(xs[1:]))
 
 
-def blend(q: Potential, v: Potential | None, t: float, self_factor: float = 1.0) -> Potential:
-    """The potential self_factor*q + t*v (plumbing for scalings and gradient probes)."""
-    if v is None:
-        fq, fqp = q.q, q.q_prime
-        qq = lambda x: self_factor * fq(x)
-        qqp = lambda x: self_factor * fqp(x)
-        return Potential("blend", {"base": q.family, "factor": self_factor},
-                         q.r, qq, qqp, abs(self_factor) * q.sup_norm,
-                         q.decay_point, q.kinks)
+def blend(q: Potential, v: Potential, t: float) -> Potential:
+    """The potential q + t*v (plumbing for gradient probes)."""
     fq, fqp, gq, gqp = q.q, q.q_prime, v.q, v.q_prime
-    qq = lambda x: self_factor * fq(x) + t * gq(x)
-    qqp = lambda x: self_factor * fqp(x) + t * gqp(x)
+    qq = lambda x: fq(x) + t * gq(x)
+    qqp = lambda x: fqp(x) + t * gqp(x)
     return Potential("blend", {"base": q.family, "dir": v.family, "t": t},
-                     min(q.r, v.r), qq, qqp,
-                     abs(self_factor) * q.sup_norm + abs(t) * v.sup_norm,
+                     min(q.r, v.r), qq, qqp, q.sup_norm + abs(t) * v.sup_norm,
                      max(q.decay_point, v.decay_point),
                      tuple(sorted(set(q.kinks) | set(v.kinks))))
 

@@ -20,8 +20,8 @@ from scipy import special
 from .airy import airy_zero
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
-from .potentials import Potential
-from .volterra import (REFINE_RADIUS, TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
+from .potentials import Potential, blend
+from .volterra import (TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
                        envelope_offset, solve_psi, solve_sc, workspace)
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "oscillation_count",
     "lambda_directional_derivative",
     "kappa_directional_derivative",
+    "paired_record",
 ]
 
 BRACKET_COEFF = 4.0
@@ -45,7 +46,7 @@ OSCILLATION_FLOOR = 1e-8
 _SQRT_PI = math.sqrt(math.pi)
 #: grid length past the root at which the decaying envelope falls to the
 #: tail tolerance: default_grid's length without its safety margin, which
-#: absorbs Newton's move from the grid centre as the refinement radius does
+#: absorbs Newton's move from the grid centre
 _DECAY_LENGTH = envelope_offset() - TRUNCATION_MARGIN
 
 
@@ -126,25 +127,27 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     One Workspace at -a_n gives both first-order predictions; moved to
     the lambda prediction, it starts Newton. Iterates must stay within the
     window around -a_n whose half-width is the crude-localization scale or
-    twice the first-order correction, whichever is larger. The grid must
-    fit the root as default_grid fits its centre: the root lies in the
-    refinement window and the envelope decays before x_max. Otherwise
-    Newton polishes once more on the default grid at the root, which moves
-    it by the change of grid only. By Sturm oscillation the root is the
+    twice the first-order correction, whichever is larger. That correction
+    is at most 1.02 sup|q|, so the window keeps the root within 2.03 c of
+    the grid's centre, c = 1 + sup|q|, where build_grid's panels span at
+    most sqrt(3.03) PANEL_PHASE of the root's own phase. The envelope must
+    decay before x_max at the root as at the centre; otherwise Newton
+    polishes once more on the default grid at the root, which moves it by
+    the change of grid only. By Sturm oscillation the root is the
     n-th eigenvalue exactly when its eigenfunction has n - 1 sign changes;
     any other root raises BracketError. Errors name ``n`` and the stage.
     """
     ws = workspace(q, -airy_zero(n))
     center = ws.z
-    lam_pred = lambda_prediction(q, n, ws)
-    kappa_pred = kappa_prediction(q, n, ws)
+    lam_pred = lambda_prediction(ws)
+    kappa_pred = kappa_prediction(ws)
     delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
                 2.0 * abs(lam_pred - center))
     window = (center - delta, center + delta)
     stage = "newton"
     try:
         lam, prof = _newton(q, lam_pred, ws, window)
-        if abs(lam - center) > REFINE_RADIUS or prof.grid.x_max < lam + _DECAY_LENGTH:
+        if prof.grid.x_max < lam + _DECAY_LENGTH:
             stage = "regrid"
             lam, prof = _newton(q, lam, workspace(q, lam), window)
         psi_prime0 = float(prof.derivs[0])
@@ -180,6 +183,19 @@ def norm_sq_psi(record: EigenRecord) -> float:
     return abs(record.norm_sq - prod) / record.norm_sq
 
 
+def paired_record(q: Potential, n: int, v: Potential,
+                  record: EigenRecord | None = None) -> EigenRecord:
+    """The n-th record of q on a grid that ends a panel at every kink of v
+    inside it, so that the Gauss pairings with v see smooth pieces of v:
+    ``record`` when its grid does, otherwise the record of blend(q, v, 0),
+    which is q on a default grid with v's kinks among its panel ends."""
+    if record is not None:
+        nodes = record.psi.grid.nodes
+        if np.all(np.isin([k for k in v.kinks if k < nodes[-1]], nodes)):
+            return record
+    return locate_eigenvalue(blend(q, v, 0.0), n)
+
+
 def _pair_with_direction(prof_values, grid: Grid, v: Potential) -> float:
     vv = np.asarray(v.q(grid.gauss_x))
     return float(np.sum(grid.weights * prof_values * vv))
@@ -191,8 +207,9 @@ def lambda_directional_derivative(q: Potential, n: int, v: Potential,
 
     The (1+x)^r weight of the gradient cancels against the pairing, so
     this is a plain L2 integral of the normalized eigenfunction squared.
+    ``record`` is paired as :func:`paired_record` pairs it.
     """
-    rec = record or locate_eigenvalue(q, n)
+    rec = paired_record(q, n, v, record)
     norm_sq = -rec.psi_prime0 * rec.psi_dot0
     eta2 = rec.psi.gauss_values ** 2 / norm_sq
     return _pair_with_direction(eta2, rec.psi.grid, v)
@@ -211,9 +228,10 @@ def kappa_directional_derivative(q: Potential, n: int, v: Potential,
     psi and psi_ddot has derivative -2 psi psi_dot, and psi(0) = 0. The
     pairing stops at x_max: kappa does not change when psi is rescaled, and
     mass of v beyond the grid only rescales psi on it. One solve_sc call on
-    the record's grid is the only solve.
+    the record's grid is the only solve; ``record`` is paired as
+    :func:`paired_record` pairs it.
     """
-    rec = record or locate_eigenvalue(q, n)
+    rec = paired_record(q, n, v, record)
     prof = rec.psi
     grid = prof.grid
     s_prof, c_prof = solve_sc(q, rec.lam, grid)

@@ -1,4 +1,4 @@
-"""Picard solves of the Volterra equations on a graded panel grid.
+"""Picard solves of the Volterra equations on an equal-phase panel grid.
 
 The kernel J0(z,x,y) separates into the decaying/growing basis pair, so
 K f = sgn int J0 q f needs the running integrals of psi0 q f and theta0 q f,
@@ -46,10 +46,8 @@ __all__ = [
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 50
 DEFAULT_TAIL_TOL = 1e-12
-BASE_SPACING = 0.05
-REFINE_RADIUS = 2.0
-REFINE_FACTOR = 4.0
-GEOM_RATIO = 0.8
+#: WKB phase per panel of :func:`build_grid`
+PANEL_PHASE = 0.125
 TRUNCATION_MARGIN = 2.0
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -80,7 +78,7 @@ _PARTIAL_RIGHT, _PARTIAL_LEFT = _reference_partials()
 
 @dataclass(frozen=True)
 class Grid:
-    """Graded panel grid on [0, x_max] with per-panel Gauss machinery."""
+    """Panel grid on [0, x_max] with per-panel Gauss machinery."""
 
     nodes: np.ndarray       # panel boundaries, nodes[0] = 0, nodes[-1] = x_max
     x_max: float
@@ -112,49 +110,27 @@ class SolutionProfile:
     z_derivs_prime: np.ndarray
 
 
-def build_grid(z: float, x_max: float) -> Grid:
-    """Graded grid: baseline spacing away from the turning point, at least
-    4x denser within |x - z| <= 2, geometric transitions with ratio 0.8."""
-    if not (math.isfinite(z) and math.isfinite(x_max)) or x_max <= 0:
-        raise DomainError("build_grid: need finite z and x_max > 0")
-    h0 = BASE_SPACING * (1.0 + abs(z)) ** -0.25
-    hmin = h0 / REFINE_FACTOR
-    win_lo, win_hi = z - REFINE_RADIUS, z + REFINE_RADIUS
-    pts = [0.0]
+def build_grid(z: float, x_max: float, sup_norm: float) -> Grid:
+    """Panels of equal WKB phase on [0, x_max].
 
-    def fill_to(b, h):
-        a = pts[-1]
-        if b <= a + 1e-12:
-            return
-        k = max(1, int(math.ceil((b - a) / h)))
-        pts.extend(np.linspace(a, b, k + 1)[1:].tolist())
-
-    if win_hi <= 0.0:
-        fill_to(x_max, h0)
-    else:
-        if win_lo > 0.0:
-            offs = []
-            h, d = hmin / GEOM_RATIO, 0.0
-            while h < h0:
-                d += h
-                offs.append(d)
-                h /= GEOM_RATIO
-            fill_to(max(win_lo - d, 0.0), h0)
-            for o in reversed(offs):
-                x = win_lo - o
-                if x > pts[-1] + 1e-12:
-                    pts.append(x)
-            if win_lo > pts[-1] + 1e-12:
-                pts.append(win_lo)
-        fill_to(min(win_hi, x_max), hmin)
-        if x_max > win_hi:
-            h = hmin / GEOM_RATIO
-            while h < h0 and pts[-1] + h < x_max:
-                pts.append(pts[-1] + h)
-                h /= GEOM_RATIO
-            fill_to(x_max, h0)
-
-    return grid_from_nodes(pts)
+    The basis at z, perturbed by a q with |q| <= sup_norm, oscillates or
+    decays on the local length (c + |x - z|)^(-1/2), c = 1 + sup_norm, the
+    1 being the Airy scale at the turning point. Panel ends sit at equal
+    steps, at most PANEL_PHASE, of the phase that length accumulates,
+    Phi(x) = sign(x - z) (2/3) ((c + |x - z|)^(3/2) - c^(3/2)), inverted
+    in closed form.
+    """
+    if not (math.isfinite(z) and math.isfinite(x_max) and math.isfinite(sup_norm)
+            and x_max > 0 and sup_norm >= 0):
+        raise DomainError("build_grid: need finite z, x_max > 0 and sup_norm >= 0")
+    c = 1.0 + sup_norm
+    c32 = c ** 1.5
+    lo, hi = (math.copysign((2.0 / 3.0) * ((c + abs(x - z)) ** 1.5 - c32), x - z)
+              for x in (0.0, x_max))
+    phase = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / PANEL_PHASE)) + 1)
+    nodes = z + np.sign(phase) * ((1.5 * np.abs(phase) + c32) ** (2.0 / 3.0) - c)
+    nodes[0], nodes[-1] = 0.0, x_max
+    return grid_from_nodes(nodes)
 
 
 #: how far past the envelope point a default grid will chase slow potential
@@ -210,7 +186,7 @@ def default_grid(q: Potential, z: float) -> Grid:
     Every kink of q inside the grid ends a panel, so each Gauss rule sees a
     smooth piece of q."""
     base = z + envelope_offset()
-    grid = build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP))
+    grid = build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP), q.sup_norm)
     kinks = [k for k in q.kinks if 0.0 < k < grid.x_max]
     return grid_from_nodes(np.union1d(grid.nodes, kinks)) if kinks else grid
 

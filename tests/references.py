@@ -1,6 +1,6 @@
 """Independent references for the tests: scalar Airy values and their
-envelope, the unperturbed basis and its Green kernel, and the weighted
-norms and omega of a potential.
+envelope, the unperturbed basis and its Green kernel, the weighted norms
+and omega of a potential, and the potential scaled by a constant.
 
 They stay independent of the solver on purpose. Each value comes from one
 scipy.special (AMOS) call at one point, and each integral from adaptive
@@ -10,6 +10,7 @@ disagreement with these, not as two copies of the same error.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -240,3 +241,10 @@ def omega(q, z: float, with_derivative: bool = False) -> float:
     if with_derivative:
         val += kernel(q.q_prime)
     return val
+
+
+def scaled(q, t: float):
+    """The potential t q: its callables scaled, its decay metadata kept."""
+    fq, fqp = q.q, q.q_prime
+    return dataclasses.replace(q, q=lambda x: t * fq(x), q_prime=lambda x: t * fqp(x),
+                               sup_norm=abs(t) * q.sup_norm)

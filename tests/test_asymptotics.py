@@ -7,7 +7,15 @@ from scipy import special
 
 import starkspec as ss
 from conftest import POTENTIALS, asym_report
+from references import scaled
 from starkspec.errors import InsufficientDataError
+from starkspec.volterra import workspace
+
+
+def predictions(q, n):
+    """Both first-order predictions, on the default grid's Workspace at -a_n."""
+    ws = workspace(q, -ss.airy_zero(n))
+    return ss.lambda_prediction(ws), ss.kappa_prediction(ws)
 
 
 def composite_gl_pairing(q, n, kernel, points_per_unit=20, order=12):
@@ -29,21 +37,21 @@ def composite_gl_pairing(q, n, kernel, points_per_unit=20, order=12):
 
 def test_lambda_prediction_free_is_exact(q_zero):
     for n in (1, 7, 23):
-        assert ss.lambda_prediction(q_zero, n) == pytest.approx(
+        assert predictions(q_zero, n)[0] == pytest.approx(
             -ss.airy_zero(n), rel=1e-14)
 
 
 def test_kappa_prediction_free_is_zero(q_zero):
-    assert ss.kappa_prediction(q_zero, 5) == 0.0
+    assert predictions(q_zero, 5)[1] == 0.0
 
 
 def test_prediction_correction_is_linear_in_q(q_exp):
     n = 4
     a_n = ss.airy_zero(n)
-    base = ss.lambda_prediction(q_exp, n) + a_n
+    base = predictions(q_exp, n)[0] + a_n
     for c in (0.5, -2.0):
-        scaled = ss.lambda_prediction(q_exp.scale(c), n) + a_n
-        assert scaled == pytest.approx(c * base, rel=1e-12)
+        scaled_pred = predictions(scaled(q_exp, c), n)[0] + a_n
+        assert scaled_pred == pytest.approx(c * base, rel=1e-12)
 
 
 # the bump and the spline are not analytic at their kinks, where the
@@ -59,9 +67,10 @@ def test_prediction_quadratures_vs_gl_oracle(key, n, tol):
     a_n = ss.airy_zero(n)
     lam_pair = composite_gl_pairing(q, n, lambda ai, aip: ai * ai)
     kap_pair = composite_gl_pairing(q, n, lambda ai, aip: ai * aip)
-    assert ss.lambda_prediction(q, n) == pytest.approx(
+    lam_pred, kappa_pred = predictions(q, n)
+    assert lam_pred == pytest.approx(
         -a_n + math.pi * lam_pair / math.sqrt(-a_n), **tol)
-    assert ss.kappa_prediction(q, n) == pytest.approx(
+    assert kappa_pred == pytest.approx(
         -2.0 * math.pi * kap_pair / math.sqrt(-a_n), **tol)
 
 
@@ -79,7 +88,7 @@ def test_kappa_prediction_by_parts_identity(q_exp):
 def test_kappa_prediction_sign_for_decreasing_positive_q(q_exp):
     # q >= 0 with q' <= 0 forces a definite sign on the reduced integrand
     for n in (1, 5, 17):
-        assert ss.kappa_prediction(q_exp, n) < 0.0
+        assert predictions(q_exp, n)[1] < 0.0
 
 
 def test_decay_fit_exact_power_law():
@@ -113,7 +122,7 @@ def test_second_order_remainder_scaling(records_cache):
     q_full, _ = records_cache("exp+", 1)
     resid = {}
     for c in (1.0, 0.5):
-        q = q_full.scale(c)
+        q = scaled(q_full, c)
         rec = ss.locate_eigenvalue(q, n)
         resid[c] = rec.lam - rec.lam_pred
     ratio = resid[1.0] / resid[0.5]
@@ -123,8 +132,7 @@ def test_second_order_remainder_scaling(records_cache):
 def test_report_assembly(records_cache):
     q, recs = records_cache("exp+", 20)
     # the record keeps both predictions, Newton's start among them
-    assert recs[2].lam_pred == ss.lambda_prediction(q, 2)
-    assert recs[2].kappa_pred == ss.kappa_prediction(q, 2)
+    assert (recs[2].lam_pred, recs[2].kappa_pred) == predictions(q, 2)
     rep = asym_report(recs, n_hi=20)
     assert len(rep.lambda_resid) == len(rep.kappa_resid) == 19
     slope, half = rep.fitted_slope_lambda

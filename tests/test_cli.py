@@ -197,14 +197,20 @@ def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
 
 def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     # AMOS calls and points behind every Workspace Airy table in an eig
-    # campaign, from a cold lattice, and the Picard solves and sweeps; Newton
-    # from the prediction on one grid per index took these down from 50
-    # calls, 287,405 points, 99 solves and 705 sweeps, and the shared lattice
-    # from 8 calls and 51,258 points (180 calls and 516,380 points before the
-    # tables were moved to nearby z). Each solve applies the operator once per
-    # Picard sweep and takes one more set of running integrals for its
-    # z-derivative's coupling, none for assembly
+    # campaign, from a cold lattice, the table points themselves, and the
+    # Picard solves and sweeps; Newton from the prediction on one grid per
+    # index took these down from 50 calls, 287,405 points, 99 solves and 705
+    # sweeps, and the shared lattice from 8 calls and 51,258 points (180
+    # calls and 516,380 points before the tables were moved to nearby z).
+    # Equal-phase panels took the table points from 204,652 to 98,572. Each
+    # solve applies the operator once per Picard sweep and takes one more set
+    # of running integrals for its z-derivative's coupling, none for assembly
     work = Counter()
+    table = volterra.airy_table
+
+    def counted_table(w):
+        work["table_points"] += np.size(w)
+        return table(w)
 
     def airy(w):
         work["amos_calls"] += 1
@@ -227,6 +233,7 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
 
     monkeypatch.setattr(volterra, "_lattice", {})    # cold, whatever ran before
     monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
+    monkeypatch.setattr(volterra, "airy_table", counted_table)
     monkeypatch.setattr(volterra.Workspace, "picard", counted_picard)
     monkeypatch.setattr(volterra.Workspace, "integrals", counted_integrals)
     cfgfile = tmp_path / "c.json"
@@ -235,6 +242,11 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     assert cli.main(["eig", "--config", str(cfgfile), "--method", "shooting"]) == cli.EXIT_OK
     # one lattice growth of three 1,024-point chunks serves every table
     assert work["amos_calls"] <= 1 and work["amos_points"] <= 3_072
+    assert work["table_points"] <= 98_572
+    # the grid of the eig-exp60 benchmark's last index: 3,556 panels before
+    # equal-phase panels, 1,873 with them
+    assert volterra.default_grid(cli.make_potential(EXP_03),
+                                 -cli.airy_zero(60)).n_panels <= 2_000
     assert work["picard_calls"] <= 48 and work["picard_sweeps"] <= 339
     assert work["integral_calls"] == work["picard_sweeps"] + work["picard_calls"] // 2
 

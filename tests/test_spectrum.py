@@ -141,6 +141,23 @@ def test_gradients_match_finite_differences(records_cache):
     assert dk == pytest.approx((plus.kappa - minus.kappa) / (2 * h), rel=1e-3)
 
 
+def test_gradient_pairs_on_the_directions_kinks(records_cache):
+    # the bump is flat but not analytic at its support ends, where exp+'s
+    # grid has no panel end; paired on that grid, both gradients missed the
+    # central difference by 6e-8
+    q, recs = records_cache("exp+", 1)
+    v = ss.bump(1.0, 2.0, 1.0, r=2.0)
+    rec = spectrum.paired_record(q, 1, v, recs[1])
+    assert set(v.kinks) <= set(rec.psi.grid.nodes)
+    assert spectrum.paired_record(q, 1, ss.exp_decay(1.0, 1.0), recs[1]) is recs[1]
+    h = 1e-4
+    plus, minus = (ss.locate_eigenvalue(ss.blend(q, v, t), 1) for t in (h, -h))
+    assert ss.lambda_directional_derivative(q, 1, v, recs[1]) == pytest.approx(
+        (plus.lam - minus.lam) / (2 * h), rel=1e-9)
+    assert ss.kappa_directional_derivative(q, 1, v, recs[1]) == pytest.approx(
+        (plus.kappa - minus.kappa) / (2 * h), rel=1e-9)
+
+
 @pytest.mark.parametrize("c, v, oracle", [
     (0.3, ss.alg_decay(0.5, 3.0, r=2.0), False),
     (1.0, ss.alg_decay(1.0, 1.3, r=1.5), True),
@@ -164,8 +181,9 @@ def test_kappa_gradient_with_slow_direction(c, v, oracle):
 
 
 def test_kappa_gradient_solves_only_the_fundamental_pair(records_cache, monkeypatch):
-    # psi and psi_dot come from the record; s and c need one solve, and
-    # psi_ddot(0) comes from Green's identity, not from solves at nearby z
+    # psi and psi_dot come from a record paired with v; s and c need one
+    # solve, and psi_ddot(0) comes from Green's identity, not from solves at
+    # nearby z
     calls = Counter()
 
     def count(name):
@@ -178,9 +196,11 @@ def test_kappa_gradient_solves_only_the_fundamental_pair(records_cache, monkeypa
         monkeypatch.setattr(spectrum, name, counted)
 
     q, recs = records_cache("exp+", 1)
+    v = ss.bump(1.0, 2.0, 1.0, r=2.0)
+    rec = spectrum.paired_record(q, 1, v, recs[1])
     count("solve_psi")
     count("solve_sc")
-    ss.kappa_directional_derivative(q, 1, ss.bump(1.0, 2.0, 1.0, r=2.0), recs[1])
+    ss.kappa_directional_derivative(q, 1, v, rec)
     assert calls == {"solve_sc": 1}
 
 

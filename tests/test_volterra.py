@@ -1,4 +1,3 @@
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,7 @@ from starkspec import volterra
 from starkspec.errors import NumericError
 from starkspec.volterra import (FAR_EXTENSION_CAP, LATTICE_STEP, Workspace, airy_table,
                                 default_grid, envelope_offset, grid_from_nodes)
-from references import basis_eval, omega
+from references import basis_eval, omega, scaled
 
 A1 = 2.3381074104597670  # -a_1
 
@@ -54,15 +53,19 @@ def test_table_grid_ends_a_panel_at_the_last_knot():
     assert 12.0 in default_grid(q, A1).nodes
 
 
-def test_grid_structure(q_zero):
-    z = 5.0
-    g = default_grid(q_zero, z)
-    assert g.nodes[0] == 0.0
-    assert np.all(np.diff(g.nodes) > 0)
-    assert g.x_max >= z + (1.5 * math.log(1e12)) ** (2.0 / 3.0)
-    h0 = 0.05 * (1 + abs(z)) ** -0.25
-    window = (g.nodes[:-1] >= z - 2.0) & (g.nodes[1:] <= z + 2.0)
-    assert np.max(np.diff(g.nodes)[window]) <= h0 / 4.0 + 1e-12
+def test_halved_phase_grid_agrees(records_cache, monkeypatch):
+    # the grid's accuracy target: halving PANEL_PHASE moves no lambda_n or
+    # kappa_n by more than 1e-9
+    from conftest import POTENTIALS
+    ns = (1, 2, 4, 15, 30)
+    coarse = {key: records_cache(key, 30) for key in POTENTIALS}   # before the patch
+    monkeypatch.setattr(volterra, "PANEL_PHASE", volterra.PANEL_PHASE / 2)
+    for key, (q, recs) in coarse.items():
+        for n in ns:
+            fine = ss.locate_eigenvalue(q, n)
+            assert fine.psi.grid.n_panels > 1.8 * recs[n].psi.grid.n_panels
+            assert abs(fine.lam - recs[n].lam) <= 1e-9, (key, n)
+            assert abs(fine.kappa - recs[n].kappa) <= 1e-9, (key, n)
 
 
 def test_running_integrals(q_zero):
@@ -141,7 +144,7 @@ def test_perturbation_scale_is_first_order(q_zero, q_exp):
     z = 2.0
     dev = {}
     for t in (1e-3, 1e-4):
-        qt = ss.blend(q_exp, None, 0.0, self_factor=t / 0.3)
+        qt = scaled(q_exp, t / 0.3)
         theta = ss.solve_theta(qt, z)
         th0 = np.array([basis_eval(z, x).theta0 for x in theta.grid.nodes])
         w = envelope_weights(theta.grid, z, grow=True)
