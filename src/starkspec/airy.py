@@ -6,6 +6,7 @@ empirical constant of the envelope bound on a grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy import special
 
 from .errors import DomainError, NumericError
 
-__all__ = ["airy_zero", "envelope_margin", "zero_seed"]
+__all__ = ["airy_zero", "envelope_margin", "standard_envelope_margin", "zero_seed"]
 
 
 def zero_seed(n: int) -> float:
@@ -92,3 +93,10 @@ def envelope_margin(grid) -> float:
     m1 = np.max(np.abs(ai_over_ga) * sigma)
     m2 = np.max(np.abs(aip_over_ga) / sigma)
     return float(max(m1, m2))
+
+
+@functools.cache
+def standard_envelope_margin() -> float:
+    """:func:`envelope_margin` on w in [-30, 30) at spacing 0.01, the
+    constant every campaign summary reports; computed once per process."""
+    return envelope_margin(np.arange(-30.0, 30.0, 0.01))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, oracle, spectrum, volterra
-from .airy import airy_zero, envelope_margin, zero_seed
+from .airy import airy_zero, envelope_margin, standard_envelope_margin, zero_seed
 from .errors import StarkSpecError, ValidationError
 from .potentials import Potential, blend, bump, exp_decay, make_potential, omega_r
 from .volterra import Workspace, envelope_offset, solve_sc, solve_theta
@@ -315,7 +315,7 @@ def run_verify(config: ExperimentConfig, with_oracle=None, with_pred: bool = Tru
 
     checks = {}
     slopes = {}
-    constants = {"envelope_margin": envelope_margin(np.arange(-30.0, 30.0, 0.01))}
+    constants = {"envelope_margin": standard_envelope_margin()}
     if with_asym:
         asym = _check_asym(q, rows, config)
         for name, which in (("eigen_asym", "lambda"), ("kappa_asym", "kappa")):
@@ -366,7 +366,7 @@ def _airy_selftest() -> int:
     wr = ai * bip - aip * bi
     wr_dev = float(np.max(np.abs(wr * math.pi - 1.0)))
     zeros_ok = all(abs(float(sp.airy(airy_zero(n))[0])) <= 1e-12 for n in range(1, 21))
-    margin = envelope_margin(np.arange(-30.0, 30.0, 0.01))
+    margin = standard_envelope_margin()
     margin_fine = envelope_margin(np.arange(-30.0, 30.0, 0.001))
     stable = abs(margin - margin_fine) <= 0.01 * margin
     seeds = [abs(airy_zero(n) - zero_seed(n)) * n ** (4.0 / 3.0) for n in range(5, 51)]

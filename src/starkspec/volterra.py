@@ -4,7 +4,10 @@ The kernel J0(z,x,y) separates into the decaying/growing basis pair, so
 K f = sgn int J0 q f needs the running integrals of psi0 q f and theta0 q f,
 taken in one stacked call. Panels carry 4-point Gauss nodes; integrals
 from an interior node add the exact integral of the panel's cubic
-interpolant to sums of full-panel rules.
+interpolant to sums of full-panel rules. Both are products over the
+stack's contiguous node axis, after one scaling by the panel half-widths:
+with the Gauss weights for the full panels, and with a 4 x 4 stencil of
+Lagrange-basis integrals for the interior partials.
 
 A solve sweeps f <- inhom + K f until the update, in the envelope-weighted
 max norm that compares oscillatory and decaying regions fairly, falls
@@ -56,8 +59,9 @@ _GAUSS20_NODES, _GAUSS20_WEIGHTS = leggauss(20)
 
 
 def _reference_partials():
-    # integrals of the Lagrange basis on the 4 Gauss nodes of [-1, 1]:
-    # right[l, m] = int_{g_l}^{1} L_m, left[l, m] = int_{-1}^{g_l} L_m
+    # integrals of the Lagrange basis on the 4 Gauss nodes of [-1, 1], laid
+    # out so that node values @ matrix gives the partial integrals at the
+    # nodes: right[m, l] = int_{g_l}^{1} L_m, left[m, l] = int_{-1}^{g_l} L_m
     n = len(_GAUSS_NODES)
     right = np.zeros((n, n))
     left = np.zeros((n, n))
@@ -68,8 +72,8 @@ def _reference_partials():
                 c = c * np.poly1d([1.0, -_GAUSS_NODES[j]]) / (_GAUSS_NODES[m] - _GAUSS_NODES[j])
         C = np.polyint(c)
         for l in range(n):
-            right[l, m] = C(1.0) - C(_GAUSS_NODES[l])
-            left[l, m] = C(_GAUSS_NODES[l]) - C(-1.0)
+            right[m, l] = C(1.0) - C(_GAUSS_NODES[l])
+            left[m, l] = C(_GAUSS_NODES[l]) - C(-1.0)
     return right, left
 
 
@@ -221,7 +225,9 @@ def airy_table(w):
     wk = k * LATTICE_STEP
     h = w - wk                          # exact: w and w_k share the scale 2^-6
     k = k.astype(np.int64)
-    chunks, inv = np.unique(k // _CHUNK, return_inverse=True)
+    ids = k // _CHUNK
+    chunks = np.sort(ids, axis=None)    # sorted unique: cheaper than np.unique's hashing
+    chunks = chunks[np.append(True, chunks[1:] != chunks[:-1])]
     lattice = _lattice
     missing = [c for c in chunks.tolist() if c not in lattice]
     if missing:                         # one AMOS call, for the new chunks only
@@ -229,25 +235,33 @@ def airy_table(w):
         rows = np.array(special.airy(new)).transpose(1, 0, 2)
         _lattice = lattice = {**lattice, **dict(zip(missing, rows))}
     rows = np.concatenate([lattice[c] for c in chunks.tolist()], axis=1)
-    base = np.take(rows, inv.reshape(k.shape) * _CHUNK + k % _CHUNK, axis=-1)
+    at = np.searchsorted(chunks, ids) * _CHUNK + k % _CHUNK
+    f0, f1 = np.take(rows[0::2], at, axis=-1), np.take(rows[1::2], at, axis=-1)
     wh2, h3 = wk * (h * h), h ** 3
     bound_wh2, bound_h3 = float(np.max(np.abs(wh2))), float(np.max(np.abs(h3)))
     r_prev, r, r_next = 0.0, 1.0, 1.0
-    d_prev, d, d_next = 0.0, base[0::2], base[1::2] * h
-    val = d + d_next
-    der_h = np.zeros_like(d)            # sum over j >= 2 of j c_j h^j
+    # the Taylor terms d_j = c_j h^j of (Ai, Bi) rotate through four buffers
+    d_prev, d, d_next, step = np.zeros_like(f0), f0, f1 * h, np.empty_like(f0)
+    term = np.empty_like(f0)
+    out = np.empty((4,) + f0.shape[1:])
+    val, der_h = out[0::2], out[1::2]   # der_h: the sum over j >= 2 of j c_j h^j
+    np.add(d, d_next, out=val)
+    der_h.fill(0.0)
     j = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports overflow
         while r + r_next > 2.0 ** -60:
             inv_jj = 1.0 / ((j + 2) * (j + 1))
             r_prev, r, r_next = r, r_next, (bound_wh2 * r + bound_h3 * r_prev) * inv_jj
-            step = (wh2 * d + h3 * d_prev) * inv_jj
-            d_prev, d, d_next = d, d_next, step
+            np.multiply(wh2, d, out=step)
+            step += np.multiply(h3, d_prev, out=term)
+            step *= inv_jj
             val += step
-            der_h += (j + 2) * step
+            der_h += np.multiply(step, j + 2, out=term)
+            d_prev, d, d_next, step = d, d_next, step, d_prev
             j += 1
-        der = base[1::2] + der_h / np.where(h == 0.0, 1.0, h)   # der_h is 0 at h = 0
-    return np.stack([val[0], der[0], val[1], der[1]])
+        der_h /= np.where(h == 0.0, 1.0, h)    # der_h is 0 at h = 0
+        der_h += f1
+    return out
 
 
 class Workspace:
@@ -264,6 +278,9 @@ class Workspace:
         self.grid = grid
         self.qg = np.asarray(q.q(grid.gauss_x))
         self._q_tail = self._q_tail_estimate(q)
+        #: panel half-widths, the Jacobian of every panel's Gauss rules, one
+        #: per Gauss node so that scaling a stack broadcasts contiguously
+        self._half = np.broadcast_to(grid.widths[:, None] / 2.0, grid.gauss_x.shape).copy()
         #: the Gauss then the boundary abscissae, the points of the Airy table
         self.x = np.concatenate([grid.gauss_x.ravel(), grid.nodes])
         self._set_table(z)
@@ -296,10 +313,11 @@ class Workspace:
         #: psi0 q, theta0 q (the kernel's factors), psi0' q, theta0' q
         self.kq = np.stack([self.psi0, self.th0, self.psi0p, self.th0p]) * self.qg
         w = grid.gauss_x - z
-        E = (2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5
-        sigma = 1.0 + np.abs(w) ** 0.25
-        self.weight_decay = sigma * np.exp(E)     # inverse envelope of the psi class
-        self.weight_grow = sigma * np.exp(-E)     # inverse envelope of the theta class
+        w_plus = np.maximum(w, 0.0)
+        growth = np.exp((2.0 / 3.0) * w_plus * np.sqrt(w_plus))   # exp((2/3) w_+^(3/2))
+        sigma = 1.0 + np.sqrt(np.sqrt(np.abs(w)))
+        self.weight_decay = sigma * growth        # inverse envelope of the psi class
+        self.weight_grow = sigma / growth         # inverse envelope of the theta class
         self.tail_bound = (math.exp(-(2.0 / 3.0) * max(grid.x_max - z, 0.0) ** 1.5)
                            + self._q_tail)
 
@@ -325,19 +343,27 @@ class Workspace:
         """int_x^{x_max} ("back") or int_0^x ("fwd") of each Gauss-node
         integrand in a stack ``(..., panels, 4)``, at the Gauss nodes and
         at the boundaries ``(..., panels + 1)``; each row gets the bits a
-        call on that row alone gives."""
-        grid = self.grid
-        full = np.sum(grid.weights * integrands, axis=-1)
-        zero = np.zeros(full.shape[:-1] + (1,))
-        half = grid.widths[:, None] / 2.0
+        call on that row alone gives.
+
+        The stack, scaled once by the panel half-widths, meets the Gauss
+        weights (full panels) and the 4 x 4 stencil of partial integrals
+        from each node to a panel end in two products over its contiguous
+        last axis. The cumulative sum of the full panels is written straight
+        into the boundary array, and added to the partials in place."""
+        scaled = integrands * self._half
+        full = scaled @ _GAUSS_WEIGHTS
+        at_b = np.empty(full.shape[:-1] + (full.shape[-1] + 1,))
         if direction == "back":
-            suffix = np.concatenate([np.cumsum(full[..., ::-1], axis=-1)[..., -2::-1], zero],
-                                    axis=-1)
-            at_g = (integrands @ _PARTIAL_RIGHT.T) * half + suffix[..., None]
-            return at_g, np.concatenate([full + suffix, zero], axis=-1)
-        prefix = np.concatenate([zero, np.cumsum(full, axis=-1)[..., :-1]], axis=-1)
-        at_g = prefix[..., None] + (integrands @ _PARTIAL_LEFT.T) * half
-        return at_g, np.concatenate([zero, prefix + full], axis=-1)
+            at_b[..., -1] = 0.0
+            np.cumsum(full[..., ::-1], axis=-1, out=at_b[..., -2::-1])
+            at_g = scaled @ _PARTIAL_RIGHT
+            at_g += at_b[..., 1:, None]
+        else:
+            at_b[..., 0] = 0.0
+            np.cumsum(full, axis=-1, out=at_b[..., 1:])
+            at_g = scaled @ _PARTIAL_LEFT
+            at_g += at_b[..., :-1, None]
+        return at_g, at_b
 
     def kernel(self, u_g, u_b):
         """theta0 u[0] - psi0 u[1] and its x-derivative, at the Gauss nodes
@@ -364,10 +390,16 @@ class Workspace:
                        else (1.0, self.weight_grow))
         scale = float(np.max(np.abs(ig) * weight))
         kq = self.kq[:2]
+        # sgn (theta0 u0 - psi0 u1) is one difference, psi0 u1 - theta0 u0
+        # when sgn = -1: rounding is symmetric, so the bits are the same
+        (plus, p), (minus, m) = (((self.psi0, 1), (self.th0, 0)) if direction == "back"
+                                 else ((self.th0, 0), (self.psi0, 1)))
         f = ig
         for sweeps in range(1, PICARD_MAX_ITER + 1):
             u_g, u_b = self.integrals(kq * f, direction)
-            vg = ig + sgn * (self.th0 * u_g[0] - self.psi0 * u_g[1])
+            vg = plus * u_g[p]
+            vg -= minus * u_g[m]
+            vg += ig
             update = float(np.max(np.abs(vg - f) * weight))
             size = float(np.max(np.abs(vg) * weight))
             f = vg

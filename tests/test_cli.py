@@ -130,6 +130,30 @@ def test_determinism_byte_identical(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_envelope_margin_is_computed_once_per_process(tmp_path, monkeypatch):
+    # the summary's envelope constant does not depend on the config: a
+    # second campaign in the same process reads the first one's
+    from starkspec import airy
+    calls = Counter()
+    margin = airy.envelope_margin
+
+    def counted(grid):
+        calls["envelope_margin"] += 1
+        return margin(grid)
+
+    monkeypatch.setattr(airy, "envelope_margin", counted)
+    airy.standard_envelope_margin.cache_clear()
+    summaries = []
+    for tag in ("a", "b"):
+        cfg = cli.parse_config(json.dumps({
+            "potential": EXP_03, "n_min": 1, "n_max": 2, "methods": ["shooting"],
+            "checks": [], "output_dir": str(tmp_path / tag)}))
+        cli.run_verify(cfg)
+        summaries.append((tmp_path / tag / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert calls["envelope_margin"] == 1
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"potential": {"family": "alg", "params": {"c": 1, "p": 1}, "r": 2}}')

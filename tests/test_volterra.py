@@ -53,6 +53,19 @@ def test_table_grid_ends_a_panel_at_the_last_knot():
     assert 12.0 in default_grid(q, A1).nodes
 
 
+def test_envelope_weights_match_the_closed_form(q_zero):
+    # sigma e^{+-E}, sigma = 1 + |w|^(1/4), E = (2/3) max(w, 0)^(3/2), on a
+    # grid that crosses the turning point x = z
+    z = 6.5
+    ws = Workspace(q_zero, z, grid_from_nodes(np.linspace(0.0, 40.0, 161)))
+    w = ws.grid.gauss_x - z
+    assert w.min() < 0.0 < w.max()
+    E = (2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5
+    sigma = 1.0 + np.abs(w) ** 0.25
+    assert_allclose(ws.weight_decay, sigma * np.exp(E), rtol=1e-13, atol=0.0)
+    assert_allclose(ws.weight_grow, sigma * np.exp(-E), rtol=1e-13, atol=0.0)
+
+
 def test_halved_phase_grid_agrees(records_cache, monkeypatch):
     # the grid's accuracy target: halving PANEL_PHASE moves no lambda_n or
     # kappa_n by more than 1e-9
@@ -372,6 +385,26 @@ def test_airy_table_does_not_depend_on_the_lattice_history(monkeypatch):
     reverse = airy_table(w_hi), airy_table(w_lo)
     for got in (warm, reverse[::-1]):
         assert all(np.array_equal(a, b) for a, b in zip(got, cold))
+
+
+def test_airy_table_on_chunks_that_are_not_adjacent():
+    # points near -40, 0 and +40 fall in lattice chunks with gaps between
+    # them; mixed in one call with lattice points, each group gets the bits
+    # of a call on that group alone, and the lattice points the AMOS bits
+    rng = np.random.default_rng(17)
+    groups = [centre + rng.uniform(-0.6, 0.6, 41) for centre in (-40.0, 0.0, 40.0)]
+    lattice = (np.array([-40.0, 0.0, 40.0])[:, None]
+               + LATTICE_STEP * np.arange(-3, 4)).ravel()
+    mixed = np.concatenate([*groups, lattice])
+    order = rng.permutation(mixed.size)
+    table = np.empty((4, mixed.size))
+    table[:, order] = airy_table(mixed[order])
+    start = 0
+    for group in groups:
+        stop = start + group.size
+        assert np.array_equal(table[:, start:stop], airy_table(group))
+        start = stop
+    assert np.array_equal(table[:, start:], np.array(special.airy(lattice)))
 
 
 def test_airy_table_rejects_non_finite_points():
