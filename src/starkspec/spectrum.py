@@ -22,7 +22,7 @@ from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
 from .volterra import (TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
-                       envelope_offset, solve_psi, solve_sc, workspace)
+                       envelope_offset, psi_seed, solve_psi, solve_sc, workspace)
 
 __all__ = [
     "EigenRecord",
@@ -70,7 +70,8 @@ def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
     """psi(q, lam, 0) without its z-derivative; ``grid`` as for
     :func:`solve_psi`."""
     ws = workspace(q, lam, grid)
-    (_, _, values, _, _), _ = ws.picard(ws.combo(1.0, 0.0), "back")
+    coef, _ = psi_seed(ws, lam)
+    (_, _, values, _, _), _ = ws.picard(ws.combo(*coef), "back", lam)
     return float(values[0])
 
 
@@ -88,9 +89,11 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
     return body + max(tail, 0.0)
 
 
-def _newton(q: Potential, lam: float, base: Workspace, window) -> tuple:
-    """Newton on the shooting function from ``lam`` on the grid of ``base``,
-    moved to each iterate; returns the root and its profile.
+def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
+    """Newton on the shooting function from ``lam`` on the grid of ``ws``;
+    returns the root and its profile. Each iterate solves on the Workspace
+    of the last solve, moved to the iterate when it lies beyond that
+    Workspace's reach (see :func:`workspace`).
 
     Converged when the step falls to 1e-15 (1 + |lam|), or to roundoff: a
     step below NEWTON_NOISE (1 + |lam|) that is not a quarter of the last
@@ -101,7 +104,8 @@ def _newton(q: Potential, lam: float, base: Workspace, window) -> tuple:
     prev = math.inf
     for _ in range(NEWTON_MAX_ITER):
         try:
-            prof = solve_psi(q, lam, base)
+            ws = workspace(q, lam, ws)
+            prof = solve_psi(q, lam, ws)
         except StarkSpecError as err:
             raise type(err)(f"at z = {lam!r}: {err}") from err
         psi_dot0 = float(prof.z_derivs[0])
@@ -124,8 +128,11 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     """The n-th Dirichlet eigenvalue: Newton on the shooting function from
     the first-order prediction, certified by the oscillation count.
 
-    One Workspace at -a_n gives both first-order predictions; moved to
-    the lambda prediction, it starts Newton. Iterates must stay within the
+    One Workspace at -a_n gives both first-order predictions, and Newton
+    solves on it from the lambda prediction, each iterate at its own z
+    with the shift from -a_n as a constant potential; an iterate beyond
+    the Workspace's reach moves its table there, and later iterates shift
+    from the moved one. Iterates must stay within the
     window around -a_n whose half-width is the crude-localization scale or
     twice the first-order correction, whichever is larger. That correction
     is at most 1.02 sup|q|, so the window keeps the root within 2.03 c of

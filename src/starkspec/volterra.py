@@ -13,8 +13,10 @@ A solve sweeps f <- inhom + K f until the update, in the envelope-weighted
 max norm that compares oscillatory and decaying regions fairly, falls
 below tolerance; the last sweep's integrals also give the values and
 x-derivatives at the panel boundaries. Each class, psi, theta, s and c, is
-seeded by a psi0 + b theta0, and one rule gives the inhomogeneity of its
-z-derivative (see :func:`_solve`).
+seeded by a psi0 + b theta0 matched to its Cauchy data at z. The basis
+stays at its Workspace's centre z0: a solve at z within the Workspace's
+reach carries z - z0 as a constant potential, and one rule gives the
+inhomogeneity of every z-derivative (see :func:`_solve`).
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ __all__ = [
     "default_grid",
     "envelope_offset",
     "grid_from_nodes",
+    "psi_seed",
     "solve_psi",
     "solve_theta",
     "solve_sc",
@@ -237,7 +240,7 @@ def airy_table(w):
     rows = np.concatenate([lattice[c] for c in chunks.tolist()], axis=1)
     at = np.searchsorted(chunks, ids) * _CHUNK + k % _CHUNK
     f0, f1 = np.take(rows[0::2], at, axis=-1), np.take(rows[1::2], at, axis=-1)
-    wh2, h3 = wk * (h * h), h ** 3
+    wh2, h3 = wk * (h * h), h * h * h
     bound_wh2, bound_h3 = float(np.max(np.abs(wh2))), float(np.max(np.abs(h3)))
     r_prev, r, r_next = 0.0, 1.0, 1.0
     # the Taylor terms d_j = c_j h^j of (Ai, Bi) rotate through four buffers
@@ -264,13 +267,34 @@ def airy_table(w):
     return out
 
 
+def _airy_step(f, fp, w, h):
+    """(f, f') at w + h of the solution of f'' = w f with the value ``f``
+    and slope ``fp`` at w: :func:`airy_table`'s Taylor recurrence and stop
+    rule for one point, in floats; h = 0 returns f and fp."""
+    f, fp, wh2, h3 = float(f), float(fp), w * (h * h), h * h * h
+    r_prev, r, r_next = 0.0, 1.0, 1.0
+    d_prev, d, d_next = 0.0, f, fp * h
+    val, der_h = f + d_next, 0.0
+    j = 0
+    while r + r_next > 2.0 ** -60:
+        inv_jj = 1.0 / ((j + 2) * (j + 1))
+        r_prev, r, r_next = r, r_next, (abs(wh2) * r + abs(h3) * r_prev) * inv_jj
+        step = (wh2 * d + h3 * d_prev) * inv_jj
+        val += step
+        der_h += (j + 2) * step
+        d_prev, d, d_next = d, d_next, step
+        j += 1
+    return val, (der_h / h if h else 0.0) + fp
+
+
 class Workspace:
     """Per-(q, z, grid) basis tables and the Picard/running-integral engine.
 
     The basis columns are sqrt(pi) Ai(x - z), sqrt(pi) Bi(x - z) and their
     derivatives at the Gauss nodes (``psi0``, ``th0``, ...) and the panel
     boundaries (``b_psi0``, ...), from :func:`airy_table`; :meth:`at`
-    builds them for another z on the same grid.
+    builds them for another z on the same grid. Solves at any z within
+    ``reach`` of the centre ``z`` run on these columns (see :func:`_solve`).
     """
 
     def __init__(self, q: Potential, z: float, grid: Grid):
@@ -310,16 +334,25 @@ class Workspace:
         self.psi0, self.psi0p, self.th0, self.th0p = (
             c[:n_g].reshape(grid.gauss_x.shape) for c in cols)
         self.b_psi0, self.b_psi0p, self.b_th0, self.b_th0p = (c[n_g:] for c in cols)
-        #: psi0 q, theta0 q (the kernel's factors), psi0' q, theta0' q
-        self.kq = np.stack([self.psi0, self.th0, self.psi0p, self.th0p]) * self.qg
+        #: (psi0, theta0) at the Gauss nodes, the kernel's factors: a view
+        self.basis = cols[0::2, :n_g].reshape((2,) + grid.gauss_x.shape)
+        #: largest |shift| for which the basis at z serves a solve at z +
+        #: shift: the shift then moves no panel end by more than one panel's
+        #: phase, PANEL_PHASE, at the largest distance from the turning point
+        self.reach = PANEL_PHASE / math.sqrt(1.0 + self.q.sup_norm
+                                             + max(abs(z), grid.x_max - z))
         w = grid.gauss_x - z
         w_plus = np.maximum(w, 0.0)
         growth = np.exp((2.0 / 3.0) * w_plus * np.sqrt(w_plus))   # exp((2/3) w_+^(3/2))
         sigma = 1.0 + np.sqrt(np.sqrt(np.abs(w)))
         self.weight_decay = sigma * growth        # inverse envelope of the psi class
         self.weight_grow = sigma / growth         # inverse envelope of the theta class
-        self.tail_bound = (math.exp(-(2.0 / 3.0) * max(grid.x_max - z, 0.0) ** 1.5)
-                           + self._q_tail)
+        self.tail_bound = self.tail_bound_at(z)
+
+    def tail_bound_at(self, z: float) -> float:
+        """Envelope-relative truncation bound of a solve at z: the decaying
+        envelope at x_max plus the potential's weight beyond it."""
+        return math.exp(-(2.0 / 3.0) * max(self.grid.x_max - z, 0.0) ** 1.5) + self._q_tail
 
     def _q_tail_estimate(self, q: Potential) -> float:
         """Envelope-relative weight of the potential beyond the grid.
@@ -367,16 +400,17 @@ class Workspace:
 
     def kernel(self, u_g, u_b):
         """theta0 u[0] - psi0 u[1] and its x-derivative, at the Gauss nodes
-        and the boundaries, from running integrals u of psi0 q f and
-        theta0 q f: int J0 q f up to the direction's sign. The Leibniz
-        terms of the derivative cancel because J0(z,x,x) = 0."""
+        and the boundaries, from running integrals u of psi0 p f and
+        theta0 p f: int J0 p f up to the direction's sign. The Leibniz
+        terms of the derivative cancel because J0(x,x) = 0."""
         return (self.th0 * u_g[0] - self.psi0 * u_g[1],
                 self.th0p * u_g[0] - self.psi0p * u_g[1],
                 self.b_th0 * u_b[0] - self.b_psi0 * u_b[1],
                 self.b_th0p * u_b[0] - self.b_psi0p * u_b[1])
 
-    def picard(self, inhom, direction):
-        """Solve f = inhom + sgn int J0 q f by the sweeps f <- inhom + K f.
+    def picard(self, inhom, direction, z):
+        """Solve f = inhom + sgn int J0 (q - z + self.z) f, the equation at
+        z on the basis at the centre, by the sweeps f <- inhom + K f.
 
         ``inhom`` holds values and x-derivatives at the Gauss nodes and the
         boundaries. Sweeps stop when the envelope-weighted update falls to
@@ -389,7 +423,7 @@ class Workspace:
         sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
                        else (1.0, self.weight_grow))
         scale = float(np.max(np.abs(ig) * weight))
-        kq = self.kq[:2]
+        kq = self.basis * (self.qg - (z - self.z))
         # sgn (theta0 u0 - psi0 u1) is one difference, psi0 u1 - theta0 u0
         # when sgn = -1: rounding is symmetric, so the bits are the same
         (plus, p), (minus, m) = (((self.psi0, 1), (self.th0, 0)) if direction == "back"
@@ -407,8 +441,15 @@ class Workspace:
                 vg, dg, vb, db = (i + sgn * k for i, k in zip(inhom, self.kernel(u_g, u_b)))
                 return (vg, dg, vb, db, update / (size or 1.0)), sweeps
         raise NumericError(
-            f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {self.z:g}; "
-            "grid or truncation defect (the series converges factorially)")
+            f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {z:g} on the "
+            f"Workspace at z = {self.z:g}; grid or truncation defect (the series "
+            "converges factorially)")
+
+    def match(self, node: int, value, deriv):
+        """(a, b) such that a psi0 + b theta0 takes ``value`` and slope
+        ``deriv`` at boundary ``node``, by the unit Wronskian of the pair."""
+        return (value * self.b_th0p[node] - deriv * self.b_th0[node],
+                deriv * self.b_psi0[node] - value * self.b_psi0p[node])
 
     def combo(self, c_psi, c_th):
         """(value, deriv) tables of c_psi*psi0 + c_th*theta0 at Gauss/boundary nodes."""
@@ -419,67 +460,71 @@ class Workspace:
 
 
 def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> Workspace:
-    """The Workspace at z on ``grid``: built there (on the default grid when
-    None), or, when ``grid`` is a Workspace, moved from it by
-    :meth:`Workspace.at`."""
+    """The Workspace a solve at z runs on: built at z on ``grid`` (on the
+    default grid when None); or, when ``grid`` is a Workspace, that
+    Workspace itself if z lies within its ``reach``, else the Workspace
+    moved to z by :meth:`Workspace.at`."""
     if isinstance(grid, Workspace):
-        return grid.at(z)
+        return grid if abs(z - grid.z) <= grid.reach else grid.at(z)
     return Workspace(q, z, default_grid(q, z) if grid is None else grid)
 
 
-def _solve(ws: Workspace, coef, coef_dot, direction: str) -> SolutionProfile:
-    """The solution seeded by a psi0 + b theta0, ``coef = (a, b)``, and its
-    z-derivative; ``coef_dot`` is (da/dz, db/dz).
+def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionProfile:
+    """The solution at z seeded by a psi0 + b theta0, ``coef = (a, b)``,
+    and its z-derivative; ``coef_dot`` is (da/dz, db/dz).
 
-    The basis depends on x - z, so the seed's z-derivative is
-    a_dot psi0 + b_dot theta0 - seed', with seed'' = (x - z) seed from the
-    Airy equation. The coupling sgn int dJ0/dz q f dy to the solution f
-    adds, as dJ0/dz = -dJ0/dx - dJ0/dy, minus the kernel on (psi0', theta0')
-    q f and minus the x-derivative of the kernel on (psi0, theta0) q f.
+    The basis stays at the Workspace centre: H_q - z = H_{q - (z - ws.z)}
+    - ws.z, so the kernel carries the shift as the constant potential
+    -(z - ws.z), and each class matches its seed to its Cauchy data at z.
+    With the basis fixed, the z-derivative of f = seed + K f solves the
+    same equation with the inhomogeneity a_dot psi0 + b_dot theta0
+    - sgn int J0 f: the potential's z-derivative is -1, so the coupling to
+    f is the kernel on q = 1, two more running integrals.
     """
     seed = ws.combo(*coef)
-    (vg, _, vb, db, residual), sweeps = ws.picard(seed, direction)
+    (vg, _, vb, db, residual), sweeps = ws.picard(seed, direction, z)
     sgn = -1.0 if direction == "back" else 1.0
-    u_g, u_b = ws.integrals(ws.kq * vg, direction)
-    k, kp = ws.kernel(u_g[:2], u_b[:2]), ws.kernel(u_g[2:], u_b[2:])
-    w_g, w_b = ws.grid.gauss_x - ws.z, ws.grid.nodes - ws.z
-    lin = ws.combo(*coef_dot)
-    dot_inhom = (lin[0] - seed[1] - sgn * (k[1] + kp[0]),
-                 lin[1] - w_g * seed[0] - sgn * (w_g * k[0] + kp[1]),
-                 lin[2] - seed[3] - sgn * (k[3] + kp[2]),
-                 lin[3] - w_b * seed[2] - sgn * (w_b * k[2] + kp[3]))
-    (dvg, _, dvb, ddb, _), _ = ws.picard(dot_inhom, direction)
-    return SolutionProfile(ws.z, vb, db, dvb, ws.tail_bound, sweeps, residual, ws.grid,
+    coupling = ws.kernel(*ws.integrals(ws.basis * vg, direction))
+    dot_inhom = tuple(lin - sgn * k for lin, k in zip(ws.combo(*coef_dot), coupling))
+    (dvg, _, dvb, ddb, _), _ = ws.picard(dot_inhom, direction, z)
+    return SolutionProfile(z, vb, db, dvb, ws.tail_bound_at(z), sweeps, residual, ws.grid,
                            vg, dvg, ddb)
+
+
+def psi_seed(ws: Workspace, z: float):
+    """``coef`` and ``coef_dot`` of the psi class at z on ``ws``: the seed
+    meets sqrt(pi) Ai(x - z) in value and slope at x_max; by the Airy
+    equation, d/dz of that slope is -(x_max - z) sqrt(pi) Ai(x_max - z)."""
+    ai, aip = _airy_step(ws.b_psi0[-1], ws.b_psi0p[-1], ws.grid.x_max - ws.z, ws.z - z)
+    return ws.match(-1, ai, aip), ws.match(-1, -aip, -(ws.grid.x_max - z) * ai)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
     """The square-integrable solution and its z-derivative.
 
-    psi solves the backward Volterra equation with inhomogeneity psi0.
-    ``grid`` is a Grid, None for the default grid, or a Workspace on the
-    grid to use, whose Airy table is moved to z (see :func:`workspace`).
+    psi solves the backward Volterra equation whose seed is sqrt(pi)
+    Ai(x - z) beyond x_max. ``grid`` is a Grid, None for the default grid,
+    or a Workspace on the grid to use, which serves z as :func:`workspace`
+    says.
     """
-    return _solve(workspace(q, z, grid), (1.0, 0.0), (0.0, 0.0), "back")
+    ws = workspace(q, z, grid)
+    return _solve(ws, z, *psi_seed(ws, z), "back")
 
 
 def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
-    """The forward-normalized growing solution and its z-derivative;
-    ``grid`` as for :func:`solve_psi`."""
-    return _solve(workspace(q, z, grid), (0.0, 1.0), (0.0, 0.0), "fwd")
+    """The forward-normalized growing solution, with the Cauchy data of
+    sqrt(pi) Bi(x - z) at 0, and its z-derivative; ``grid`` as for
+    :func:`solve_psi`."""
+    ws = workspace(q, z, grid)
+    bi, bip = _airy_step(ws.b_th0[0], ws.b_th0p[0], -ws.z, ws.z - z)
+    return _solve(ws, z, ws.match(0, bi, bip), ws.match(0, -bip, z * bi), "fwd")
 
 
 def solve_sc(q: Potential, z: float, grid: Grid | Workspace | None = None):
-    """The fundamental pair normalized at 0, with z-derivatives; ``grid``
-    as for :func:`solve_psi`.
-
-    The seeds s0 = psi0(0) theta0 - theta0(0) psi0 and c0 = theta0'(0) psi0
-    - psi0'(0) theta0 and the unit Wronskian of (psi0, theta0) make
-    s(z,0) = 0, s'(z,0) = 1, c(z,0) = 1, c'(z,0) = 0 hold by construction.
-    The coefficients' z-derivatives follow from d/dz f(-z) = -f'(-z) and
-    the Airy equation at x = 0, d/dz theta0'(z,0) = z theta0(z,0).
-    """
+    """The fundamental pair normalized at 0, s(z,0) = 0, s'(z,0) = 1,
+    c(z,0) = 1, c'(z,0) = 0, with z-derivatives; ``grid`` as for
+    :func:`solve_psi`. The Cauchy data do not depend on z, so neither do
+    the seeds' coefficients."""
     ws = workspace(q, z, grid)
-    p0, pp0, t0, tp0 = ws.b_psi0[0], ws.b_psi0p[0], ws.b_th0[0], ws.b_th0p[0]
-    return (_solve(ws, (-t0, p0), (tp0, -pp0), "fwd"),
-            _solve(ws, (tp0, -pp0), (z * t0, -z * p0), "fwd"))
+    return (_solve(ws, z, ws.match(0, 0.0, 1.0), (0.0, 0.0), "fwd"),
+            _solve(ws, z, ws.match(0, 1.0, 0.0), (0.0, 0.0), "fwd"))

@@ -471,3 +471,75 @@ def test_moved_workspace_reports_bi_overflow(q_zero):
     # the message says what is wrong and where: the table, z and max w
     with pytest.raises(NumericError, match=r"Airy table non-finite at z = -0\.6, max w = 103\.6;"):
         base.at(-0.6)
+
+
+def _four_classes(q, z, grid):
+    # psi (decaying) and theta, s, c (growing), each with its envelope class
+    s, c = ss.solve_sc(q, z, grid)
+    return ((ss.solve_psi(q, z, grid), False), (ss.solve_theta(q, z, grid), True),
+            (s, True), (c, True))
+
+
+@pytest.mark.parametrize("z0", [A1, 9.0])
+def test_shifted_solves_agree_with_a_fresh_workspace(q_exp, z0):
+    # a solve at z on the table at z0 carries z - z0 as a constant potential
+    grid = default_grid(q_exp, z0)
+    base = Workspace(q_exp, z0, grid)
+    for frac in (-0.999, -0.5, 0.5, 0.999):      # up to the reach, rounding aside
+        z = z0 + frac * base.reach
+        assert volterra.workspace(q_exp, z, base) is base
+        for (shifted, grow), (fresh, _) in zip(_four_classes(q_exp, z, base),
+                                               _four_classes(q_exp, z, grid)):
+            assert shifted.z == z and shifted.tail_bound == fresh.tail_bound
+            w = envelope_weights(grid, z, grow)
+            for name in ("values", "derivs", "z_derivs"):
+                got, want = getattr(shifted, name), getattr(fresh, name)
+                scale = np.max(np.abs(want) * w)
+                assert np.max(np.abs(got - want) * w) <= 1e-12 * scale, (frac, name)
+
+
+def test_shifted_psi_dot_matches_a_central_difference(q_exp):
+    z0 = A1 + 0.37
+    base = Workspace(q_exp, z0, default_grid(q_exp, z0))
+    z, h = z0 + 0.5 * base.reach, 1e-4
+    psi = ss.solve_psi(q_exp, z, base)
+    fd = (ss.solve_psi(q_exp, z + h, base).values[0]
+          - ss.solve_psi(q_exp, z - h, base).values[0]) / (2 * h)
+    assert fd == pytest.approx(psi.z_derivs[0], rel=1e-7)
+
+
+def test_beyond_the_reach_a_solve_moves_the_table(q_exp):
+    # past the reach the table moves, and a move gives a fresh table's bits
+    z0 = A1
+    grid = default_grid(q_exp, z0)
+    base = Workspace(q_exp, z0, grid)
+    z = z0 + 1.01 * base.reach
+    moved = volterra.workspace(q_exp, z, base)
+    assert moved is not base and moved.z == z
+    for (got, _), (want, _) in zip(_four_classes(q_exp, z, base),
+                                   _four_classes(q_exp, z, grid)):
+        for name in ("values", "derivs", "z_derivs", "gauss_values", "gauss_z_derivs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_concurrent_shifted_solves_are_pure(q_exp):
+    # shifted solves only read the shared Workspace, so threads racing
+    # through one table give the serial bits
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    z0 = 9.0
+    base = Workspace(q_exp, z0, default_grid(q_exp, z0))
+    zs = [z0 + f * base.reach for f in (-0.999, -0.6, -0.2, 0.3, 0.7, 0.999, 1.5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ss.solve_psi, q_exp, z, base) for z in zs]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert base.z == z0
+    for z, prof in zip(zs, results):
+        ref = ss.solve_psi(q_exp, z, base)
+        assert np.array_equal(prof.values, ref.values)
+        assert np.array_equal(prof.z_derivs, ref.z_derivs)
