@@ -27,7 +27,6 @@ __all__ = [
     "omega_r",
 ]
 
-_ENVELOPE_FLOOR = 1e-14
 #: family -> its parameter names, the only entries its params may hold
 _FAMILY_PARAMS = {"exp": ("c", "a"), "alg": ("c", "p"), "bump": ("c", "x0", "w"),
                   "table": ("x", "y")}
@@ -35,7 +34,7 @@ _FAMILY_PARAMS = {"exp": ("c", "a"), "alg": ("c", "p"), "bump": ("c", "x0", "w")
 
 @dataclass(frozen=True)
 class Potential:
-    """A perturbation q with closed-form derivative and decay metadata."""
+    """A perturbation q with closed-form derivative, sup norm and kinks."""
 
     family: str
     params: dict
@@ -43,8 +42,6 @@ class Potential:
     q: Callable = field(repr=False, compare=False)
     q_prime: Callable = field(repr=False, compare=False)
     sup_norm: float = 0.0
-    #: point beyond which |q| and |q'| stay below _ENVELOPE_FLOOR * peak
-    decay_point: float = 0.0
     #: panel ends of every default grid: interior points where q or |q|
     #: loses smoothness, and for a bump its centre and points graded toward
     #: the ends of its support
@@ -119,8 +116,7 @@ def make_potential(spec: dict) -> Potential:
             raise ValidationError(f"exp family needs a > 0, got a={a!r}")
         q = lambda x: c * np.exp(-a * np.asarray(x, dtype=float))
         qp = lambda x: -a * c * np.exp(-a * np.asarray(x, dtype=float))
-        decay = math.log(1.0 / _ENVELOPE_FLOOR) / a
-        return Potential(family, dict(params), r, q, qp, abs(c), decay)
+        return Potential(family, dict(params), r, q, qp, abs(c))
 
     if family == "alg":
         c, p = param("c"), param("p")
@@ -130,8 +126,7 @@ def make_potential(spec: dict) -> Potential:
                 f"weighted norm, got p={p!r}")
         q = lambda x: c * (1.0 + np.asarray(x, dtype=float)) ** (-p)
         qp = lambda x: -c * p * (1.0 + np.asarray(x, dtype=float)) ** (-p - 1.0)
-        decay = _ENVELOPE_FLOOR ** (-1.0 / p) - 1.0
-        return Potential(family, dict(params), r, q, qp, abs(c), decay)
+        return Potential(family, dict(params), r, q, qp, abs(c))
 
     if family == "bump":
         c, x0, w = param("c"), param("x0"), param("w")
@@ -161,7 +156,7 @@ def make_potential(spec: dict) -> Potential:
         fracs = (1.0,) + tuple(1.0 - 2.0 ** -j for j in range(6))
         ends = {x0 + s * w * f for s in (-1.0, 1.0) for f in fracs}
         kinks = tuple(sorted(k for k in ends if k > 0))
-        return Potential(family, dict(params), r, q, qp, abs(c), max(x0 + w, 0.0), kinks)
+        return Potential(family, dict(params), r, q, qp, abs(c), kinks)
 
     try:
         xs = np.asarray(params["x"], dtype=float)
@@ -199,7 +194,7 @@ def make_potential(spec: dict) -> Potential:
         out[m] = dspline(x[m])
         return out
 
-    return Potential(family, dict(params), r, q, qp, peak, last, tuple(xs[1:]))
+    return Potential(family, dict(params), r, q, qp, peak, tuple(xs[1:]))
 
 
 def blend(q: Potential, v: Potential, t: float) -> Potential:
@@ -209,7 +204,6 @@ def blend(q: Potential, v: Potential, t: float) -> Potential:
     qqp = lambda x: fqp(x) + t * gqp(x)
     return Potential("blend", {"base": q.family, "dir": v.family, "t": t},
                      min(q.r, v.r), qq, qqp, q.sup_norm + abs(t) * v.sup_norm,
-                     max(q.decay_point, v.decay_point),
                      tuple(sorted(set(q.kinks) | set(v.kinks))))
 
 

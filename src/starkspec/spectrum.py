@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .airy import airy_zero
 from .asymptotics import kappa_prediction, lambda_prediction
@@ -43,7 +42,6 @@ NEWTON_NOISE = 1e-8
 #: samples below this fraction of the eigenfunction's maximum count as
 #: zeros when its sign changes are counted
 OSCILLATION_FLOOR = 1e-8
-_SQRT_PI = math.sqrt(math.pi)
 #: grid length past the root at which the decaying envelope falls to the
 #: tail tolerance: default_grid's length without its safety margin, which
 #: absorbs Newton's move from the grid centre
@@ -60,7 +58,7 @@ class EigenRecord:
     lam_pred: float         # first-order prediction Newton starts from
     kappa_pred: float       # first-order norming-constant prediction
     bracket: tuple          # Newton window: an iterate outside it raises
-    norm_sq: float          # quadrature of psi^2 plus tail estimate
+    norm_sq: float          # Gauss quadrature of psi^2 on [0, x_max]
     psi_prime0: float
     psi_dot0: float
     psi: SolutionProfile = field(repr=False)
@@ -76,17 +74,9 @@ def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
 
 
 def _norm_sq_from_profile(prof: SolutionProfile) -> float:
-    body = float(np.sum(prof.grid.weights * prof.gauss_values ** 2))
-    # tail: psi tracks the decaying basis solution beyond x_max
-    w_end = prof.grid.x_max - prof.z
-    ai, aip, _, _ = special.airy(w_end)
-    psi0_end = _SQRT_PI * ai
-    if psi0_end != 0.0:
-        c = prof.values[-1] / psi0_end
-        tail = c ** 2 * math.pi * (aip ** 2 - w_end * ai ** 2)
-    else:
-        tail = 0.0
-    return body + max(tail, 0.0)
+    # no tail: at a root x_max >= z + _DECAY_LENGTH (the regrid stage), so
+    # psi^2 past x_max is about 1e-24 of the sum
+    return float(np.sum(prof.grid.weights * prof.gauss_values ** 2))
 
 
 def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:

@@ -58,7 +58,6 @@ TRUNCATION_MARGIN = 2.0
 
 _SQRT_PI = math.sqrt(math.pi)
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
-_GAUSS20_NODES, _GAUSS20_WEIGHTS = leggauss(20)
 
 
 def _reference_partials():
@@ -100,13 +99,15 @@ class Grid:
 
 @dataclass
 class SolutionProfile:
-    """A solved profile sampled on the grid nodes, plus its z-derivative."""
+    """A solved profile sampled on the grid nodes, plus its z-derivative.
+
+    It covers [0, x_max] only: the grid ends where the decaying envelope
+    is negligible (see :func:`default_grid`)."""
 
     z: float
     values: np.ndarray
     derivs: np.ndarray
     z_derivs: np.ndarray
-    tail_bound: float
     iterations: int
     residual: float          # last Picard update, envelope-weighted, relative
     grid: Grid
@@ -140,37 +141,10 @@ def build_grid(z: float, x_max: float, sup_norm: float) -> Grid:
     return grid_from_nodes(nodes)
 
 
-#: how far past the envelope point a default grid will chase slow potential
-#: decay; beyond this the influence on x = 0 observables cancels through the
-#: decaying-solution channel, so chasing it further only burns nodes
-FAR_EXTENSION_CAP = 26.0
-
-
 def envelope_offset() -> float:
     """Grid length past the turning point at which the decaying envelope
     falls to DEFAULT_TAIL_TOL, plus TRUNCATION_MARGIN."""
     return (1.5 * math.log(1.0 / DEFAULT_TAIL_TOL)) ** (2.0 / 3.0) + TRUNCATION_MARGIN
-
-
-def _q_decay_x_max(q: Potential, base: float, cap: float) -> float:
-    """Smallest point in [base, cap] where |q| drops below tolerance scale."""
-    bound = DEFAULT_TAIL_TOL * (1.0 + q.sup_norm)
-
-    def ok(x):
-        return abs(float(q.q(x))) <= bound
-
-    if ok(base):
-        return base
-    if not ok(cap):
-        return cap
-    lo, hi = base, cap
-    while hi - lo > 0.25:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def grid_from_nodes(nodes) -> Grid:
@@ -187,13 +161,15 @@ def grid_from_nodes(nodes) -> Grid:
 
 
 def default_grid(q: Potential, z: float) -> Grid:
-    """Grid satisfying the envelope decay condition, extended while the
-    potential still carries weight there (capped; see FAR_EXTENSION_CAP).
+    """:func:`build_grid` on [0, z + envelope_offset()], the one truncation
+    rule, whatever q does beyond.
 
-    Every kink of q inside the grid ends a panel, so each Gauss rule sees a
-    smooth piece of q."""
-    base = z + envelope_offset()
-    grid = build_grid(z, _q_decay_x_max(q, base, base + FAR_EXTENSION_CAP), q.sup_norm)
+    q past x_max does not move lambda_n or kappa_n: it rescales psi on
+    [0, x_max], whose growing-solution admixture there is damped by
+    exp(-(4/3) (x_max - z)^(3/2)), and kappa is free of psi's scale at a
+    root, where psi(0) = 0. Every kink of q inside the grid ends a panel,
+    so each Gauss rule sees a smooth piece of q."""
+    grid = build_grid(z, z + envelope_offset(), q.sup_norm)
     kinks = [k for k in q.kinks if 0.0 < k < grid.x_max]
     return grid_from_nodes(np.union1d(grid.nodes, kinks)) if kinks else grid
 
@@ -301,7 +277,6 @@ class Workspace:
         self.q = q
         self.grid = grid
         self.qg = np.asarray(q.q(grid.gauss_x))
-        self._q_tail = self._q_tail_estimate(q)
         #: panel half-widths, the Jacobian of every panel's Gauss rules, one
         #: per Gauss node so that scaling a stack broadcasts contiguously
         self._half = np.broadcast_to(grid.widths[:, None] / 2.0, grid.gauss_x.shape).copy()
@@ -320,7 +295,7 @@ class Workspace:
 
     def _set_table(self, z: float):
         """Basis columns from the (Ai, Ai', Bi, Bi') rows at x - z, and what
-        else depends on z: envelope weights and the tail bound."""
+        else depends on z: the reach and the envelope weights."""
         grid = self.grid
         table = airy_table(self.x - z)
         if not np.all(np.isfinite(table)):
@@ -347,28 +322,6 @@ class Workspace:
         sigma = 1.0 + np.sqrt(np.sqrt(np.abs(w)))
         self.weight_decay = sigma * growth        # inverse envelope of the psi class
         self.weight_grow = sigma / growth         # inverse envelope of the theta class
-        self.tail_bound = self.tail_bound_at(z)
-
-    def tail_bound_at(self, z: float) -> float:
-        """Envelope-relative truncation bound of a solve at z: the decaying
-        envelope at x_max plus the potential's weight beyond it."""
-        return math.exp(-(2.0 / 3.0) * max(self.grid.x_max - z, 0.0) ** 1.5) + self._q_tail
-
-    def _q_tail_estimate(self, q: Potential) -> float:
-        """Envelope-relative weight of the potential beyond the grid.
-
-        The neglected inhomogeneity feeds the profile through products of
-        the decaying and growing basis solutions, which stay below ~0.7 in
-        magnitude, so an L1 estimate of the far potential bounds it.
-        """
-        if q.decay_point <= self.grid.x_max:
-            return 0.0
-        a = self.grid.x_max
-        b = min(q.decay_point, a + 100.0)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        nodes = mid + half * _GAUSS20_NODES
-        return 0.7 * half * float(np.sum(_GAUSS20_WEIGHTS * np.abs(q.q(nodes))))
 
     # -- the Volterra operator -----------------------------------------------
 
@@ -487,8 +440,7 @@ def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionP
     coupling = ws.kernel(*ws.integrals(ws.basis * vg, direction))
     dot_inhom = tuple(lin - sgn * k for lin, k in zip(ws.combo(*coef_dot), coupling))
     (dvg, _, dvb, ddb, _), _ = ws.picard(dot_inhom, direction, z)
-    return SolutionProfile(z, vb, db, dvb, ws.tail_bound_at(z), sweeps, residual, ws.grid,
-                           vg, dvg, ddb)
+    return SolutionProfile(z, vb, db, dvb, sweeps, residual, ws.grid, vg, dvg, ddb)
 
 
 def psi_seed(ws: Workspace, z: float):

@@ -213,7 +213,7 @@ def _quad_semi(f, kinks=(), split: float = 10.0) -> float:
 def norms(q) -> NormBundle:
     """All four weighted norms of a Potential by adaptive quadrature."""
     r = q.r
-    split = max(10.0, min(q.decay_point, 50.0))
+    split = 50.0
     kinks = q.kinks
     ar2 = _quad_semi(lambda x: q.q(x) ** 2 * (1.0 + x) ** r, kinks, split)
     ap2 = _quad_semi(lambda x: q.q_prime(x) ** 2 * (1.0 + x) ** r, kinks, split)
@@ -230,7 +230,7 @@ def omega(q, z: float, with_derivative: bool = False) -> float:
     """
     if not math.isfinite(z):
         raise DomainError("omega: z must be finite")
-    split = max(10.0, min(q.decay_point, 50.0), z + 1.0)
+    split = max(50.0, z + 1.0)
     kinks = tuple(q.kinks) + ((z,) if z > 0 else ())
 
     def kernel(f):

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +8,11 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 import starkspec as ss
-from starkspec import volterra
+from starkspec import spectrum, volterra
 from starkspec.errors import NumericError
-from starkspec.volterra import (FAR_EXTENSION_CAP, LATTICE_STEP, Workspace, airy_table,
-                                default_grid, envelope_offset, grid_from_nodes)
+from starkspec.volterra import (LATTICE_STEP, Workspace, airy_table, default_grid,
+                                envelope_offset, grid_from_nodes)
+from conftest import POTENTIALS
 from references import basis_eval, omega, scaled
 
 A1 = 2.3381074104597670  # -a_1
@@ -24,9 +26,13 @@ def envelope_weights(grid, z, grow=False):
 
 
 def test_truncation_point_free_case(q_zero):
+    # one rule for every potential: the grid ends one envelope decay length
+    # (plus the margin) past z, however slowly q decays
     offset = 11.9763771 + 2.0
     assert envelope_offset() == pytest.approx(offset, abs=1e-6)
-    assert default_grid(q_zero, 0.0).x_max == pytest.approx(offset, abs=1e-6)
+    for q in [q_zero] + [make() for make in POTENTIALS.values()]:
+        for z in (0.0, A1, 30.0):
+            assert default_grid(q, z).x_max == z + envelope_offset()
 
 
 def test_truncation_point_translates(q_zero):
@@ -34,20 +40,8 @@ def test_truncation_point_translates(q_zero):
         30.0 + default_grid(q_zero, 0.0).x_max, rel=1e-12)
 
 
-def test_truncation_point_respects_potential_decay(q_exp):
-    # past the envelope point the grid chases q until it is negligible,
-    # but by no more than FAR_EXTENSION_CAP
-    base = envelope_offset()
-    x_max = default_grid(q_exp, 0.0).x_max
-    assert base < x_max < base + FAR_EXTENSION_CAP
-    assert abs(float(q_exp.q(x_max))) <= 1e-12 * (1.0 + q_exp.sup_norm)
-    slow = ss.alg_decay(0.5, 3.0, r=2.0)
-    assert default_grid(slow, 0.0).x_max == pytest.approx(base + FAR_EXTENSION_CAP)
-
-
 def test_table_grid_ends_a_panel_at_the_last_knot():
     # the spline is cut to 0 past its last knot, at 12, a kink of q
-    from conftest import POTENTIALS
     q = POTENTIALS["table30"]()
     assert 12.0 in q.kinks
     assert 12.0 in default_grid(q, A1).nodes
@@ -69,7 +63,6 @@ def test_envelope_weights_match_the_closed_form(q_zero):
 def test_halved_phase_grid_agrees(records_cache, monkeypatch):
     # the grid's accuracy target: halving PANEL_PHASE moves no lambda_n or
     # kappa_n by more than 1e-9
-    from conftest import POTENTIALS
     ns = (1, 2, 4, 15, 30)
     coarse = {key: records_cache(key, 30) for key in POTENTIALS}   # before the patch
     monkeypatch.setattr(volterra, "PANEL_PHASE", volterra.PANEL_PHASE / 2)
@@ -135,7 +128,6 @@ def test_profiles_have_small_defect(q_exp):
     for z in (1.0, A1, 9.5):
         psi = ss.solve_psi(q_exp, z)
         assert psi.residual <= 1e-9
-        assert psi.tail_bound <= 1e-12
         theta = ss.solve_theta(q_exp, z)
         assert theta.residual <= 1e-9
         s, c = ss.solve_sc(q_exp, z)
@@ -270,21 +262,30 @@ def test_s_is_proportional_to_psi_at_eigenvalue(q_exp):
     assert np.max(dev * w_grow) <= 1e-7 * scale
 
 
-@pytest.mark.parametrize("key", ["exp+", "alg"])
+def _extended(grid):
+    # the same grid with 6 more units of panels past x_max, interior nodes
+    # unchanged, so a difference isolates what the truncation drops
+    return grid_from_nodes(np.concatenate([grid.nodes, grid.x_max + 0.05 * np.arange(1, 121)]))
+
+
+@pytest.mark.parametrize("key", list(POTENTIALS))
 def test_tail_insensitivity(key):
-    # extend the domain while keeping every interior node fixed, so the
-    # difference isolates the truncation tail
-    from conftest import POTENTIALS
-    from starkspec.volterra import grid_from_nodes
+    # q past x_max only rescales psi on [0, x_max] (and admixes the growing
+    # solution by ~exp(-(4/3) (x_max - z)^(3/2))): the Weyl ratio
+    # psi'(0)/psi(0), free of psi's scale, and kappa at a root, where
+    # psi(0) = 0, do not see it. psi(0) itself moves with the scale.
     q = POTENTIALS[key]()
-    z = 2.5
-    grid = default_grid(q, z)
-    psi = ss.solve_psi(q, z, grid)
-    ext = np.arange(1, 121) * 0.05 + grid.x_max
-    wide = grid_from_nodes(np.concatenate([grid.nodes, ext]))
-    psi_wide = ss.solve_psi(q, z, wide)
-    change = abs(psi.values[0] - psi_wide.values[0])
-    assert change <= psi.tail_bound * np.max(np.abs(psi.values)) + 1e-15
+    for z in (2.5, 9.5):
+        grid = default_grid(q, z)
+        psi, wide = ss.solve_psi(q, z, grid), ss.solve_psi(q, z, _extended(grid))
+        ratio, ratio_wide = (p.derivs[0] / p.values[0] for p in (psi, wide))
+        assert abs(ratio_wide - ratio) <= 1e-13 * abs(ratio), z
+    for n in (1, 2):
+        rec = ss.locate_eigenvalue(q, n)
+        grid = _extended(rec.psi.grid)
+        _, prof = spectrum._newton(q, rec.lam, Workspace(q, rec.lam, grid), rec.bracket)
+        kappa = math.log(-prof.derivs[0] / prof.z_derivs[0])
+        assert abs(kappa - rec.kappa) <= 1e-13, n
 
 
 def test_picard_cap_signals(q_zero):
@@ -440,7 +441,6 @@ def test_moved_workspace_solves_like_a_fresh_one(q_exp):
         for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
                     "weight_decay", "weight_grow"):
             assert np.array_equal(getattr(moved, col), getattr(fresh, col))
-        assert moved.tail_bound == fresh.tail_bound
         moved, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
         assert np.array_equal(moved.values, fresh.values)
         assert np.array_equal(moved.z_derivs, fresh.z_derivs)
@@ -458,7 +458,6 @@ def test_airy_shift_zero_step_is_exact(q_exp):
     for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
                 "weight_decay", "weight_grow"):
         assert np.array_equal(getattr(back, col), getattr(base, col))
-    assert back.tail_bound == base.tail_bound
 
 
 def test_moved_workspace_reports_bi_overflow(q_zero):
@@ -490,7 +489,7 @@ def test_shifted_solves_agree_with_a_fresh_workspace(q_exp, z0):
         assert volterra.workspace(q_exp, z, base) is base
         for (shifted, grow), (fresh, _) in zip(_four_classes(q_exp, z, base),
                                                _four_classes(q_exp, z, grid)):
-            assert shifted.z == z and shifted.tail_bound == fresh.tail_bound
+            assert shifted.z == z
             w = envelope_weights(grid, z, grow)
             for name in ("values", "derivs", "z_derivs"):
                 got, want = getattr(shifted, name), getattr(fresh, name)
