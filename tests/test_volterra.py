@@ -26,13 +26,21 @@ def envelope_weights(grid, z, grow=False):
 
 
 def test_truncation_point_free_case(q_zero):
-    # one rule for every potential: the grid ends one envelope decay length
-    # (plus the margin) past z, however slowly q decays
     offset = 11.9763771 + 2.0
     assert envelope_offset() == pytest.approx(offset, abs=1e-6)
-    for q in [q_zero] + [make() for make in POTENTIALS.values()]:
+    for z in (0.0, A1, 30.0):
+        assert default_grid(q_zero, z).x_max == z + envelope_offset()
+
+
+def test_truncation_point_respects_potential_decay():
+    # one rule for every potential: the grid ends one envelope decay length
+    # (plus the margin) past z, however slowly q decays; q past x_max only
+    # rescales psi on [0, x_max] (test_tail_insensitivity)
+    slow = ss.alg_decay(0.5, 3.0, r=2.0)
+    for q in [slow] + [make() for make in POTENTIALS.values()]:
         for z in (0.0, A1, 30.0):
             assert default_grid(q, z).x_max == z + envelope_offset()
+    assert abs(float(slow.q(envelope_offset()))) > 1e-12 * (1.0 + slow.sup_norm)
 
 
 def test_truncation_point_translates(q_zero):
