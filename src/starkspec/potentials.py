@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ValidationError
 
@@ -176,6 +175,10 @@ def make_potential(spec: dict) -> Potential:
     peak = float(np.max(np.abs(ys))) or 1.0
     if abs(ys[-1]) > 1e-12 * peak:
         raise ValidationError("table.y must decay to 0 at the last node")
+    # imported for table potentials only: scipy.interpolate, with the
+    # scipy.optimize it loads, is about 0.3 s of every other campaign's set-up
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(xs, ys, bc_type="natural")
     dspline = spline.derivative()
     last = float(xs[-1])

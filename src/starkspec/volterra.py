@@ -2,12 +2,13 @@
 
 The kernel J0(z,x,y) separates into the decaying/growing basis pair, so
 K f = sgn int J0 q f needs the running integrals of psi0 q f and theta0 q f,
-taken in one stacked call. Panels carry 4-point Gauss nodes; integrals
-from an interior node add the exact integral of the panel's cubic
-interpolant to sums of full-panel rules. Both are products over the
-stack's contiguous node axis, after one scaling by the panel half-widths:
-with the Gauss weights for the full panels, and with a 4 x 4 stencil of
-Lagrange-basis integrals for the interior partials.
+taken in one stacked call. Panels, at most one unit of WKB phase wide,
+carry p Gauss nodes (p = 8); integrals from an interior node add the exact
+integral of the panel's degree p - 1 interpolant to sums of full-panel
+rules. Both are products over the stack's contiguous node axis, after one
+scaling by the panel half-widths: with the Gauss weights for the full
+panels, and with a p x p stencil of Lagrange-basis integrals for the
+interior partials.
 
 A solve sweeps f <- inhom + K f until the update, in the envelope-weighted
 max norm that compares oscillatory and decaying regions fairly, falls
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 from scipy import special
 
 from .errors import DomainError, NumericError
@@ -50,33 +51,31 @@ __all__ = [
 ]
 
 PICARD_TOL = 1e-12
+#: a sweep that no longer shrinks an update this small (relative) has met
+#: the roundoff floor, which deep wells lift above PICARD_TOL
+PICARD_FLOOR = 1e-10
 PICARD_MAX_ITER = 50
 DEFAULT_TAIL_TOL = 1e-12
 #: WKB phase per panel of :func:`build_grid`
-PANEL_PHASE = 0.125
+PANEL_PHASE = 1.0
+#: WKB phase by which a shift within a Workspace's reach may move a panel
+#: end; a reach of PANEL_PHASE took more sweeps for the same campaign time
+REACH_PHASE = 0.125
 TRUNCATION_MARGIN = 2.0
 
 _SQRT_PI = math.sqrt(math.pi)
-_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(4)
+_GAUSS_NODES, _GAUSS_WEIGHTS = legendre.leggauss(8)
 
 
 def _reference_partials():
-    # integrals of the Lagrange basis on the 4 Gauss nodes of [-1, 1], laid
+    # integrals of the Lagrange basis on the Gauss nodes g of [-1, 1], laid
     # out so that node values @ matrix gives the partial integrals at the
-    # nodes: right[m, l] = int_{g_l}^{1} L_m, left[m, l] = int_{-1}^{g_l} L_m
-    n = len(_GAUSS_NODES)
-    right = np.zeros((n, n))
-    left = np.zeros((n, n))
-    for m in range(n):
-        c = np.poly1d([1.0])
-        for j in range(n):
-            if j != m:
-                c = c * np.poly1d([1.0, -_GAUSS_NODES[j]]) / (_GAUSS_NODES[m] - _GAUSS_NODES[j])
-        C = np.polyint(c)
-        for l in range(n):
-            right[m, l] = C(1.0) - C(_GAUSS_NODES[l])
-            left[m, l] = C(_GAUSS_NODES[l]) - C(-1.0)
-    return right, left
+    # nodes: right[m, l] = int_{g_l}^{1} L_m, left[m, l] = int_{-1}^{g_l} L_m;
+    # column m of the inverse Legendre Vandermonde holds L_m's coefficients
+    vander = legendre.legvander(_GAUSS_NODES, _GAUSS_NODES.size - 1)
+    coef = legendre.legint(np.linalg.inv(vander), lbnd=-1.0)
+    left = legendre.legval(_GAUSS_NODES, coef)
+    return legendre.legval(1.0, coef)[:, None] - left, left
 
 
 _PARTIAL_RIGHT, _PARTIAL_LEFT = _reference_partials()
@@ -88,8 +87,8 @@ class Grid:
 
     nodes: np.ndarray       # panel boundaries, nodes[0] = 0, nodes[-1] = x_max
     x_max: float
-    weights: np.ndarray     # (panels, 4) Gauss weights
-    gauss_x: np.ndarray     # (panels, 4) Gauss abscissae
+    weights: np.ndarray     # (panels, p) Gauss weights
+    gauss_x: np.ndarray     # (panels, p) Gauss abscissae
     widths: np.ndarray      # (panels,)
 
     @property
@@ -148,7 +147,7 @@ def envelope_offset() -> float:
 
 
 def grid_from_nodes(nodes) -> Grid:
-    """Grid over explicit panel boundaries, 4-point Gauss nodes per panel."""
+    """Grid over explicit panel boundaries, p Gauss nodes per panel."""
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
         raise DomainError("grid_from_nodes: need a 1-d node array starting at 0")
@@ -312,9 +311,9 @@ class Workspace:
         #: (psi0, theta0) at the Gauss nodes, the kernel's factors: a view
         self.basis = cols[0::2, :n_g].reshape((2,) + grid.gauss_x.shape)
         #: largest |shift| for which the basis at z serves a solve at z +
-        #: shift: the shift then moves no panel end by more than one panel's
-        #: phase, PANEL_PHASE, at the largest distance from the turning point
-        self.reach = PANEL_PHASE / math.sqrt(1.0 + self.q.sup_norm
+        #: shift: the shift then moves no panel end by more than REACH_PHASE
+        #: of phase, at the largest distance from the turning point
+        self.reach = REACH_PHASE / math.sqrt(1.0 + self.q.sup_norm
                                              + max(abs(z), grid.x_max - z))
         w = grid.gauss_x - z
         w_plus = np.maximum(w, 0.0)
@@ -327,12 +326,12 @@ class Workspace:
 
     def integrals(self, integrands, direction):
         """int_x^{x_max} ("back") or int_0^x ("fwd") of each Gauss-node
-        integrand in a stack ``(..., panels, 4)``, at the Gauss nodes and
+        integrand in a stack ``(..., panels, p)``, at the Gauss nodes and
         at the boundaries ``(..., panels + 1)``; each row gets the bits a
         call on that row alone gives.
 
         The stack, scaled once by the panel half-widths, meets the Gauss
-        weights (full panels) and the 4 x 4 stencil of partial integrals
+        weights (full panels) and the p x p stencil of partial integrals
         from each node to a panel end in two products over its contiguous
         last axis. The cumulative sum of the full panels is written straight
         into the boundary array, and added to the partials in place."""
@@ -370,8 +369,12 @@ class Workspace:
         PICARD_TOL of the larger of the inhomogeneity's and the sweep's own:
         where q - z > 0 near 0 the solution can outgrow its seed by orders
         of magnitude, and its roundoff alone then exceeds the seed's bound.
-        Returns the last sweep's values and derivatives there, its update
-        relative to the solution, and the number of sweeps."""
+        They also stop when the update, below PICARD_FLOOR of that bound,
+        does not fall: where q - z < 0 is deep the iterates grow by orders of
+        magnitude before the series converges, and the float sweeps can end
+        in a cycle whose update, that growth times the rounding, exceeds
+        PICARD_TOL. Returns the last sweep's values and derivatives there,
+        its update relative to the solution, and the number of sweeps."""
         ig = inhom[0]
         sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
                        else (1.0, self.weight_grow))
@@ -381,7 +384,7 @@ class Workspace:
         # when sgn = -1: rounding is symmetric, so the bits are the same
         (plus, p), (minus, m) = (((self.psi0, 1), (self.th0, 0)) if direction == "back"
                                  else ((self.th0, 0), (self.psi0, 1)))
-        f = ig
+        f, last = ig, math.inf
         for sweeps in range(1, PICARD_MAX_ITER + 1):
             u_g, u_b = self.integrals(kq * f, direction)
             vg = plus * u_g[p]
@@ -390,9 +393,11 @@ class Workspace:
             update = float(np.max(np.abs(vg - f) * weight))
             size = float(np.max(np.abs(vg) * weight))
             f = vg
-            if update <= PICARD_TOL * (max(scale, size) or 1.0):
+            bound = max(scale, size) or 1.0
+            if update <= PICARD_TOL * bound or last <= update <= PICARD_FLOOR * bound:
                 vg, dg, vb, db = (i + sgn * k for i, k in zip(inhom, self.kernel(u_g, u_b)))
                 return (vg, dg, vb, db, update / (size or 1.0)), sweeps
+            last = update
         raise NumericError(
             f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {z:g} on the "
             f"Workspace at z = {self.z:g}; grid or truncation defect (the series "

@@ -20,13 +20,15 @@ EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
 
 def test_cli_import_loads_only_the_pipeline():
     # the references the tests check against stay out of the package, and
-    # with them QUADPACK; a fresh interpreter sees what importing cli loads
+    # with them QUADPACK; the spline, and the optimizers it pulls in, load
+    # only when a table potential is built; a fresh interpreter sees what
+    # importing cli loads
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     probe = ("import sys, starkspec.cli; "
-             "print(sorted(m for m in ('scipy.integrate', 'starkspec.basis') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
+             "'scipy.optimize', 'starkspec.basis') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -234,8 +236,11 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     # q's decay, took the tables to 10, the points to 21,095 and the Gauss
     # nodes the sweeps run over from 910,580 to 658,168; the sweeps rose to
     # 376, since index 3's shorter grid widens its reach to take in the
-    # prediction, so the table no longer moves. Each solve applies the
-    # operator once per Picard sweep and takes one more set of running
+    # prediction, so the table no longer moves. Eight-point Gauss panels one
+    # unit of WKB phase wide, in place of four-point panels an eighth of a
+    # unit wide, took the table points to 4,798 and the swept Gauss nodes
+    # to 165,896, with the sweeps and tables unchanged. Each solve applies
+    # the operator once per Picard sweep and takes one more set of running
     # integrals for its z-derivative's coupling, none for assembly
     work = Counter()
     table = volterra.airy_table
@@ -276,12 +281,12 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     assert cli.main(["eig", "--config", str(cfgfile), "--method", "shooting"]) == cli.EXIT_OK
     # one lattice growth of three 1,024-point chunks serves every table
     assert work["amos_calls"] <= 1 and work["amos_points"] <= 3_072
-    assert work["tables"] <= 10 and work["table_points"] <= 21_095
+    assert work["tables"] <= 10 and work["table_points"] <= 4_798
     # the grid of the eig-exp60 benchmark's last index: 3,556 panels before
-    # equal-phase panels, 1,873 with them
+    # equal-phase panels, 1,873 with them, 235 on panels one phase unit wide
     assert volterra.default_grid(cli.make_potential(EXP_03),
-                                 -cli.airy_zero(60)).n_panels <= 2_000
-    assert work["picard_calls"] <= 48 and work["swept_nodes"] <= 658_168
+                                 -cli.airy_zero(60)).n_panels <= 250
+    assert work["picard_calls"] <= 48 and work["swept_nodes"] <= 165_896
     assert work["integral_calls"] == work["picard_sweeps"] + work["picard_calls"] // 2
 
 

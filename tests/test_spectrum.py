@@ -272,9 +272,16 @@ def test_locate_leaves_no_grid_in_reference_cycles(q_exp):
     assert caught == []
 
 
+_MAKERS = {"exp": ss.exp_decay, "alg": ss.alg_decay, "bump": ss.bump}
+
+
+def _potential(family, *params):
+    return _MAKERS[family](*params, r=2.0)
+
+
 @functools.lru_cache(maxsize=None)
-def _oracle_exp(c, a):
-    return ss.extrapolated_spectrum(ss.exp_decay(c, a, r=2.0), 40.0, 10)[0]
+def _oracle(family, *params):
+    return ss.extrapolated_spectrum(_potential(family, *params), 40.0, 10)[0]
 
 
 # strong potentials whose index the doubling bracket mislabelled: it returned
@@ -287,7 +294,7 @@ def _oracle_exp(c, a):
 ])
 def test_locate_certifies_the_index_of_strong_potentials(c, a, n, lam):
     rec = ss.locate_eigenvalue(ss.exp_decay(c, a, r=2.0), n)
-    assert rec.lam == pytest.approx(float(_oracle_exp(c, a)[n - 1]), abs=1e-6)
+    assert rec.lam == pytest.approx(float(_oracle("exp", c, a)[n - 1]), abs=1e-6)
     assert rec.lam == pytest.approx(lam, abs=1e-5)
     assert ss.oscillation_count(rec) == n - 1
 
@@ -304,23 +311,35 @@ def test_locate_solves_or_names_the_failure(n):
         msg = str(err)
         assert f"n={n}," in msg and "z = " in msg and "stage certificate" in msg
     else:
-        assert rec.lam == pytest.approx(float(_oracle_exp(20.0, 0.5)[n - 1]), abs=1e-6)
+        assert rec.lam == pytest.approx(float(_oracle("exp", 20.0, 0.5)[n - 1]), abs=1e-6)
         assert ss.oscillation_count(rec) == n - 1
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.floats(-20.0, 20.0), st.floats(0.5, 2.0), st.integers(1, 10))
-@example(-20.0, 1.0, 1)
-@example(-20.0, 1.0, 3)
-@example(5.0, 0.5, 2)
-@example(-8.0, 1.0, 1)
-@example(20.0, 0.5, 3)
-@example(-20.0, 0.5, 3)
-def test_locate_agrees_with_oracle_or_names_the_index(c, a, n):
+# (family, *params): exp(c, a), alg(c, p) and bump(c, x0, w), whose graded
+# kinks end panels among the equal-phase ones
+_PARAMS = st.one_of(
+    st.tuples(st.just("exp"), st.floats(-20.0, 20.0), st.floats(0.5, 2.0)),
+    st.tuples(st.just("alg"), st.floats(-16.0, 16.0), st.floats(1.6, 4.0)),
+    st.tuples(st.just("bump"), st.floats(-16.0, 16.0), st.floats(0.5, 4.0),
+              st.floats(0.3, 2.0)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_PARAMS, st.integers(1, 10))
+@example(("exp", -20.0, 1.0), 1)
+@example(("exp", -20.0, 1.0), 3)
+@example(("exp", 5.0, 0.5), 2)
+@example(("exp", -8.0, 1.0), 1)
+@example(("exp", 20.0, 0.5), 3)
+@example(("exp", -20.0, 0.5), 3)
+@example(("alg", -16.0, 1.6), 2)
+@example(("bump", -8.0, 0.5, 0.3), 1)
+@example(("bump", 16.0, 4.0, 2.0), 2)
+def test_locate_agrees_with_oracle_or_names_the_index(params, n):
     try:
-        rec = ss.locate_eigenvalue(ss.exp_decay(c, a, r=2.0), n)
+        rec = ss.locate_eigenvalue(_potential(*params), n)
     except ss.StarkSpecError as err:
         assert f"n={n}," in str(err)
         return
     assert ss.oscillation_count(rec) == n - 1
-    assert rec.lam == pytest.approx(float(_oracle_exp(c, a)[n - 1]), abs=1e-6)
+    assert rec.lam == pytest.approx(float(_oracle(*params)[n - 1]), abs=1e-6)
