@@ -19,7 +19,7 @@ from .potentials import (Potential, alg_decay, blend, bump, exp_decay,
 from .spectrum import (EigenRecord, kappa_directional_derivative,
                        lambda_directional_derivative, locate_eigenvalue,
                        norm_sq_psi, oscillation_count, shooting_value)
-from .volterra import (Grid, SolutionProfile, Workspace, build_grid,
-                       default_grid, solve_psi, solve_sc, solve_theta)
+from .volterra import (Grid, SolutionProfile, Workspace, default_grid,
+                       solve_psi, solve_sc, solve_theta)
 
 __version__ = "0.1.0"

@@ -295,22 +295,21 @@ def _check_invariants(q, records, cfg):
     }
 
 
-def run_verify(config: ExperimentConfig, with_oracle=None, with_pred: bool = True,
-               enabled_checks=None):
+def run_verify(config: ExperimentConfig, with_pred: bool = True):
     """Run the campaign and write results.csv, summary.json, log.txt.
 
-    Returns (exit_code, summary). Files are only written once the whole
-    computation has finished, so failures leave no partial outputs. The
-    asymptotics checks fit the rows' predictions, so enabling one computes
-    them even when ``with_pred`` is off.
+    The oracle runs when ``config.methods`` names it, and the checks are
+    ``config.checks``. Returns (exit_code, summary). Files are only written
+    once the whole computation has finished, so failures leave no partial
+    outputs. The asymptotics checks fit the rows' predictions, so enabling
+    one computes them even when ``with_pred`` is off.
     """
     q = make_potential(config.potential)
     log = [f"potential: {json.dumps(config.potential, sort_keys=True)}",
            f"n range: {config.n_min}..{config.n_max}",
            f"methods: {','.join(config.methods)}"]
-    use_oracle = ("oracle" in config.methods) if with_oracle is None else with_oracle
-    enabled = config.checks if enabled_checks is None else enabled_checks
-    with_asym = "eigen_asym" in enabled or "kappa_asym" in enabled
+    use_oracle = "oracle" in config.methods
+    with_asym = "eigen_asym" in config.checks or "kappa_asym" in config.checks
     rows, records = _compute_rows(q, config, log, use_oracle, with_pred or with_asym)
 
     checks = {}
@@ -319,12 +318,12 @@ def run_verify(config: ExperimentConfig, with_oracle=None, with_pred: bool = Tru
     if with_asym:
         asym = _check_asym(q, rows, config)
         for name, which in (("eigen_asym", "lambda"), ("kappa_asym", "kappa")):
-            if name in enabled:
+            if name in config.checks:
                 checks[name] = asym[which]
                 slopes[which] = asym[which]["slope"]
-    if "gradients" in enabled:
+    if "gradients" in config.checks:
         checks["gradients"] = _check_gradients(q, records, config)
-    if "invariants" in enabled:
+    if "invariants" in config.checks:
         checks["invariants"] = _check_invariants(q, records, config)
     if use_oracle:
         dl = max(abs(r["lambda_shoot"] - r["lambda_oracle"]) for r in rows)
@@ -421,13 +420,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if args.command == "eig":
-            code, _ = run_verify(cfg, with_pred=False, enabled_checks=())
+            cfg.checks = ()
         elif args.command == "asympt":
-            code, _ = run_verify(cfg, with_oracle=False,
-                                 enabled_checks=tuple(c for c in cfg.checks
-                                                      if c.endswith("asym")))
-        else:
-            code, _ = run_verify(cfg)
+            cfg.methods = ("shooting",)
+            cfg.checks = tuple(c for c in cfg.checks if c.endswith("asym"))
+        code, _ = run_verify(cfg, with_pred=args.command != "eig")
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

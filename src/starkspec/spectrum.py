@@ -21,7 +21,7 @@ from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
 from .volterra import (TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
-                       envelope_offset, psi_seed, solve_psi, solve_sc, workspace)
+                       envelope_offset, solve_psi, solve_sc, workspace)
 
 __all__ = [
     "EigenRecord",
@@ -65,25 +65,24 @@ class EigenRecord:
 
 
 def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
-    """psi(q, lam, 0) without its z-derivative; ``grid`` as for
-    :func:`solve_psi`."""
-    ws = workspace(q, lam, grid)
-    coef, _ = psi_seed(ws, lam)
-    (_, _, values, _, _), _ = ws.picard(ws.combo(*coef), "back", lam)
-    return float(values[0])
+    """psi(q, lam, 0); ``grid`` as for :func:`solve_psi`."""
+    return float(solve_psi(q, lam, grid).values[0])
 
 
 def _norm_sq_from_profile(prof: SolutionProfile) -> float:
-    # no tail: at a root x_max >= z + _DECAY_LENGTH (the regrid stage), so
+    # no tail: at a root x_max >= z + _DECAY_LENGTH (see _newton), so
     # psi^2 past x_max is about 1e-24 of the sum
     return float(np.sum(prof.grid.weights * prof.gauss_values ** 2))
 
 
 def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
-    """Newton on the shooting function from ``lam`` on the grid of ``ws``;
+    """Newton on the shooting function from ``lam``, starting on ``ws``;
     returns the root and its profile. Each iterate solves on the Workspace
     of the last solve, moved to the iterate when it lies beyond that
-    Workspace's reach (see :func:`workspace`).
+    Workspace's reach (see :func:`workspace`), while that grid ends at
+    least _DECAY_LENGTH past the iterate; otherwise on a Workspace at the
+    iterate on its default grid. The root is thus always solved on a grid
+    on which the envelope decays before x_max.
 
     Converged when the step falls to 1e-15 (1 + |lam|), or to roundoff: a
     step below NEWTON_NOISE (1 + |lam|) that is not a quarter of the last
@@ -94,7 +93,7 @@ def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
     prev = math.inf
     for _ in range(NEWTON_MAX_ITER):
         try:
-            ws = workspace(q, lam, ws)
+            ws = workspace(q, lam, ws if ws.grid.x_max >= lam + _DECAY_LENGTH else None)
             prof = solve_psi(q, lam, ws)
         except StarkSpecError as err:
             raise type(err)(f"at z = {lam!r}: {err}") from err
@@ -122,17 +121,18 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     solves on it from the lambda prediction, each iterate at its own z
     with the shift from -a_n as a constant potential; an iterate beyond
     the Workspace's reach moves its table there, and later iterates shift
-    from the moved one. Iterates must stay within the
-    window around -a_n whose half-width is the crude-localization scale or
-    twice the first-order correction, whichever is larger. That correction
-    is at most 1.02 sup|q|, so the window keeps the root within 2.03 c of
-    the grid's centre, c = 1 + sup|q|, where build_grid's panels span at
-    most sqrt(3.03) PANEL_PHASE of the root's own phase. The envelope must
-    decay before x_max at the root as at the centre; otherwise Newton
-    polishes once more on the default grid at the root, which moves it by
-    the change of grid only. By Sturm oscillation the root is the
-    n-th eigenvalue exactly when its eigenfunction has n - 1 sign changes;
-    any other root raises BracketError. Errors name ``n`` and the stage.
+    from the moved one. An iterate past which the grid ends less than one
+    decay length gets a Workspace on its own default grid, so the envelope
+    decays before x_max at the root as at the centre. Iterates must stay
+    within the window around -a_n whose half-width is the
+    crude-localization scale or twice the first-order correction,
+    whichever is larger. That correction is at most 1.02 sup|q|, so the
+    window keeps the root within 2.03 c of the grid's centre,
+    c = 1 + sup|q|, where default_grid's panels span at most sqrt(3.03)
+    PANEL_PHASE of the root's own phase. By Sturm oscillation the root is
+    the n-th eigenvalue exactly when its eigenfunction has n - 1 sign
+    changes; any other root raises BracketError. Errors name ``n`` and the
+    stage, ``newton`` or ``certificate``.
     """
     ws = workspace(q, -airy_zero(n))
     center = ws.z
@@ -141,12 +141,8 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
                 2.0 * abs(lam_pred - center))
     window = (center - delta, center + delta)
-    stage = "newton"
     try:
         lam, prof = _newton(q, lam_pred, ws, window)
-        if prof.grid.x_max < lam + _DECAY_LENGTH:
-            stage = "regrid"
-            lam, prof = _newton(q, lam, workspace(q, lam), window)
         psi_prime0 = float(prof.derivs[0])
         psi_dot0 = float(prof.z_derivs[0])
         ratio = -psi_prime0 / psi_dot0
@@ -155,7 +151,7 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
                 f"-psi'(0)/psi_dot(0) = {ratio:g} <= 0 at z = {lam!r}; "
                 "not a simple Dirichlet eigenvalue")
     except StarkSpecError as err:
-        raise type(err)(f"n={n}, stage {stage}: {err}") from err
+        raise type(err)(f"n={n}, stage newton: {err}") from err
     rec = EigenRecord(n, lam, math.log(ratio), lam_pred, kappa_pred, window,
                       _norm_sq_from_profile(prof), psi_prime0, psi_dot0, prof)
     count = oscillation_count(rec)

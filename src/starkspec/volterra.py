@@ -37,11 +37,9 @@ __all__ = [
     "SolutionProfile",
     "Workspace",
     "airy_table",
-    "build_grid",
     "default_grid",
     "envelope_offset",
     "grid_from_nodes",
-    "psi_seed",
     "solve_psi",
     "solve_theta",
     "solve_sc",
@@ -56,7 +54,7 @@ PICARD_TOL = 1e-12
 PICARD_FLOOR = 1e-10
 PICARD_MAX_ITER = 50
 DEFAULT_TAIL_TOL = 1e-12
-#: WKB phase per panel of :func:`build_grid`
+#: WKB phase per panel of :func:`default_grid`
 PANEL_PHASE = 1.0
 #: WKB phase by which a shift within a Workspace's reach may move a panel
 #: end; a reach of PANEL_PHASE took more sweeps for the same campaign time
@@ -117,29 +115,6 @@ class SolutionProfile:
     z_derivs_prime: np.ndarray
 
 
-def build_grid(z: float, x_max: float, sup_norm: float) -> Grid:
-    """Panels of equal WKB phase on [0, x_max].
-
-    The basis at z, perturbed by a q with |q| <= sup_norm, oscillates or
-    decays on the local length (c + |x - z|)^(-1/2), c = 1 + sup_norm, the
-    1 being the Airy scale at the turning point. Panel ends sit at equal
-    steps, at most PANEL_PHASE, of the phase that length accumulates,
-    Phi(x) = sign(x - z) (2/3) ((c + |x - z|)^(3/2) - c^(3/2)), inverted
-    in closed form.
-    """
-    if not (math.isfinite(z) and math.isfinite(x_max) and math.isfinite(sup_norm)
-            and x_max > 0 and sup_norm >= 0):
-        raise DomainError("build_grid: need finite z, x_max > 0 and sup_norm >= 0")
-    c = 1.0 + sup_norm
-    c32 = c ** 1.5
-    lo, hi = (math.copysign((2.0 / 3.0) * ((c + abs(x - z)) ** 1.5 - c32), x - z)
-              for x in (0.0, x_max))
-    phase = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / PANEL_PHASE)) + 1)
-    nodes = z + np.sign(phase) * ((1.5 * np.abs(phase) + c32) ** (2.0 / 3.0) - c)
-    nodes[0], nodes[-1] = 0.0, x_max
-    return grid_from_nodes(nodes)
-
-
 def envelope_offset() -> float:
     """Grid length past the turning point at which the decaying envelope
     falls to DEFAULT_TAIL_TOL, plus TRUNCATION_MARGIN."""
@@ -160,17 +135,32 @@ def grid_from_nodes(nodes) -> Grid:
 
 
 def default_grid(q: Potential, z: float) -> Grid:
-    """:func:`build_grid` on [0, z + envelope_offset()], the one truncation
-    rule, whatever q does beyond.
+    """Panels of equal WKB phase on [0, z + envelope_offset()], the one
+    truncation rule, whatever q does beyond.
+
+    The basis at z, perturbed by q, oscillates or decays on the local
+    length (c + |x - z|)^(-1/2), c = 1 + sup|q|, the 1 being the Airy scale
+    at the turning point. Panel ends sit at equal steps, at most
+    PANEL_PHASE, of the phase that length accumulates,
+    Phi(x) = sign(x - z) (2/3) ((c + |x - z|)^(3/2) - c^(3/2)), inverted
+    in closed form, and at every kink of q inside the grid, so each Gauss
+    rule sees a smooth piece of q.
 
     q past x_max does not move lambda_n or kappa_n: it rescales psi on
     [0, x_max], whose growing-solution admixture there is damped by
     exp(-(4/3) (x_max - z)^(3/2)), and kappa is free of psi's scale at a
-    root, where psi(0) = 0. Every kink of q inside the grid ends a panel,
-    so each Gauss rule sees a smooth piece of q."""
-    grid = build_grid(z, z + envelope_offset(), q.sup_norm)
-    kinks = [k for k in q.kinks if 0.0 < k < grid.x_max]
-    return grid_from_nodes(np.union1d(grid.nodes, kinks)) if kinks else grid
+    root, where psi(0) = 0."""
+    if not math.isfinite(z):
+        raise DomainError("default_grid: need a finite z")
+    x_max = z + envelope_offset()
+    c = 1.0 + q.sup_norm
+    c32 = c ** 1.5
+    lo, hi = (math.copysign((2.0 / 3.0) * ((c + abs(x - z)) ** 1.5 - c32), x - z)
+              for x in (0.0, x_max))
+    phase = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / PANEL_PHASE)) + 1)
+    nodes = z + np.sign(phase) * ((1.5 * np.abs(phase) + c32) ** (2.0 / 3.0) - c)
+    nodes[0], nodes[-1] = 0.0, x_max
+    return grid_from_nodes(np.union1d(nodes, [k for k in q.kinks if 0.0 < k < x_max]))
 
 
 #: spacing of the process-wide AMOS lattice every Airy table steps from;
@@ -265,11 +255,13 @@ def _airy_step(f, fp, w, h):
 class Workspace:
     """Per-(q, z, grid) basis tables and the Picard/running-integral engine.
 
-    The basis columns are sqrt(pi) Ai(x - z), sqrt(pi) Bi(x - z) and their
-    derivatives at the Gauss nodes (``psi0``, ``th0``, ...) and the panel
-    boundaries (``b_psi0``, ...), from :func:`airy_table`; :meth:`at`
-    builds them for another z on the same grid. Solves at any z within
-    ``reach`` of the centre ``z`` run on these columns (see :func:`_solve`).
+    ``table`` stacks the basis columns sqrt(pi) Ai(x - z), its derivative,
+    sqrt(pi) Bi(x - z) and its derivative, from :func:`airy_table`, at the
+    Gauss nodes and then at the panel boundaries; ``boundary`` is its
+    (4, panels + 1) boundary view, and ``psi0``, ``psi0p``, ``th0`` and
+    ``basis`` view its Gauss-node rows. :meth:`at` builds the table for
+    another z on the same grid. Solves at any z within ``reach`` of the
+    centre ``z`` run on these columns (see :func:`_solve`).
     """
 
     def __init__(self, q: Potential, z: float, grid: Grid):
@@ -304,12 +296,12 @@ class Workspace:
                 f"{grid.x_max - z:.6g}; x_max - z too large for Bi")
         self.z = z
         n_g = grid.gauss_x.size
-        cols = _SQRT_PI * table
-        self.psi0, self.psi0p, self.th0, self.th0p = (
-            c[:n_g].reshape(grid.gauss_x.shape) for c in cols)
-        self.b_psi0, self.b_psi0p, self.b_th0, self.b_th0p = (c[n_g:] for c in cols)
-        #: (psi0, theta0) at the Gauss nodes, the kernel's factors: a view
-        self.basis = cols[0::2, :n_g].reshape((2,) + grid.gauss_x.shape)
+        self.table = _SQRT_PI * table
+        self.boundary = self.table[:, n_g:]
+        gauss = self.table[:, :n_g].reshape((4,) + grid.gauss_x.shape)
+        self.psi0, self.psi0p, self.th0 = gauss[0], gauss[1], gauss[2]
+        #: (psi0, theta0) at the Gauss nodes, the kernel's factors
+        self.basis = gauss[0::2]
         #: largest |shift| for which the basis at z serves a solve at z +
         #: shift: the shift then moves no panel end by more than REACH_PHASE
         #: of phase, at the largest distance from the turning point
@@ -351,31 +343,31 @@ class Workspace:
         return at_g, at_b
 
     def kernel(self, u_g, u_b):
-        """theta0 u[0] - psi0 u[1] and its x-derivative, at the Gauss nodes
-        and the boundaries, from running integrals u of psi0 p f and
-        theta0 p f: int J0 p f up to the direction's sign. The Leibniz
-        terms of the derivative cancel because J0(x,x) = 0."""
-        return (self.th0 * u_g[0] - self.psi0 * u_g[1],
-                self.th0p * u_g[0] - self.psi0p * u_g[1],
-                self.b_th0 * u_b[0] - self.b_psi0 * u_b[1],
-                self.b_th0p * u_b[0] - self.b_psi0p * u_b[1])
+        """theta0 u[0] - psi0 u[1] at the Gauss nodes, and its value and
+        x-derivative rows at the boundaries, from running integrals u of
+        psi0 p f and theta0 p f: int J0 p f up to the direction's sign. The
+        Leibniz terms of the derivative cancel because J0(x,x) = 0."""
+        b = self.boundary
+        return self.th0 * u_g[0] - self.psi0 * u_g[1], b[2:] * u_b[0] - b[:2] * u_b[1]
 
     def picard(self, inhom, direction, z):
         """Solve f = inhom + sgn int J0 (q - z + self.z) f, the equation at
         z on the basis at the centre, by the sweeps f <- inhom + K f.
 
-        ``inhom`` holds values and x-derivatives at the Gauss nodes and the
-        boundaries. Sweeps stop when the envelope-weighted update falls to
-        PICARD_TOL of the larger of the inhomogeneity's and the sweep's own:
-        where q - z > 0 near 0 the solution can outgrow its seed by orders
-        of magnitude, and its roundoff alone then exceeds the seed's bound.
+        ``inhom`` holds the values at the Gauss nodes and the value and
+        x-derivative rows at the boundaries. Sweeps stop when the
+        envelope-weighted update falls to PICARD_TOL of the larger of the
+        inhomogeneity's and the sweep's own: where q - z > 0 near 0 the
+        solution can outgrow its seed by orders of magnitude, and its
+        roundoff alone then exceeds the seed's bound.
         They also stop when the update, below PICARD_FLOOR of that bound,
         does not fall: where q - z < 0 is deep the iterates grow by orders of
         magnitude before the series converges, and the float sweeps can end
         in a cycle whose update, that growth times the rounding, exceeds
-        PICARD_TOL. Returns the last sweep's values and derivatives there,
-        its update relative to the solution, and the number of sweeps."""
-        ig = inhom[0]
+        PICARD_TOL. Returns the last sweep's values at the Gauss nodes, its
+        value and x-derivative rows at the boundaries, its update relative
+        to the solution, and the number of sweeps."""
+        ig, ib = inhom
         sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
                        else (1.0, self.weight_grow))
         scale = float(np.max(np.abs(ig) * weight))
@@ -395,8 +387,8 @@ class Workspace:
             f = vg
             bound = max(scale, size) or 1.0
             if update <= PICARD_TOL * bound or last <= update <= PICARD_FLOOR * bound:
-                vg, dg, vb, db = (i + sgn * k for i, k in zip(inhom, self.kernel(u_g, u_b)))
-                return (vg, dg, vb, db, update / (size or 1.0)), sweeps
+                k_g, k_b = self.kernel(u_g, u_b)
+                return (ig + sgn * k_g, ib + sgn * k_b, update / (size or 1.0)), sweeps
             last = update
         raise NumericError(
             f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {z:g} on the "
@@ -406,15 +398,14 @@ class Workspace:
     def match(self, node: int, value, deriv):
         """(a, b) such that a psi0 + b theta0 takes ``value`` and slope
         ``deriv`` at boundary ``node``, by the unit Wronskian of the pair."""
-        return (value * self.b_th0p[node] - deriv * self.b_th0[node],
-                deriv * self.b_psi0[node] - value * self.b_psi0p[node])
+        psi, psip, th, thp = self.boundary[:, node]
+        return value * thp - deriv * th, deriv * psi - value * psip
 
     def combo(self, c_psi, c_th):
-        """(value, deriv) tables of c_psi*psi0 + c_th*theta0 at Gauss/boundary nodes."""
-        return (c_psi * self.psi0 + c_th * self.th0,
-                c_psi * self.psi0p + c_th * self.th0p,
-                c_psi * self.b_psi0 + c_th * self.b_th0,
-                c_psi * self.b_psi0p + c_th * self.b_th0p)
+        """c_psi psi0 + c_th theta0 at the Gauss nodes, and its value and
+        x-derivative rows at the boundaries."""
+        b = self.boundary
+        return c_psi * self.psi0 + c_th * self.th0, c_psi * b[:2] + c_th * b[2:]
 
 
 def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> Workspace:
@@ -439,33 +430,27 @@ def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionP
     - sgn int J0 f: the potential's z-derivative is -1, so the coupling to
     f is the kernel on q = 1, two more running integrals.
     """
-    seed = ws.combo(*coef)
-    (vg, _, vb, db, residual), sweeps = ws.picard(seed, direction, z)
+    (vg, vb, residual), sweeps = ws.picard(ws.combo(*coef), direction, z)
     sgn = -1.0 if direction == "back" else 1.0
-    coupling = ws.kernel(*ws.integrals(ws.basis * vg, direction))
-    dot_inhom = tuple(lin - sgn * k for lin, k in zip(ws.combo(*coef_dot), coupling))
-    (dvg, _, dvb, ddb, _), _ = ws.picard(dot_inhom, direction, z)
-    return SolutionProfile(z, vb, db, dvb, sweeps, residual, ws.grid, vg, dvg, ddb)
-
-
-def psi_seed(ws: Workspace, z: float):
-    """``coef`` and ``coef_dot`` of the psi class at z on ``ws``: the seed
-    meets sqrt(pi) Ai(x - z) in value and slope at x_max; by the Airy
-    equation, d/dz of that slope is -(x_max - z) sqrt(pi) Ai(x_max - z)."""
-    ai, aip = _airy_step(ws.b_psi0[-1], ws.b_psi0p[-1], ws.grid.x_max - ws.z, ws.z - z)
-    return ws.match(-1, ai, aip), ws.match(-1, -aip, -(ws.grid.x_max - z) * ai)
+    k_g, k_b = ws.kernel(*ws.integrals(ws.basis * vg, direction))
+    lin_g, lin_b = ws.combo(*coef_dot)
+    (dvg, dvb, _), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
+    return SolutionProfile(z, vb[0], vb[1], dvb[0], sweeps, residual, ws.grid, vg, dvg, dvb[1])
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
     """The square-integrable solution and its z-derivative.
 
     psi solves the backward Volterra equation whose seed is sqrt(pi)
-    Ai(x - z) beyond x_max. ``grid`` is a Grid, None for the default grid,
-    or a Workspace on the grid to use, which serves z as :func:`workspace`
-    says.
+    Ai(x - z) beyond x_max: it meets that in value and slope at x_max, and
+    by the Airy equation d/dz of the slope is -(x_max - z) sqrt(pi)
+    Ai(x_max - z). ``grid`` is a Grid, None for the default grid, or a
+    Workspace on the grid to use, which serves z as :func:`workspace` says.
     """
     ws = workspace(q, z, grid)
-    return _solve(ws, z, *psi_seed(ws, z), "back")
+    x_max = ws.grid.x_max
+    ai, aip = _airy_step(ws.boundary[0, -1], ws.boundary[1, -1], x_max - ws.z, ws.z - z)
+    return _solve(ws, z, ws.match(-1, ai, aip), ws.match(-1, -aip, -(x_max - z) * ai), "back")
 
 
 def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
@@ -473,7 +458,7 @@ def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) ->
     sqrt(pi) Bi(x - z) at 0, and its z-derivative; ``grid`` as for
     :func:`solve_psi`."""
     ws = workspace(q, z, grid)
-    bi, bip = _airy_step(ws.b_th0[0], ws.b_th0p[0], -ws.z, ws.z - z)
+    bi, bip = _airy_step(ws.boundary[2, 0], ws.boundary[3, 0], -ws.z, ws.z - z)
     return _solve(ws, z, ws.match(0, bi, bip), ws.match(0, -bip, z * bi), "fwd")
 
 

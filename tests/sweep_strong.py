@@ -1,15 +1,17 @@
-"""Strong-potential sweep: locate_eigenvalue on exp(c, a) over a fixed grid.
+"""Strong-potential sweeps: locate_eigenvalue over two fixed parameter grids.
 
 Runs by hand, not under pytest (the name does not match ``test_*.py``):
 
     PYTHONPATH=src python tests/sweep_strong.py OUT.json [BASELINE.json]
 
-Solves every index n = 1..10 of exp(c, a), c in {+-1, +-4, +-8, +-12, +-16,
-+-20}, a in {0.5, 1, 2}: 360 indices. OUT.json maps "c,a,n" to [lambda,
-kappa], or to the error text when the index raises. Given BASELINE.json, a
-file this script wrote before, it prints the indices that raise in each
-file and the largest |d lambda| and |d kappa| over the indices that solve
-in both.
+The exp sweep solves every index n = 1..10 of exp(c, a), c in {+-1, +-4,
++-8, +-12, +-16, +-20}, a in {0.5, 1, 2}: 360 indices. The family sweep
+solves n = 1..8 of alg(c, 3), alg(c, 1.3, r = 1.5), bump(c, 2, 1) and
+bump(c, 3, 2.5), c in {+-4, +-8, +-16}: 192 indices. OUT.json maps
+"family(params),n" to [lambda, kappa], or to the error text when the index
+raises. Given BASELINE.json, a file this script wrote before, it prints,
+per sweep, the indices that raise in each file and the largest |d lambda|
+and |d kappa| over the indices that solve in both.
 """
 from __future__ import annotations
 
@@ -19,33 +21,48 @@ import time
 
 import starkspec as ss
 
-C_VALUES = (1.0, -1.0, 4.0, -4.0, 8.0, -8.0, 12.0, -12.0, 16.0, -16.0, 20.0, -20.0)
-A_VALUES = (0.5, 1.0, 2.0)
-INDICES = range(1, 11)
+EXP_C = (1.0, -1.0, 4.0, -4.0, 8.0, -8.0, 12.0, -12.0, 16.0, -16.0, 20.0, -20.0)
+EXP_A = (0.5, 1.0, 2.0)
+FAMILY_C = (4.0, -4.0, 8.0, -8.0, 16.0, -16.0)
 
 
-def sweep() -> dict:
+def _exp_sweep():
+    for c in EXP_C:
+        for a in EXP_A:
+            yield f"exp({c:g},{a:g})", ss.exp_decay(c, a), range(1, 11)
+
+
+def _family_sweep():
+    for c in FAMILY_C:
+        yield f"alg({c:g},3)", ss.alg_decay(c, 3.0), range(1, 9)
+        yield f"alg({c:g},1.3,r=1.5)", ss.alg_decay(c, 1.3, r=1.5), range(1, 9)
+        yield f"bump({c:g},2,1)", ss.bump(c, 2.0, 1.0), range(1, 9)
+        yield f"bump({c:g},3,2.5)", ss.bump(c, 3.0, 2.5), range(1, 9)
+
+
+SWEEPS = {"exp": _exp_sweep, "family": _family_sweep}
+
+
+def sweep(cases) -> dict:
     out = {}
-    for c in C_VALUES:
-        q_by_a = {a: ss.exp_decay(c, a) for a in A_VALUES}
-        for a, q in q_by_a.items():
-            for n in INDICES:
-                try:
-                    rec = ss.locate_eigenvalue(q, n)
-                    out[f"{c:g},{a:g},{n}"] = [rec.lam, rec.kappa]
-                except ss.StarkSpecError as exc:
-                    out[f"{c:g},{a:g},{n}"] = f"{type(exc).__name__}: {exc}"
+    for label, q, indices in cases:
+        for n in indices:
+            try:
+                rec = ss.locate_eigenvalue(q, n)
+                out[f"{label},{n}"] = [rec.lam, rec.kappa]
+            except ss.StarkSpecError as exc:
+                out[f"{label},{n}"] = f"{type(exc).__name__}: {exc}"
     return out
 
 
 def compare(new: dict, old: dict) -> None:
     for name, table in (("this sweep", new), ("baseline", old)):
         raising = sorted(k for k, v in table.items() if isinstance(v, str))
-        print(f"{name}: {len(raising)} of {len(table)} indices raise: {raising}")
+        print(f"  {name}: {len(raising)} of {len(table)} indices raise: {raising}")
     both = [k for k in new if not isinstance(new[k], str) and not isinstance(old.get(k, ""), str)]
     d_lam = max((abs(new[k][0] - old[k][0]), k) for k in both)
     d_kappa = max((abs(new[k][1] - old[k][1]), k) for k in both)
-    print(f"solved in both: {len(both)}; max |d lambda| {d_lam[0]:.3e} at {d_lam[1]}; "
+    print(f"  solved in both: {len(both)}; max |d lambda| {d_lam[0]:.3e} at {d_lam[1]}; "
           f"max |d kappa| {d_kappa[0]:.3e} at {d_kappa[1]}")
 
 
@@ -53,14 +70,21 @@ def main(argv) -> int:
     if len(argv) not in (1, 2):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    start = time.perf_counter()
-    result = sweep()
+    results = {}
+    for name, cases in SWEEPS.items():
+        start = time.perf_counter()
+        results[name] = sweep(cases())
+        print(f"{name} sweep: {len(results[name])} indices in "
+              f"{time.perf_counter() - start:.1f} s")
     with open(argv[0], "w") as fh:
-        json.dump(result, fh, indent=1, sort_keys=True)
-    print(f"{len(result)} indices in {time.perf_counter() - start:.1f} s -> {argv[0]}")
+        json.dump({k: v for r in results.values() for k, v in r.items()}, fh,
+                  indent=1, sort_keys=True)
     if len(argv) == 2:
         with open(argv[1]) as fh:
-            compare(result, json.load(fh))
+            old = json.load(fh)
+        for name, new in results.items():
+            print(f"{name} sweep:")
+            compare(new, {k: v for k, v in old.items() if k in new})
     return 0
 
 

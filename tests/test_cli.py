@@ -402,6 +402,8 @@ def test_short_index_range_note_counts_the_residuals(tmp_path):
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 5,
                                    "output_dir": str(tmp_path / "o")}))
     assert cli.main(["asympt", "--config", str(cfgfile)]) == cli.EXIT_OK
+    # asympt runs no oracle, and its log says so
+    assert "methods: shooting\n" in (tmp_path / "o" / "log.txt").read_text()
     checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
     for name in ("eigen_asym", "kappa_asym"):
         assert checks[name]["passed"] and checks[name]["slope"] is None

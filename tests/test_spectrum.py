@@ -286,17 +286,21 @@ def _oracle(family, *params):
 
 # strong potentials whose index the doubling bracket mislabelled: it returned
 # 37.25, -5.87 and 6.71 for exp(-20, 1), n = 1..3, 6.62 and 12.41 for
-# exp(5, 0.5), n = 2, 3, and "Bi overflow" and 8.58 for exp(-8, 1), n = 1, 3
+# exp(5, 0.5), n = 2, 3, and "Bi overflow" and 8.58 for exp(-8, 1), n = 1, 3;
+# Newton carries exp(16, 0.5), n = 5 and exp(20, 1), n = 1 so far from -a_n
+# that an iterate solves on its own default grid
 @pytest.mark.parametrize("c, a, n, lam", [
     (-20.0, 1.0, 1, -5.87196), (-20.0, 1.0, 2, 0.35116), (-20.0, 1.0, 3, 3.39368),
     (5.0, 0.5, 2, 5.52818), (5.0, 0.5, 3, 6.62331),
     (-8.0, 1.0, 1, -0.34652), (-8.0, 1.0, 3, 4.72324),
+    (16.0, 0.5, 5, 10.30223), (20.0, 1.0, 1, 4.68978),
 ])
 def test_locate_certifies_the_index_of_strong_potentials(c, a, n, lam):
     rec = ss.locate_eigenvalue(ss.exp_decay(c, a, r=2.0), n)
     assert rec.lam == pytest.approx(float(_oracle("exp", c, a)[n - 1]), abs=1e-6)
     assert rec.lam == pytest.approx(lam, abs=1e-5)
     assert ss.oscillation_count(rec) == n - 1
+    assert rec.psi.grid.x_max >= rec.lam + spectrum._DECAY_LENGTH
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -257,9 +257,9 @@ def test_sc_wronskian_in_conditioned_region(q_exp):
     # envelope-based trust region: the two Wronskian products are
     # g_B(x-z)^2-sized and cancel to -1, so roundoff amplifies by g_B^2;
     # w <= 5 keeps that amplification near 1e-10. The region spans the WKB
-    # phase of build_grid from x = 0 to z + 5, so it holds at least that
+    # phase of default_grid from x = 0 to z + 5, so it holds at least that
     # phase over PANEL_PHASE panel ends
-    scale = 1.0 + q_exp.sup_norm      # build_grid's c
+    scale = 1.0 + q_exp.sup_norm      # default_grid's c
     for z in (6.0, ss.locate_eigenvalue(q_exp, 2).lam):
         s, c = ss.solve_sc(q_exp, z)
         wsc = s.values * c.derivs - s.derivs * c.values
@@ -477,8 +477,7 @@ def test_moved_workspace_solves_like_a_fresh_one(q_exp):
     base = Workspace(q_exp, z0, grid)
     for z in (z0 - 1.7, z0 + 0.05, z0 + 3.1):
         moved, fresh = base.at(z), Workspace(q_exp, z, grid)
-        for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
-                    "weight_decay", "weight_grow"):
+        for col in ("table", "weight_decay", "weight_grow"):
             assert np.array_equal(getattr(moved, col), getattr(fresh, col))
         moved, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
         assert np.array_equal(moved.values, fresh.values)
@@ -494,8 +493,7 @@ def test_airy_shift_zero_step_is_exact(q_exp):
     base = Workspace(q_exp, 6.0, grid)
     assert base.at(6.0) is base
     back = base.at(6.05).at(6.0)
-    for col in ("psi0", "psi0p", "th0", "th0p", "b_psi0", "b_psi0p", "b_th0", "b_th0p",
-                "weight_decay", "weight_grow"):
+    for col in ("table", "weight_decay", "weight_grow"):
         assert np.array_equal(getattr(back, col), getattr(base, col))
 
 
@@ -505,7 +503,7 @@ def test_moved_workspace_reports_bi_overflow(q_zero):
     grid = grid_from_nodes(np.linspace(0.0, 103.0, 516))
     base = Workspace(q_zero, 0.0, grid)
     assert base.at(0.0) is base
-    assert np.isfinite(base.at(-0.15).b_th0p[-1])
+    assert np.isfinite(base.at(-0.15).boundary[3, -1])       # Bi' at x_max
     # the message says what is wrong and where: the table, z and max w
     with pytest.raises(NumericError, match=r"Airy table non-finite at z = -0\.6, max w = 103\.6;"):
         base.at(-0.6)
