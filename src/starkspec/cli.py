@@ -20,7 +20,7 @@ from . import asymptotics, oracle, spectrum, volterra
 from .airy import airy_zero, envelope_margin, standard_envelope_margin, zero_seed
 from .errors import StarkSpecError, ValidationError
 from .potentials import Potential, blend, bump, exp_decay, make_potential, omega_r
-from .volterra import Workspace, envelope_offset, solve_sc, solve_theta
+from .volterra import envelope_offset, solve_sc, solve_theta, workspace
 
 __all__ = ["ExperimentConfig", "parse_config", "run_verify", "main",
            "SUMMARY_SCHEMA", "EXIT_OK", "EXIT_CONFIG", "EXIT_NUMERIC", "EXIT_CHECK"]
@@ -267,7 +267,7 @@ def _check_invariants(q, records, cfg):
     mid = sorted(records)[len(records) // 2]
     lam = records[mid].lam
     psi = records[mid].psi
-    ws = Workspace(q, lam, psi.grid)
+    ws = workspace(q, lam, psi.grid)
     theta = solve_theta(q, lam, ws)
     wr = psi.values * theta.derivs - psi.derivs * theta.values
     # exact identity: W = 1 + int_0^M theta0 q psi; the raw deviation
@@ -402,13 +402,13 @@ def main(argv=None) -> int:
     for name, help_text in (
             ("eig", "eigenvalues and norming constants over the index range"),
             ("asympt", "first-order predictions and remainder decay fits"),
-            ("verify", "full verification campaign with pass/fail checks"),
-            ("airy-selftest", "internal Airy-layer consistency checks")):
+            ("verify", "full verification campaign with pass/fail checks")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--n-max", type=int, default=None)
         p.add_argument("--method", default=None, choices=_ALL_METHODS)
         p.add_argument("--out", default=None)
+    sub.add_parser("airy-selftest", help="internal Airy-layer consistency checks")
     args = parser.parse_args(argv)
 
     if args.command == "airy-selftest":

@@ -44,6 +44,9 @@ class DiscreteOperator:
 
 
 def build_operator(q: Potential, L: float, h: float) -> DiscreteOperator:
+    if not (0.0 < L < math.inf and 0.0 < h < math.inf):
+        raise DomainError(
+            f"build_operator: need finite L > 0 and h > 0, got L = {L!r}, h = {h!r}")
     m = int(round(L / h)) - 1
     if m < 3:
         raise DomainError("build_operator: domain shorter than a few mesh cells")

@@ -20,8 +20,7 @@ from .airy import airy_zero
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
-from .volterra import (TRUNCATION_MARGIN, Grid, SolutionProfile, Workspace,
-                       envelope_offset, solve_psi, solve_sc, workspace)
+from .volterra import Grid, SolutionProfile, Workspace, solve_psi, solve_sc, workspace
 
 __all__ = [
     "EigenRecord",
@@ -42,10 +41,6 @@ NEWTON_NOISE = 1e-8
 #: samples below this fraction of the eigenfunction's maximum count as
 #: zeros when its sign changes are counted
 OSCILLATION_FLOOR = 1e-8
-#: grid length past the root at which the decaying envelope falls to the
-#: tail tolerance: default_grid's length without its safety margin, which
-#: absorbs Newton's move from the grid centre
-_DECAY_LENGTH = envelope_offset() - TRUNCATION_MARGIN
 
 
 @dataclass
@@ -70,19 +65,16 @@ def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
 
 
 def _norm_sq_from_profile(prof: SolutionProfile) -> float:
-    # no tail: at a root x_max >= z + _DECAY_LENGTH (see _newton), so
-    # psi^2 past x_max is about 1e-24 of the sum
+    # no tail: a root's grid ends at least DECAY_LENGTH past it (see
+    # workspace), so psi^2 past x_max is about 1e-24 of the sum
     return float(np.sum(prof.grid.weights * prof.gauss_values ** 2))
 
 
 def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
     """Newton on the shooting function from ``lam``, starting on ``ws``;
     returns the root and its profile. Each iterate solves on the Workspace
-    of the last solve, moved to the iterate when it lies beyond that
-    Workspace's reach (see :func:`workspace`), while that grid ends at
-    least _DECAY_LENGTH past the iterate; otherwise on a Workspace at the
-    iterate on its default grid. The root is thus always solved on a grid
-    on which the envelope decays before x_max.
+    that :func:`workspace` picks from the last one, so the root is solved
+    on a grid on which the envelope decays before x_max.
 
     Converged when the step falls to 1e-15 (1 + |lam|), or to roundoff: a
     step below NEWTON_NOISE (1 + |lam|) that is not a quarter of the last
@@ -93,7 +85,7 @@ def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
     prev = math.inf
     for _ in range(NEWTON_MAX_ITER):
         try:
-            ws = workspace(q, lam, ws if ws.grid.x_max >= lam + _DECAY_LENGTH else None)
+            ws = workspace(q, lam, ws)
             prof = solve_psi(q, lam, ws)
         except StarkSpecError as err:
             raise type(err)(f"at z = {lam!r}: {err}") from err
@@ -118,12 +110,8 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     the first-order prediction, certified by the oscillation count.
 
     One Workspace at -a_n gives both first-order predictions, and Newton
-    solves on it from the lambda prediction, each iterate at its own z
-    with the shift from -a_n as a constant potential; an iterate beyond
-    the Workspace's reach moves its table there, and later iterates shift
-    from the moved one. An iterate past which the grid ends less than one
-    decay length gets a Workspace on its own default grid, so the envelope
-    decays before x_max at the root as at the centre. Iterates must stay
+    runs from the lambda prediction, each iterate on the Workspace that
+    :func:`workspace` picks from the last one. Iterates must stay
     within the window around -a_n whose half-width is the
     crude-localization scale or twice the first-order correction,
     whichever is larger. That correction is at most 1.02 sup|q|, so the

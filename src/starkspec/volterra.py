@@ -21,7 +21,6 @@ inhomogeneity of every z-derivative (see :func:`_solve`).
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,7 @@ __all__ = [
     "solve_theta",
     "solve_sc",
     "workspace",
+    "DECAY_LENGTH",
     "DEFAULT_TAIL_TOL",
     "LATTICE_STEP",
 ]
@@ -59,6 +59,11 @@ PANEL_PHASE = 1.0
 #: WKB phase by which a shift within a Workspace's reach may move a panel
 #: end; a reach of PANEL_PHASE took more sweeps for the same campaign time
 REACH_PHASE = 0.125
+#: length past the turning point at which the decaying envelope
+#: exp(-(2/3) w^(3/2)) falls to DEFAULT_TAIL_TOL
+DECAY_LENGTH = (1.5 * math.log(1.0 / DEFAULT_TAIL_TOL)) ** (2.0 / 3.0)
+#: what default_grid adds past DECAY_LENGTH: a solve up to this far above
+#: a grid's centre still runs on that grid (see :func:`workspace`)
 TRUNCATION_MARGIN = 2.0
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -116,16 +121,16 @@ class SolutionProfile:
 
 
 def envelope_offset() -> float:
-    """Grid length past the turning point at which the decaying envelope
-    falls to DEFAULT_TAIL_TOL, plus TRUNCATION_MARGIN."""
-    return (1.5 * math.log(1.0 / DEFAULT_TAIL_TOL)) ** (2.0 / 3.0) + TRUNCATION_MARGIN
+    """Grid length past the turning point: DECAY_LENGTH plus
+    TRUNCATION_MARGIN."""
+    return DECAY_LENGTH + TRUNCATION_MARGIN
 
 
 def grid_from_nodes(nodes) -> Grid:
     """Grid over explicit panel boundaries, p Gauss nodes per panel."""
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0:
-        raise DomainError("grid_from_nodes: need a 1-d node array starting at 0")
+    if nodes.ndim != 1 or nodes.size < 2 or nodes[0] != 0.0 or not np.all(np.isfinite(nodes)):
+        raise DomainError("grid_from_nodes: need a finite 1-d node array starting at 0")
     if np.any(np.diff(nodes) <= 0):
         raise DomainError("grid_from_nodes: nodes must increase strictly")
     widths = np.diff(nodes)
@@ -259,9 +264,9 @@ class Workspace:
     sqrt(pi) Bi(x - z) and its derivative, from :func:`airy_table`, at the
     Gauss nodes and then at the panel boundaries; ``boundary`` is its
     (4, panels + 1) boundary view, and ``psi0``, ``psi0p``, ``th0`` and
-    ``basis`` view its Gauss-node rows. :meth:`at` builds the table for
-    another z on the same grid. Solves at any z within ``reach`` of the
-    centre ``z`` run on these columns (see :func:`_solve`).
+    ``basis`` view its Gauss-node rows. Solves at any z within ``reach``
+    of the centre ``z`` can run on these columns (see :func:`_solve`);
+    :func:`workspace` says which Workspace a solve runs on.
     """
 
     def __init__(self, q: Potential, z: float, grid: Grid):
@@ -271,24 +276,8 @@ class Workspace:
         #: panel half-widths, the Jacobian of every panel's Gauss rules, one
         #: per Gauss node so that scaling a stack broadcasts contiguously
         self._half = np.broadcast_to(grid.widths[:, None] / 2.0, grid.gauss_x.shape).copy()
-        #: the Gauss then the boundary abscissae, the points of the Airy table
-        self.x = np.concatenate([grid.gauss_x.ravel(), grid.nodes])
-        self._set_table(z)
-
-    def at(self, z: float) -> Workspace:
-        """This Workspace at ``z``: same grid and potential samples, the
-        Airy table built as the constructor builds it."""
-        if z == self.z:
-            return self
-        ws = copy.copy(self)
-        ws._set_table(z)
-        return ws
-
-    def _set_table(self, z: float):
-        """Basis columns from the (Ai, Ai', Bi, Bi') rows at x - z, and what
-        else depends on z: the reach and the envelope weights."""
-        grid = self.grid
-        table = airy_table(self.x - z)
+        # the table's points: the Gauss then the boundary abscissae
+        table = airy_table(np.concatenate([grid.gauss_x.ravel(), grid.nodes]) - z)
         if not np.all(np.isfinite(table)):
             # AMOS returns nan for Bi from w ~ 103.4, before Bi' overflows
             raise NumericError(
@@ -409,12 +398,17 @@ class Workspace:
 
 
 def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> Workspace:
-    """The Workspace a solve at z runs on: built at z on ``grid`` (on the
-    default grid when None); or, when ``grid`` is a Workspace, that
-    Workspace itself if z lies within its ``reach``, else the Workspace
-    moved to z by :meth:`Workspace.at`."""
+    """The Workspace a solve at z runs on, by the one rule: a Workspace
+    ``grid`` whose grid ends at least DECAY_LENGTH past z serves z itself
+    when z lies within its ``reach``, and otherwise gives a Workspace at z
+    on that grid; where the grid ends sooner, and when ``grid`` is None,
+    the solve runs at z on z's default grid, so the envelope decays before
+    x_max. A Workspace keeps its own potential in every case. A Grid gives
+    the Workspace at z on it."""
     if isinstance(grid, Workspace):
-        return grid if abs(z - grid.z) <= grid.reach else grid.at(z)
+        if grid.grid.x_max >= z + DECAY_LENGTH:
+            return grid if abs(z - grid.z) <= grid.reach else Workspace(grid.q, z, grid.grid)
+        q, grid = grid.q, None
     return Workspace(q, z, default_grid(q, z) if grid is None else grid)
 
 

@@ -365,6 +365,14 @@ def test_airy_selftest():
     assert cli.main(["airy-selftest"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("flags", [["--n-max", "3"], ["--config", "c.json"],
+                                   ["--method", "shooting"], ["--out", "out"]])
+def test_airy_selftest_takes_no_campaign_flags(flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["airy-selftest", *flags])
+    assert exc.value.code == 2
+
+
 def test_airy_selftest_checks_the_solver_table(monkeypatch):
     # a 1e-8 error in the Bi column of volterra.airy_table breaks the
     # Wronskian line although AMOS itself is untouched

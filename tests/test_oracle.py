@@ -17,6 +17,15 @@ def test_operator_structure(q_exp):
     assert op.diag[0] == pytest.approx(2.0 / 0.01**2 + x1 + float(q_exp.q(x1)))
 
 
+@pytest.mark.parametrize("L, h", [(40.0, 0.0), (40.0, -0.01), (-40.0, 0.01), (math.nan, 0.01),
+                                  (40.0, math.nan), (math.inf, 0.01), (40.0, math.inf)])
+def test_bad_mesh_is_a_domain_error(q_exp, L, h):
+    with pytest.raises(DomainError, match="build_operator"):
+        build_operator(q_exp, L, h)
+    with pytest.raises(DomainError, match="build_operator"):
+        ss.oracle_spectrum(q_exp, L, h, 1)
+
+
 def test_free_ground_state_matches_airy_zero(q_zero):
     vals = [(h, ss.oracle_spectrum(q_zero, 40.0, h, 1)[0, 0]) for h in (0.02, 0.01, 0.005)]
     lam = richardson(vals, order=2)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 import starkspec as ss
-from starkspec import spectrum
+from starkspec import spectrum, volterra
 from conftest import POTENTIALS
 from references import basis_eval
 
@@ -300,7 +300,7 @@ def test_locate_certifies_the_index_of_strong_potentials(c, a, n, lam):
     assert rec.lam == pytest.approx(float(_oracle("exp", c, a)[n - 1]), abs=1e-6)
     assert rec.lam == pytest.approx(lam, abs=1e-5)
     assert ss.oscillation_count(rec) == n - 1
-    assert rec.psi.grid.x_max >= rec.lam + spectrum._DECAY_LENGTH
+    assert rec.psi.grid.x_max >= rec.lam + volterra.DECAY_LENGTH
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -447,6 +447,12 @@ def test_airy_table_on_chunks_that_are_not_adjacent():
     assert np.array_equal(table[:, start:], np.array(special.airy(lattice)))
 
 
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+def test_grid_from_nodes_rejects_non_finite_nodes(nodes):
+    with pytest.raises(ss.DomainError, match="grid_from_nodes"):
+        grid_from_nodes(nodes)
+
+
 def test_airy_table_rejects_non_finite_points():
     for bad in (np.nan, np.inf, 1e300):
         with pytest.raises(ss.DomainError, match="airy_table"):
@@ -471,42 +477,72 @@ def test_lattice_grows_by_new_chunks_only(monkeypatch):
 
 
 def test_moved_workspace_solves_like_a_fresh_one(q_exp):
-    # one path builds every table, so a move and a build agree to the bit
+    # beyond the reach, on a grid that still ends DECAY_LENGTH past z, a
+    # solve on the base runs on a table built at z on the base's grid
     z0 = 9.0
     grid = default_grid(q_exp, z0)
     base = Workspace(q_exp, z0, grid)
-    for z in (z0 - 1.7, z0 + 0.05, z0 + 3.1):
-        moved, fresh = base.at(z), Workspace(q_exp, z, grid)
+    for z in (z0 - 1.7, z0 + 0.05, z0 + 1.9):
+        assert abs(z - z0) > base.reach
+        picked, fresh = volterra.workspace(q_exp, z, base), Workspace(q_exp, z, grid)
+        assert picked.grid is grid and picked.z == z
         for col in ("table", "weight_decay", "weight_grow"):
-            assert np.array_equal(getattr(moved, col), getattr(fresh, col))
-        moved, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
-        assert np.array_equal(moved.values, fresh.values)
-        assert np.array_equal(moved.z_derivs, fresh.z_derivs)
+            assert np.array_equal(getattr(picked, col), getattr(fresh, col))
+        on_base, on_grid = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
+        assert np.array_equal(on_base.values, on_grid.values)
+        assert np.array_equal(on_base.z_derivs, on_grid.z_derivs)
 
 
 def test_airy_shift_zero_step_is_exact(q_exp):
     # a point on the lattice takes a zero Taylor step: the AMOS bits
     w = np.arange(-45 * 64, 40 * 64 + 1) * LATTICE_STEP
     assert np.array_equal(airy_table(w), np.array(special.airy(w)))
-    # a zero move is the table itself, and a move and back gives its bits
+    # z0 itself is served by the base, and a table built at z0 again, after
+    # one at a neighbour, gives the base's bits
     grid = default_grid(q_exp, 6.0)
     base = Workspace(q_exp, 6.0, grid)
-    assert base.at(6.0) is base
-    back = base.at(6.05).at(6.0)
+    assert volterra.workspace(q_exp, 6.0, base) is base
+    back = volterra.workspace(q_exp, 6.0, volterra.workspace(q_exp, 6.05, base))
+    assert back is not base and back.z == 6.0
     for col in ("table", "weight_decay", "weight_grow"):
         assert np.array_equal(getattr(back, col), getattr(base, col))
 
 
 def test_moved_workspace_reports_bi_overflow(q_zero):
     # AMOS returns nan for Bi' past w ~ 103.4; a table that ends at 103 is
-    # finite, and so is its move by 0.15
+    # finite, and so is one built 0.15 lower on the same grid
     grid = grid_from_nodes(np.linspace(0.0, 103.0, 516))
     base = Workspace(q_zero, 0.0, grid)
-    assert base.at(0.0) is base
-    assert np.isfinite(base.at(-0.15).boundary[3, -1])       # Bi' at x_max
+    assert volterra.workspace(q_zero, 0.0, base) is base
+    assert np.isfinite(Workspace(q_zero, -0.15, grid).boundary[3, -1])     # Bi' at x_max
     # the message says what is wrong and where: the table, z and max w
     with pytest.raises(NumericError, match=r"Airy table non-finite at z = -0\.6, max w = 103\.6;"):
-        base.at(-0.6)
+        Workspace(q_zero, -0.6, grid)
+
+
+def test_workspace_picks_the_table_of_every_solve(q_exp, q_zero):
+    # the one rule, on a base whose grid ends DECAY_LENGTH + TRUNCATION_MARGIN
+    # past its centre: the base within its reach, a table at z on its grid
+    # beyond, and z's default grid once the grid ends less than DECAY_LENGTH
+    # past z, so a Newton root is solved where the envelope decays
+    assert volterra.DECAY_LENGTH == pytest.approx(11.9763771, abs=1e-6)
+    z0 = 9.0
+    grid = default_grid(q_exp, z0)
+    base = Workspace(q_exp, z0, grid)
+    for z in (z0 - 0.999 * base.reach, z0 + 0.999 * base.reach):
+        assert volterra.workspace(q_exp, z, base) is base
+    for z in (z0 - 1.01 * base.reach, z0 + 1.9):
+        picked = volterra.workspace(q_exp, z, base)
+        assert picked.grid is grid and picked.z == z
+    for z in (z0 + 2.1, z0 + 6.0):
+        assert grid.x_max < z + volterra.DECAY_LENGTH
+        picked = volterra.workspace(q_exp, z, base)
+        assert picked.z == z and picked.grid.x_max == z + envelope_offset()
+        assert np.array_equal(picked.grid.nodes, default_grid(q_exp, z).nodes)
+        assert picked.q is q_exp and volterra.workspace(q_zero, z, base).q is q_exp
+        on_base, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z)
+        assert np.array_equal(on_base.values, fresh.values)
+        assert np.array_equal(on_base.z_derivs, fresh.z_derivs)
 
 
 def _four_classes(q, z, grid):
