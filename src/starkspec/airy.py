@@ -45,19 +45,18 @@ def airy_zero(n: int) -> float:
     if flo * fhi > 0:
         raise NumericError(f"airy_zero: no sign change in bracket for n={n}")
     x = seed
-    fx = float(special.airy(x)[0])
+    fx, dfx = map(float, special.airy(x)[:2])     # Ai and Ai' from one call
     for _ in range(100):
-        dfx = float(special.airy(x)[1])
         step = fx / dfx if dfx != 0.0 else math.inf
         x_new = x - step
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)  # bisection fallback
-        f_new = float(special.airy(x_new)[0])
+        f_new, df_new = map(float, special.airy(x_new)[:2])
         if f_new * flo > 0:
             lo, flo = x_new, f_new
         else:
             hi, fhi = x_new, f_new
-        x, fx = x_new, f_new
+        x, fx, dfx = x_new, f_new, df_new
         if abs(fx) <= 1e-12:
             return x
     raise NumericError(f"airy_zero: refinement did not converge for n={n} "

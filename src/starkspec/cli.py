@@ -298,17 +298,18 @@ def _check_invariants(q, records, cfg):
 def run_verify(config: ExperimentConfig, with_pred: bool = True):
     """Run the campaign and write results.csv, summary.json, log.txt.
 
-    The oracle runs when ``config.methods`` names it, and the checks are
+    Shooting always runs, and the oracle when ``config.methods`` names it;
+    log.txt's ``methods:`` line names what ran. The checks are
     ``config.checks``. Returns (exit_code, summary). Files are only written
     once the whole computation has finished, so failures leave no partial
     outputs. The asymptotics checks fit the rows' predictions, so enabling
     one computes them even when ``with_pred`` is off.
     """
     q = make_potential(config.potential)
+    use_oracle = "oracle" in config.methods
     log = [f"potential: {json.dumps(config.potential, sort_keys=True)}",
            f"n range: {config.n_min}..{config.n_max}",
-           f"methods: {','.join(config.methods)}"]
-    use_oracle = "oracle" in config.methods
+           "methods: shooting,oracle" if use_oracle else "methods: shooting"]
     with_asym = "eigen_asym" in config.checks or "kappa_asym" in config.checks
     rows, records = _compute_rows(q, config, log, use_oracle, with_pred or with_asym)
 

@@ -179,16 +179,11 @@ _lattice: dict = {}
 
 
 def airy_table(w):
-    """(Ai, Ai', Bi, Bi') at the points w, each stepped by h = w - w_k,
-    |h| <= LATTICE_STEP / 2, from its nearest lattice point w_k.
-
-    Both Ai and Bi solve f'' = w f, so their Taylor coefficients about w_k
-    share the recurrence c_{j+2} = (w_k c_j + c_{j-1}) / ((j+2)(j+1)),
-    seeded by the lattice's c_0 = f, c_1 = f' (DLMF 9.2). The recurrence
-    with max |w_k| and |h| bounds |c_j h^j| / (|f| + |h f'|) at every
-    point; terms are added until that bound falls below 2^-60 for two
-    consecutive j. Lattice points get their AMOS values exactly, and no
-    value depends on what the lattice held before.
+    """(Ai, Ai', Bi, Bi') at the points w, each stepped by
+    :func:`_airy_step` over h = w - w_k, |h| <= LATTICE_STEP / 2, from its
+    nearest lattice point w_k: Ai and Bi both solve f'' = w f. Lattice
+    points get their AMOS values exactly, and no value depends on what the
+    lattice held before.
     """
     global _lattice
     w = np.asarray(w, dtype=float)
@@ -210,51 +205,40 @@ def airy_table(w):
     rows = np.concatenate([lattice[c] for c in chunks.tolist()], axis=1)
     at = np.searchsorted(chunks, ids) * _CHUNK + k % _CHUNK
     f0, f1 = np.take(rows[0::2], at, axis=-1), np.take(rows[1::2], at, axis=-1)
-    wh2, h3 = wk * (h * h), h * h * h
-    bound_wh2, bound_h3 = float(np.max(np.abs(wh2))), float(np.max(np.abs(h3)))
-    r_prev, r, r_next = 0.0, 1.0, 1.0
-    # the Taylor terms d_j = c_j h^j of (Ai, Bi) rotate through four buffers
-    d_prev, d, d_next, step = np.zeros_like(f0), f0, f1 * h, np.empty_like(f0)
-    term = np.empty_like(f0)
     out = np.empty((4,) + f0.shape[1:])
-    val, der_h = out[0::2], out[1::2]   # der_h: the sum over j >= 2 of j c_j h^j
-    np.add(d, d_next, out=val)
-    der_h.fill(0.0)
-    j = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports overflow
-        while r + r_next > 2.0 ** -60:
-            inv_jj = 1.0 / ((j + 2) * (j + 1))
-            r_prev, r, r_next = r, r_next, (bound_wh2 * r + bound_h3 * r_prev) * inv_jj
-            np.multiply(wh2, d, out=step)
-            step += np.multiply(h3, d_prev, out=term)
-            step *= inv_jj
-            val += step
-            der_h += np.multiply(step, j + 2, out=term)
-            d_prev, d, d_next, step = d, d_next, step, d_prev
-            j += 1
-        der_h /= np.where(h == 0.0, 1.0, h)    # der_h is 0 at h = 0
-        der_h += f1
+        out[0::2], out[1::2] = _airy_step(f0, f1, wk, h)
     return out
 
 
 def _airy_step(f, fp, w, h):
-    """(f, f') at w + h of the solution of f'' = w f with the value ``f``
-    and slope ``fp`` at w: :func:`airy_table`'s Taylor recurrence and stop
-    rule for one point, in floats; h = 0 returns f and fp."""
-    f, fp, wh2, h3 = float(f), float(fp), w * (h * h), h * h * h
+    """(f, f') at w + h of the solutions of f'' = w f with the values
+    ``f`` and slopes ``fp`` at w, for floats or arrays that broadcast.
+
+    The Taylor coefficients about w follow c_{j+2} = (w c_j + c_{j-1}) /
+    ((j+2)(j+1)), c_0 = f, c_1 = f' (DLMF 9.2). The recurrence with
+    max |w h^2| and max |h^3| over the inputs bounds |c_j h^j| / (|f| +
+    |h f'|) at every point; terms are added until that bound falls below
+    2^-60 for two consecutive j. h = 0 returns f and fp.
+    """
+    wh2, h3 = w * (h * h), h * h * h
+    bound_wh2, bound_h3 = float(np.abs(wh2).max()), float(np.abs(h3).max())
     r_prev, r, r_next = 0.0, 1.0, 1.0
+    # d_j = c_j h^j; der_h is the sum over j >= 2 of j c_j h^j
     d_prev, d, d_next = 0.0, f, fp * h
     val, der_h = f + d_next, 0.0
     j = 0
     while r + r_next > 2.0 ** -60:
         inv_jj = 1.0 / ((j + 2) * (j + 1))
-        r_prev, r, r_next = r, r_next, (abs(wh2) * r + abs(h3) * r_prev) * inv_jj
-        step = (wh2 * d + h3 * d_prev) * inv_jj
+        r_prev, r, r_next = r, r_next, (bound_wh2 * r + bound_h3 * r_prev) * inv_jj
+        step = wh2 * d          # then in place: fewer array temporaries per term
+        step += h3 * d_prev
+        step *= inv_jj
         val += step
         der_h += (j + 2) * step
         d_prev, d, d_next = d, d_next, step
         j += 1
-    return val, (der_h / h if h else 0.0) + fp
+    return val, der_h / np.where(h == 0.0, 1.0, h) + fp    # der_h is 0 where h is
 
 
 class Workspace:
@@ -403,12 +387,14 @@ def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> W
     when z lies within its ``reach``, and otherwise gives a Workspace at z
     on that grid; where the grid ends sooner, and when ``grid`` is None,
     the solve runs at z on z's default grid, so the envelope decays before
-    x_max. A Workspace keeps its own potential in every case. A Grid gives
-    the Workspace at z on it."""
+    x_max. A Grid gives the Workspace at z on it. A Workspace built for
+    another potential than q is a DomainError."""
     if isinstance(grid, Workspace):
+        if grid.q is not q:
+            raise DomainError("workspace: the Workspace was built for another potential")
         if grid.grid.x_max >= z + DECAY_LENGTH:
-            return grid if abs(z - grid.z) <= grid.reach else Workspace(grid.q, z, grid.grid)
-        q, grid = grid.q, None
+            return grid if abs(z - grid.z) <= grid.reach else Workspace(q, z, grid.grid)
+        grid = None
     return Workspace(q, z, default_grid(q, z) if grid is None else grid)
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from starkspec import airy_zero, envelope_margin
+from starkspec import airy, airy_zero, envelope_margin
 from starkspec.airy import zero_seed
 from starkspec.errors import DomainError
 from references import airy_eval, envelope
@@ -116,6 +117,21 @@ def test_zeros_decrease_and_residuals_small():
     for z in zeros:
         assert abs(special.airy(z)[0]) <= 1e-12
     assert all(zeros[i + 1] < zeros[i] for i in range(len(zeros) - 1))
+
+
+def test_airy_zero_takes_ai_and_its_slope_from_one_call(monkeypatch):
+    # the two bracket ends, then one AMOS call per iterate gives Ai and Ai':
+    # five calls per zero for n = 1..60, and no point evaluated twice
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return special.airy(x)
+
+    monkeypatch.setattr(airy, "special", SimpleNamespace(airy=counted))
+    for n in range(1, 61):
+        assert abs(special.airy(airy_zero(n))[0]) <= 1e-12
+    assert len(calls) == 300 and len(set(calls)) == len(calls)
 
 
 def test_seed_accuracy_constant_is_stable():

@@ -403,6 +403,22 @@ def test_free_potential_verify_is_vacuously_green(tmp_path):
         assert abs(float(row["kappa_resid"])) <= 1e-8
 
 
+def test_log_names_the_methods_that_ran(tmp_path):
+    # shooting always runs: `eig --method oracle` runs it and the oracle,
+    # and an empty methods list runs it alone
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 2, "methods": []}))
+    for flags, tag, methods in (([], "none", "shooting"),
+                                (["--method", "oracle"], "oracle", "shooting,oracle")):
+        out = tmp_path / tag
+        argv = ["eig", "--config", str(cfgfile), *flags, "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert f"\nmethods: {methods}\n" in (out / "log.txt").read_text()
+        header, *rows = (out / "results.csv").read_text().strip().splitlines()
+        column = header.split(",").index("lambda_shoot")
+        assert len(rows) == 2 and all(float(row.split(",")[column]) > 0 for row in rows)
+
+
 def test_short_index_range_note_counts_the_residuals(tmp_path):
     # n = 2..5 gives 4 fitted residuals of about 1e-3 on exp(0.3, 1): well
     # above the noise, but fewer than the fit takes

@@ -447,6 +447,40 @@ def test_airy_table_on_chunks_that_are_not_adjacent():
     assert np.array_equal(table[:, start:], np.array(special.airy(lattice)))
 
 
+def test_airy_step_of_zero_returns_its_inputs():
+    # floats and arrays alike: the bits of f and f'
+    w = np.linspace(-30.0, 30.0, 13)
+    table = airy_table(w)
+    f, fp = table[0::2], table[1::2]            # Ai and Bi rows
+    val, der = volterra._airy_step(f, fp, w, np.zeros_like(w))
+    assert np.array_equal(val, f) and np.array_equal(der, fp)
+    for row, i in np.ndindex(f.shape):
+        assert volterra._airy_step(f[row, i], fp[row, i], w[i], 0.0) == (f[row, i], fp[row, i])
+
+
+def test_airy_step_of_one_point_is_the_same_for_floats_and_arrays():
+    rng = np.random.default_rng(5)
+    for w, h in zip(rng.uniform(-30.0, 30.0, 40), rng.uniform(-0.125, 0.125, 40)):
+        table = airy_table(np.array([w]))
+        val, der = volterra._airy_step(table[0::2], table[1::2], np.array([w]), np.array([h]))
+        for row in (0, 1):          # Ai, Bi
+            f, fp = float(table[2 * row, 0]), float(table[2 * row + 1, 0])
+            assert (val[row, 0], der[row, 0]) == volterra._airy_step(f, fp, w, h)
+
+
+def test_airy_step_within_the_reach_agrees_with_amos():
+    # the shifted seeds of solve_psi and solve_theta: one float step per
+    # point, |h| <= REACH_PHASE, from airy_table values on w in [-30, 30]
+    rng = np.random.default_rng(11)
+    w = np.linspace(-30.0, 30.0, 241)
+    h = rng.uniform(-volterra.REACH_PHASE, volterra.REACH_PHASE, w.size)
+    h[::40] = (-volterra.REACH_PHASE, volterra.REACH_PHASE) * 3 + (0.0,)
+    table = airy_table(w)
+    got = np.array([[c for row in (0, 2) for c in volterra._airy_step(
+        table[row, i], table[row + 1, i], w[i], h[i])] for i in range(w.size)]).T
+    assert _airy_envelope_error(w + h, got, np.array(special.airy(w + h))) <= 1e-12
+
+
 @pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
 def test_grid_from_nodes_rejects_non_finite_nodes(nodes):
     with pytest.raises(ss.DomainError, match="grid_from_nodes"):
@@ -539,10 +573,24 @@ def test_workspace_picks_the_table_of_every_solve(q_exp, q_zero):
         picked = volterra.workspace(q_exp, z, base)
         assert picked.z == z and picked.grid.x_max == z + envelope_offset()
         assert np.array_equal(picked.grid.nodes, default_grid(q_exp, z).nodes)
-        assert picked.q is q_exp and volterra.workspace(q_zero, z, base).q is q_exp
+        assert picked.q is q_exp
+        with pytest.raises(ss.DomainError, match="workspace"):
+            volterra.workspace(q_zero, z, base)
         on_base, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z)
         assert np.array_equal(on_base.values, fresh.values)
         assert np.array_equal(on_base.z_derivs, fresh.z_derivs)
+
+
+def test_a_workspace_of_another_potential_is_a_domain_error():
+    # a solve of q on a Workspace built for another potential would solve
+    # the Workspace's potential: exp(0.3, 1) where exp(5, 1) was asked for
+    q, other = ss.exp_decay(5.0, 1.0), ss.exp_decay(0.3, 1.0)
+    ws = volterra.workspace(other, 3.0)
+    for z in (3.0, 3.0 + 1.9, 3.0 + 6.0):       # within reach, on its grid, beyond it
+        for solve in (ss.solve_psi, ss.solve_theta, ss.solve_sc):
+            with pytest.raises(ss.DomainError, match="workspace"):
+                solve(q, z, ws)
+        assert volterra.workspace(other, z, ws).q is other
 
 
 def _four_classes(q, z, grid):
