@@ -26,9 +26,6 @@ __all__ = [
     "build_report",
 ]
 
-#: residuals below 10x these are treated as solver noise in the fits
-LAMBDA_NOISE_FLOOR = 1e-9
-KAPPA_NOISE_FLOOR = 1e-8
 #: fewest residuals above the noise a decay fit takes
 MIN_FIT_POINTS = 8
 
@@ -103,11 +100,11 @@ def _fit_above_floor(resid, ns, floor):
         return None
 
 
-def build_report(ns, lambda_resid, kappa_resid,
-                 lambda_floor: float = LAMBDA_NOISE_FLOOR,
-                 kappa_floor: float = KAPPA_NOISE_FLOOR) -> AsymptoticsReport:
+def build_report(ns, lambda_resid, kappa_resid, lambda_floor: float,
+                 kappa_floor: float) -> AsymptoticsReport:
     """Fitted decay slopes of the residuals against the first-order
-    predictions, each slope on its own residuals and noise floor."""
+    predictions, each slope on its own residuals and tolerance floor
+    (residuals below 10x the floor are solver noise)."""
     lam_resid = np.asarray(lambda_resid, dtype=float)
     kap_resid = np.asarray(kappa_resid, dtype=float)
     return AsymptoticsReport(lam_resid, kap_resid,

@@ -69,9 +69,10 @@ def _check_edge_mass(op: DiscreteOperator, v: np.ndarray, count: int):
 def oracle_spectrum(q: Potential, L: float, h: float, count: int) -> np.ndarray:
     """Lowest `count` discrete eigenvalues and norming constants at mesh
     width h, as the rows of a (2, count) array, from one eigendecomposition."""
-    if count < 1:
-        raise DomainError("oracle_spectrum: count must be >= 1")
     op = build_operator(q, L, h)
+    if not 1 <= count <= op.dim:
+        raise DomainError(f"oracle_spectrum: count must lie in [1, {op.dim}], the "
+                          f"operator's dimension; got {count!r}")
     w, v = eigh_tridiagonal(op.diag, op.offdiag, select="i",
                             select_range=(0, count - 1))
     _check_edge_mass(op, v, count)

@@ -8,6 +8,7 @@ construction per family.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,16 +65,15 @@ def tabulated(x, y, r: float = 2.0) -> Potential:
 
 
 def _number(mapping: dict, key: str, label: str) -> float:
-    """mapping[key] as a finite float; ValidationError naming ``label`` otherwise."""
+    """mapping[key] as a float; ValidationError naming ``label`` unless it is
+    a finite real number (a bool or a numeric string is not)."""
     try:
-        val = float(mapping[key])
+        val = mapping[key]
     except KeyError:
         raise ValidationError(f"{label} is missing") from None
-    except (TypeError, ValueError):
-        raise ValidationError(f"{label} must be a number, got {mapping[key]!r}") from None
-    if not math.isfinite(val):
-        raise ValidationError(f"{label} must be finite, got {val!r}")
-    return val
+    if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+        raise ValidationError(f"{label} must be a finite number, got {val!r}")
+    return float(val)
 
 
 def make_potential(spec: dict) -> Potential:
@@ -140,14 +140,11 @@ def make_potential(spec: dict) -> Potential:
             out[m] = c * np.exp(1.0 - 1.0 / (1.0 - t[m] ** 2))
             return out
 
-        def qp(x, c=c, x0=x0, w=w):
-            x = np.asarray(x, dtype=float)
-            t = (x - x0) / w
-            out = np.zeros_like(t)
+        def qp(x, x0=x0, w=w):
+            t = (np.asarray(x, dtype=float) - x0) / w
             m = np.abs(t) < 1.0
-            tm = t[m]
-            out[m] = (c * np.exp(1.0 - 1.0 / (1.0 - tm ** 2))
-                      * (-2.0 * tm / (1.0 - tm ** 2) ** 2) / w)
+            out = q(x)
+            out[m] = out[m] * (-2.0 * t[m] / (1.0 - t[m] ** 2) ** 2) / w
             return out
 
         # q is flat to all orders at x0 -+ w, not analytic: panels shrink
@@ -158,12 +155,14 @@ def make_potential(spec: dict) -> Potential:
         return Potential(family, dict(params), r, q, qp, abs(c), kinks)
 
     try:
-        xs = np.asarray(params["x"], dtype=float)
-        ys = np.asarray(params["y"], dtype=float)
+        xs, ys = np.asarray(params["x"]), np.asarray(params["y"])
     except KeyError as exc:
         raise ValidationError(f"potential.params.{exc.args[0]} is missing") from None
     except (TypeError, ValueError):
         raise ValidationError("table family needs numeric x/y arrays") from None
+    if xs.dtype.kind not in "iuf" or ys.dtype.kind not in "iuf":
+        raise ValidationError("table family needs numeric x/y arrays")
+    xs, ys = xs.astype(float), ys.astype(float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValidationError("table.x and table.y must be finite")
     if xs.ndim != 1 or xs.size < 4 or xs.size != ys.size:
@@ -179,24 +178,11 @@ def make_potential(spec: dict) -> Potential:
     # scipy.optimize it loads, is about 0.3 s of every other campaign's set-up
     from scipy.interpolate import CubicSpline
 
-    spline = CubicSpline(xs, ys, bc_type="natural")
+    spline = CubicSpline(xs, ys, bc_type="natural", extrapolate=False)
     dspline = spline.derivative()
-    last = float(xs[-1])
-
-    def q(x, spline=spline, last=last):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x <= last
-        out[m] = spline(x[m])
-        return out
-
-    def qp(x, dspline=dspline, last=last):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = x <= last
-        out[m] = dspline(x[m])
-        return out
-
+    # NaN marks x outside [0, xs[-1]]; the table has decayed to 0 at its last knot
+    q = lambda x: np.nan_to_num(spline(x), nan=0.0)
+    qp = lambda x: np.nan_to_num(dspline(x), nan=0.0)
     return Potential(family, dict(params), r, q, qp, peak, tuple(xs[1:]))
 
 

@@ -38,9 +38,6 @@ BRACKET_EXPONENT = -2.0 / 3.0 + 0.05
 NEWTON_MAX_ITER = 40
 #: relative step below which a Newton step that fails to shrink is roundoff
 NEWTON_NOISE = 1e-8
-#: samples below this fraction of the eigenfunction's maximum count as
-#: zeros when its sign changes are counted
-OSCILLATION_FLOOR = 1e-8
 
 
 @dataclass
@@ -151,9 +148,9 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
 
 
 def oscillation_count(record: EigenRecord) -> int:
-    """Sign changes of the eigenfunction on (0, x_max), noise-floored."""
+    """Sign changes of the eigenfunction's nonzero Gauss samples on (0, x_max)."""
     v = record.psi.gauss_values.ravel()
-    v = v[np.abs(v) > OSCILLATION_FLOOR * np.max(np.abs(v))]
+    v = v[v != 0.0]
     return int(np.sum(np.sign(v[:-1]) * np.sign(v[1:]) < 0))
 
 

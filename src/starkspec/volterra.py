@@ -106,7 +106,6 @@ class SolutionProfile:
     It covers [0, x_max] only: the grid ends where the decaying envelope
     is negligible (see :func:`default_grid`)."""
 
-    z: float
     values: np.ndarray
     derivs: np.ndarray
     z_derivs: np.ndarray
@@ -189,6 +188,8 @@ def airy_table(w):
     w = np.asarray(w, dtype=float)
     if not np.all(np.abs(w) <= 2.0 ** 40):
         raise DomainError("airy_table: need finite |w| <= 2^40")
+    if w.size == 0:
+        return np.empty((4,) + w.shape)
     k = np.rint(w / LATTICE_STEP)
     wk = k * LATTICE_STEP
     h = w - wk                          # exact: w and w_k share the scale 2^-6
@@ -415,7 +416,7 @@ def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionP
     k_g, k_b = ws.kernel(*ws.integrals(ws.basis * vg, direction))
     lin_g, lin_b = ws.combo(*coef_dot)
     (dvg, dvb, _), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
-    return SolutionProfile(z, vb[0], vb[1], dvb[0], sweeps, residual, ws.grid, vg, dvg, dvb[1])
+    return SolutionProfile(vb[0], vb[1], dvb[0], sweeps, residual, ws.grid, vg, dvg, dvb[1])
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:

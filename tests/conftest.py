@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import starkspec as ss
+from starkspec import cli
 
 
 def _table30():
@@ -26,10 +27,12 @@ POTENTIALS = {
 
 def asym_report(recs, n_hi=40):
     """build_report on the records' residuals against both first-order
-    predictions, over n = 2..n_hi."""
+    predictions, over n = 2..n_hi, with the default noise floors."""
     ns = [n for n in sorted(recs) if 2 <= n <= n_hi]
+    tol = cli.DEFAULT_TOLERANCES
     return ss.build_report(ns, [recs[n].lam - recs[n].lam_pred for n in ns],
-                           [recs[n].kappa - recs[n].kappa_pred for n in ns])
+                           [recs[n].kappa - recs[n].kappa_pred for n in ns],
+                           tol["lambda_noise_floor"], tol["kappa_noise_floor"])
 
 
 @pytest.fixture(scope="session")

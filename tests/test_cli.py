@@ -179,6 +179,10 @@ def test_cli_exit_codes(tmp_path):
     '{"tolerances": {"wronskian": true}}',
     '{"output_dir": null}',
     '{"output_dir": 3}',
+    '{"potential": {"family": "exp", "params": {"c": "0.3", "a": 1}, "r": 2}}',
+    '{"potential": {"family": "exp", "params": {"c": true, "a": 1}, "r": 2}}',
+    '{"potential": {"family": "table", "params": {"x": ["0", "1", "2", "3"], '
+    '"y": [1, 0.5, 0, 0]}, "r": 2}}',
 ])
 def test_malformed_config_exits_with_config_error(tmp_path, config):
     cfgfile = tmp_path / "c.json"

@@ -26,6 +26,13 @@ def test_bad_mesh_is_a_domain_error(q_exp, L, h):
         ss.oracle_spectrum(q_exp, L, h, 1)
 
 
+@pytest.mark.parametrize("count", [0, 250, 1000])
+def test_count_outside_the_operator_is_a_domain_error(q_exp, count):
+    # L = 5, h = 0.02: 249 interior mesh points
+    with pytest.raises(DomainError, match="oracle_spectrum"):
+        ss.oracle_spectrum(q_exp, 5.0, 0.02, count)
+
+
 def test_free_ground_state_matches_airy_zero(q_zero):
     vals = [(h, ss.oracle_spectrum(q_zero, 40.0, h, 1)[0, 0]) for h in (0.02, 0.01, 0.005)]
     lam = richardson(vals, order=2)

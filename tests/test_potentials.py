@@ -42,10 +42,24 @@ def test_r_at_most_one_rejected():
     ({"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0, "kinks": [1.0]}, "kinks"),
     ({"family": "exp", "params": {"c": 0.3, "a": 1.0, "p": 2.0}, "r": 2.0},
      "params: unknown entry 'p'"),
+    ({"family": "exp", "params": {"c": "0.3", "a": 1}, "r": 2}, "params.c"),
+    ({"family": "exp", "params": {"c": True, "a": 1}, "r": 2}, "params.c"),
+    ({"family": "table", "params": {"x": ["0", "1", "2", "3"], "y": [1, 0.5, 0, 0]},
+      "r": 2}, "table"),
+    ({"family": "table", "params": {"x": [0, 1, 2, 3], "y": [True, False, False, False]},
+      "r": 2}, "table"),
 ])
 def test_malformed_parameters_rejected_by_name(spec, field):
     with pytest.raises(ValidationError, match=field):
         ss.make_potential(spec)
+
+
+def test_numpy_numbers_are_parameters():
+    q = ss.make_potential({"family": "bump", "params": {
+        "c": np.float32(0.5), "x0": np.int64(2), "w": np.float64(1.0)}, "r": np.int32(2)})
+    assert float(q.q(2.0)) == 0.5
+    t = ss.tabulated(np.arange(4), np.array([1, 1, 1, 0]))
+    assert np.array_equal(t.q(np.arange(4.0)), [1.0, 1.0, 1.0, 0.0])
 
 
 def test_zero_bump_has_zero_norms():
@@ -148,3 +162,46 @@ def test_omega_r_values():
     assert ss.omega_r(1.5, 1000) == pytest.approx(0.2628260885, abs=1e-9)
     with pytest.raises(DomainError):
         ss.omega_r(1.0, 3)
+
+
+def _centred_difference(f, x, h):
+    # divided by the spacing of the points as rounded, not by 2h
+    hi, lo = x + h, x - h
+    return (f(hi) - f(lo)) / (hi - lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-16.0, 16.0), st.floats(-1.0, 5.0), st.floats(0.05, 3.0),
+       st.lists(st.floats(-0.999, 0.999), min_size=1, max_size=8))
+def test_bump_slope_is_the_difference_quotient_of_its_values(c, x0, w, ts):
+    q = ss.bump(c, x0, w)
+    x = x0 + w * np.array(ts)
+    # |q'''| < 600 |c| / w^3, so the truncation error 1e-10 w^2 |q'''| / 6
+    # and the roundoff 1e-16 |c| / (1e-5 w) are both below a tenth of the bound
+    fd = _centred_difference(q.q, x, 1e-5 * w)
+    assert np.all(np.abs(q.q_prime(x) - fd) <= 1e-7 * abs(c) / w)
+    outside = x0 + w * np.array([-3.0, -1.0, 1.0, 1.5])
+    assert np.all(q.q(outside) == 0.0) and np.all(q.q_prime(outside) == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.1, 2.0), min_size=3, max_size=20).flatmap(
+    lambda gaps: st.tuples(st.just(gaps), st.lists(st.floats(-5.0, 5.0),
+                                                   min_size=len(gaps), max_size=len(gaps)))))
+def test_table_interpolates_its_knots_and_vanishes_past_the_last(sample):
+    gaps, heads = sample
+    xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    ys = np.append(heads, 0.0)
+    q = ss.tabulated(xs, ys)
+    peak = max(1.0, float(np.max(np.abs(ys))))
+    # each knot but the last starts a cubic piece whose constant term is its
+    # sample; the last ends the last piece, where the cubic is 0 to roundoff
+    assert np.array_equal(q.q(xs[:-1]), ys[:-1])
+    assert abs(float(q.q(xs[-1]))) <= 1e-12 * peak * len(xs)
+    # on a cubic the centred difference errs by h^2 |q'''| / 6, with
+    # |q'''| below 100 peak / min(gaps)^3 on these spacings
+    mid = 0.5 * (xs[1:] + xs[:-1])
+    fd = _centred_difference(q.q, mid, 1e-6 * min(gaps))
+    assert np.all(np.abs(q.q_prime(mid) - fd) <= 1e-7 * peak / min(gaps))
+    past = np.nextafter(xs[-1], np.inf) + np.array([0.0, 0.5, 10.0, 1e6])
+    assert np.all(q.q(past) == 0.0) and np.all(q.q_prime(past) == 0.0)
