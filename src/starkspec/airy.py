@@ -1,8 +1,10 @@
-"""Airy zeros, their asymptotic seeds, and the envelope margin.
+"""Airy zeros, their asymptotic seeds, the package's one Newton
+iteration, and the envelope margin.
 
-Evaluation is backed by scipy.special (AMOS); this module adds the
-refinement of the n-th Ai zero from its asymptotic seed, and the
-empirical constant of the envelope bound on a grid.
+Evaluation is backed by scipy.special (AMOS); this module adds the n-th
+Ai zero by Newton from its asymptotic seed (DLMF 9.9), the same Newton
+the eigenvalue solver runs, and the empirical constant of the envelope
+bound on a grid.
 """
 from __future__ import annotations
 
@@ -12,9 +14,13 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, NumericError
+from .errors import BracketError, DomainError
 
-__all__ = ["airy_zero", "envelope_margin", "standard_envelope_margin", "zero_seed"]
+__all__ = ["airy_zero", "envelope_margin", "newton", "standard_envelope_margin", "zero_seed"]
+
+NEWTON_MAX_ITER = 40
+#: relative step below which a Newton step that fails to shrink is roundoff
+NEWTON_NOISE = 1e-8
 
 
 def zero_seed(n: int) -> float:
@@ -27,40 +33,50 @@ def _gap_estimate(n: int) -> float:
     return (math.pi) * (1.5 * math.pi * n) ** (-1.0 / 3.0)
 
 
-def airy_zero(n: int) -> float:
-    """The n-th (negative) zero a_n of Ai, refined from the asymptotic seed
-    until |Ai(a_n)| <= 1e-12.
+def newton(step, x: float, window, what: str) -> float:
+    """Newton from ``x``: ``step(x)`` is the Newton step f(x)/f'(x), and the
+    iterate it was taken at is returned once it is converged.
 
-    Safeguarded Newton inside a bracket around the seed; the bracket
-    half-width is the remainder scale 5*n**(-4/3) clipped to a quarter of
-    the local zero spacing so it can never capture a neighboring zero.
+    Converged when the step falls to 1e-15 (1 + |x|), or to roundoff: a
+    step below NEWTON_NOISE (1 + |x|) that is not a quarter of the last
+    one, as every step in Newton's quadratic range would be. Iterates that
+    leave ``window`` raise BracketError naming ``what``, as does running
+    NEWTON_MAX_ITER steps.
     """
-    if n < 1:
-        raise DomainError("airy_zero: n must be >= 1")
+    lo, hi = window
+    prev = math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        dx = step(x)
+        scale = 1.0 + abs(x)
+        if abs(dx) <= 1e-15 * scale or NEWTON_NOISE * scale >= abs(dx) >= 0.25 * prev:
+            return x
+        prev = abs(dx)
+        x -= dx
+        if not lo <= x <= hi:
+            raise BracketError(f"Newton step to {what} = {x!r} left the window "
+                               f"[{lo!r}, {hi!r}]")
+    raise BracketError(f"Newton did not converge in {NEWTON_MAX_ITER} steps; "
+                       f"last {what} = {x!r}, step {dx:.3g}")
+
+
+def airy_zero(n: int) -> float:
+    """The n-th (negative) zero a_n of Ai, by :func:`newton` from the
+    asymptotic seed with Ai and Ai' from one AMOS call per iterate.
+
+    The window around the seed has half-width the remainder scale
+    5*n**(-4/3) clipped to a quarter of the local zero spacing, so it can
+    never capture a neighboring zero.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"airy_zero: n must be an int >= 1, got {n!r}")
     seed = zero_seed(n)
     half = min(5.0 * n ** (-4.0 / 3.0), 0.25 * _gap_estimate(n))
-    lo, hi = seed - half, seed + half
-    flo = float(special.airy(lo)[0])
-    fhi = float(special.airy(hi)[0])
-    if flo * fhi > 0:
-        raise NumericError(f"airy_zero: no sign change in bracket for n={n}")
-    x = seed
-    fx, dfx = map(float, special.airy(x)[:2])     # Ai and Ai' from one call
-    for _ in range(100):
-        step = fx / dfx if dfx != 0.0 else math.inf
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)  # bisection fallback
-        f_new, df_new = map(float, special.airy(x_new)[:2])
-        if f_new * flo > 0:
-            lo, flo = x_new, f_new
-        else:
-            hi, fhi = x_new, f_new
-        x, fx, dfx = x_new, f_new, df_new
-        if abs(fx) <= 1e-12:
-            return x
-    raise NumericError(f"airy_zero: refinement did not converge for n={n} "
-                       f"(last residual {fx:.3e})")
+
+    def step(x):
+        ai, aip = special.airy(x)[:2]
+        return float(ai / aip)
+
+    return newton(step, seed, (seed - half, seed + half), f"a_{n}")
 
 
 def envelope_margin(grid) -> float:

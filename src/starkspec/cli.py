@@ -162,8 +162,7 @@ def _oracle_length(n_max: int) -> float:
     return -airy_zero(n_max) + envelope_offset() + 5.0
 
 
-def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list,
-                  with_oracle: bool, with_pred: bool):
+def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list, with_oracle: bool):
     ns = list(range(cfg.n_min, cfg.n_max + 1))
     records = {}
     for n in ns:
@@ -181,18 +180,16 @@ def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list,
     rows = []
     for n in ns:
         rec = records[n]
-        lam_p = rec.lam_pred if with_pred else float("nan")
-        kap_p = rec.kappa_pred if with_pred else float("nan")
         rows.append({
             "n": n,
             "lambda_shoot": rec.lam,
             "lambda_oracle": lam_o[n],
-            "lambda_pred": lam_p,
-            "lambda_resid": rec.lam - lam_p,
+            "lambda_pred": rec.lam_pred,
+            "lambda_resid": rec.lam - rec.lam_pred,
             "kappa_shoot": rec.kappa,
             "kappa_oracle": kap_o[n],
-            "kappa_pred": kap_p,
-            "kappa_resid": rec.kappa - kap_p,
+            "kappa_pred": rec.kappa_pred,
+            "kappa_resid": rec.kappa - rec.kappa_pred,
             "omega_r": omega_r(q.r, n),
         })
     return rows, records
@@ -295,15 +292,14 @@ def _check_invariants(q, records, cfg):
     }
 
 
-def run_verify(config: ExperimentConfig, with_pred: bool = True):
+def run_verify(config: ExperimentConfig):
     """Run the campaign and write results.csv, summary.json, log.txt.
 
     Shooting always runs, and the oracle when ``config.methods`` names it;
     log.txt's ``methods:`` line names what ran. The checks are
     ``config.checks``. Returns (exit_code, summary). Files are only written
     once the whole computation has finished, so failures leave no partial
-    outputs. The asymptotics checks fit the rows' predictions, so enabling
-    one computes them even when ``with_pred`` is off.
+    outputs.
     """
     q = make_potential(config.potential)
     use_oracle = "oracle" in config.methods
@@ -311,7 +307,7 @@ def run_verify(config: ExperimentConfig, with_pred: bool = True):
            f"n range: {config.n_min}..{config.n_max}",
            "methods: shooting,oracle" if use_oracle else "methods: shooting"]
     with_asym = "eigen_asym" in config.checks or "kappa_asym" in config.checks
-    rows, records = _compute_rows(q, config, log, use_oracle, with_pred or with_asym)
+    rows, records = _compute_rows(q, config, log, use_oracle)
 
     checks = {}
     slopes = {}
@@ -425,7 +421,7 @@ def main(argv=None) -> int:
         elif args.command == "asympt":
             cfg.methods = ("shooting",)
             cfg.checks = tuple(c for c in cfg.checks if c.endswith("asym"))
-        code, _ = run_verify(cfg, with_pred=args.command != "eig")
+        code, _ = run_verify(cfg)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

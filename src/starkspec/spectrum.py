@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import airy_zero
+from .airy import airy_zero, newton
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
@@ -35,9 +35,6 @@ __all__ = [
 
 BRACKET_COEFF = 4.0
 BRACKET_EXPONENT = -2.0 / 3.0 + 0.05
-NEWTON_MAX_ITER = 40
-#: relative step below which a Newton step that fails to shrink is roundoff
-NEWTON_NOISE = 1e-8
 
 
 @dataclass
@@ -68,38 +65,27 @@ def _norm_sq_from_profile(prof: SolutionProfile) -> float:
 
 
 def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
-    """Newton on the shooting function from ``lam``, starting on ``ws``;
-    returns the root and its profile. Each iterate solves on the Workspace
-    that :func:`workspace` picks from the last one, so the root is solved
-    on a grid on which the envelope decays before x_max.
-
-    Converged when the step falls to 1e-15 (1 + |lam|), or to roundoff: a
-    step below NEWTON_NOISE (1 + |lam|) that is not a quarter of the last
-    one, as every step in Newton's quadratic range would be. Iterates that
-    leave ``window`` raise.
+    """:func:`newton` on the shooting function from ``lam``, starting on
+    ``ws``; returns the root and its profile. Each iterate solves on the
+    Workspace that :func:`workspace` picks from the last one, so the root
+    is solved on a grid on which the envelope decays before x_max.
     """
-    lo, hi = window
-    prev = math.inf
-    for _ in range(NEWTON_MAX_ITER):
+    prof = None
+
+    def step(z):
+        nonlocal ws, prof
         try:
-            ws = workspace(q, lam, ws)
-            prof = solve_psi(q, lam, ws)
+            ws = workspace(q, z, ws)
+            prof = solve_psi(q, z, ws)
         except StarkSpecError as err:
-            raise type(err)(f"at z = {lam!r}: {err}") from err
+            raise type(err)(f"at z = {z!r}: {err}") from err
         psi_dot0 = float(prof.z_derivs[0])
         if psi_dot0 == 0.0:
-            raise DegeneracyError(f"psi_dot(0) vanished at z = {lam!r}")
-        step = float(prof.values[0]) / psi_dot0
-        scale = 1.0 + abs(lam)
-        if abs(step) <= 1e-15 * scale or NEWTON_NOISE * scale >= abs(step) >= 0.25 * prev:
-            return lam, prof
-        prev = abs(step)
-        lam -= step
-        if not lo <= lam <= hi:
-            raise BracketError(f"Newton step to z = {lam!r} left the window "
-                               f"[{lo!r}, {hi!r}]")
-    raise BracketError(f"Newton did not converge in {NEWTON_MAX_ITER} steps; "
-                       f"last z = {lam!r}, step {step:.3g}")
+            raise DegeneracyError(f"psi_dot(0) vanished at z = {z!r}")
+        return float(prof.values[0]) / psi_dot0
+
+    root = newton(step, lam, window, "z")
+    return root, prof
 
 
 def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:

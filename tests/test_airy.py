@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from starkspec import airy, airy_zero, envelope_margin
-from starkspec.airy import zero_seed
-from starkspec.errors import DomainError
+from starkspec import airy, airy_zero, envelope_margin, exp_decay, locate_eigenvalue
+from starkspec.airy import NEWTON_MAX_ITER, newton, zero_seed
+from starkspec.errors import BracketError, DomainError
 from references import airy_eval, envelope
 
 
@@ -90,8 +90,11 @@ def test_domain_errors():
         airy_eval(float("nan"))
     with pytest.raises(DomainError):
         airy_eval(201.0)
+    for n in (0, -3, True, 2.5, 3.0, "3", None):
+        with pytest.raises(DomainError):
+            airy_zero(n)
     with pytest.raises(DomainError):
-        airy_zero(0)
+        locate_eigenvalue(exp_decay(0.3, 1.0), 3.0)
 
 
 def test_first_zero_seed_and_refinement():
@@ -120,8 +123,8 @@ def test_zeros_decrease_and_residuals_small():
 
 
 def test_airy_zero_takes_ai_and_its_slope_from_one_call(monkeypatch):
-    # the two bracket ends, then one AMOS call per iterate gives Ai and Ai':
-    # five calls per zero for n = 1..60, and no point evaluated twice
+    # one AMOS call per Newton iterate gives Ai and Ai': three calls per
+    # zero for n = 1..60, and no point evaluated twice
     calls = []
 
     def counted(x):
@@ -131,7 +134,45 @@ def test_airy_zero_takes_ai_and_its_slope_from_one_call(monkeypatch):
     monkeypatch.setattr(airy, "special", SimpleNamespace(airy=counted))
     for n in range(1, 61):
         assert abs(special.airy(airy_zero(n))[0]) <= 1e-12
-    assert len(calls) == 300 and len(set(calls)) == len(calls)
+    assert len(calls) == 180 and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("n", [1, 60, 91, 134, 1000, 2000, 19672])
+def test_airy_zero_matches_mpmath(n):
+    # at n = 19672 rounding keeps |Ai| near 1.25e-12 even at the correctly
+    # rounded zero, so no residual test on Ai could stop there
+    mp.mp.dps = 30
+    ref = mp.airyaizero(n)
+    assert abs(airy_zero(n) - ref) <= 4.5e-16 * abs(ref)
+
+
+def test_newton_reaches_sqrt2_within_one_ulp():
+    root = newton(lambda x: (x * x - 2.0) / (2.0 * x), 1.0, (0.5, 2.0), "x")
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+
+def test_newton_stops_on_roundoff():
+    # steps that stall at 1e-12 never reach 1e-15 (1 + |x|); the second
+    # one is not a quarter of the first, so it is roundoff
+    calls = []
+
+    def stalled(x):
+        calls.append(x)
+        return 1e-12
+
+    assert newton(stalled, 1.0, (0.0, 2.0), "x") == 1.0 - 1e-12
+    assert len(calls) == 2
+
+
+def test_newton_leaving_the_window_raises():
+    with pytest.raises(BracketError, match=r"to y = 1\.5 left the window \[0\.0, 1\.25\]"):
+        newton(lambda x: -0.5, 1.0, (0.0, 1.25), "y")
+
+
+def test_newton_that_does_not_converge_raises():
+    # a Newton cycle between 1.0 and 0.9 never shrinks its step
+    with pytest.raises(BracketError, match=f"did not converge in {NEWTON_MAX_ITER} steps"):
+        newton(lambda x: 0.1 if x > 0.95 else -0.1, 1.0, (0.0, 2.0), "x")
 
 
 def test_seed_accuracy_constant_is_stable():

@@ -343,15 +343,18 @@ def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):
 
 
 def test_cli_eig_subcommand(tmp_path):
+    potential = {"family": "exp", "params": {"c": 0.1, "a": 1.0}, "r": 2.0}
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({
-        "potential": {"family": "exp", "params": {"c": 0.1, "a": 1.0}, "r": 2.0},
-        "n_max": 2, "methods": ["shooting"], "checks": [],
+        "potential": potential, "n_max": 2, "methods": ["shooting"], "checks": [],
         "output_dir": str(tmp_path / "out")}))
     assert cli.main(["eig", "--config", str(cfgfile), "--n-max", "2"]) == cli.EXIT_OK
     lines = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
     row = dict(zip(cli.CSV_COLUMNS, lines[1].split(",")))
-    assert row["lambda_pred"] == "nan"
+    # eig writes the predictions its records already hold
+    rec = spectrum.locate_eigenvalue(cli.make_potential(potential), 1)
+    assert row["lambda_pred"] == cli._fmt(rec.lam_pred)
+    assert row["kappa_pred"] == cli._fmt(rec.kappa_pred)
     assert float(row["lambda_shoot"]) > 2.3
 
 
