@@ -6,8 +6,8 @@ Newton from its first-order prediction, with the z-derivative of the
 same solve as slope, on one grid whose Airy table at -a_n also gives
 both predictions, and certified by the eigenfunction's oscillation
 count. The norming constant is log(-psi'(0) / psi_dot(0)). Its gradient
-reads psi and psi_dot from the record's profile, and psi_ddot(0) from
-Green's identity on them; s and c take the only solve.
+perturbs the normalized eigenfunction to first order: one backward solve
+of psi's own equation with a source, on the record's grid.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from .airy import airy_zero, newton
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
-from .volterra import Grid, SolutionProfile, Workspace, solve_psi, solve_sc, workspace
+from .volterra import Grid, SolutionProfile, Workspace, solve_psi, solve_source, workspace
+from .volterra import solve_sc  # noqa: F401  (bench/tracing.py wraps it by name)
 
 __all__ = [
     "EigenRecord",
@@ -160,11 +161,6 @@ def paired_record(q: Potential, n: int, v: Potential,
     return locate_eigenvalue(blend(q, v, 0.0), n)
 
 
-def _pair_with_direction(prof_values, grid: Grid, v: Potential) -> float:
-    vv = np.asarray(v.q(grid.gauss_x))
-    return float(np.sum(grid.weights * prof_values * vv))
-
-
 def lambda_directional_derivative(q: Potential, n: int, v: Potential,
                                   record: EigenRecord | None = None) -> float:
     """Derivative of the n-th eigenvalue along v: integral of eta_n^2 v.
@@ -174,37 +170,29 @@ def lambda_directional_derivative(q: Potential, n: int, v: Potential,
     ``record`` is paired as :func:`paired_record` pairs it.
     """
     rec = paired_record(q, n, v, record)
-    norm_sq = -rec.psi_prime0 * rec.psi_dot0
-    eta2 = rec.psi.gauss_values ** 2 / norm_sq
-    return _pair_with_direction(eta2, rec.psi.grid, v)
+    grid = rec.psi.grid
+    eta2 = rec.psi.gauss_values ** 2 / (-rec.psi_prime0 * rec.psi_dot0)
+    return float(np.sum(grid.weights * eta2 * np.asarray(v.q(grid.gauss_x))))
 
 
 def kappa_directional_derivative(q: Potential, n: int, v: Potential,
                                  record: EigenRecord | None = None) -> float:
-    """Derivative of the n-th norming constant along v.
-
-    Assembles the two gradient pieces: the psi'- and psi_dot-gradient
-    integrals built from the s, c, s_dot profiles at the eigenvalue, plus
-    the second-derivative bracket B_n multiplying the eigenvalue gradient.
-    B_n takes psi_dot'(0) from the record's z-derivative profile and
-    psi_ddot(0) from Green's identity psi'(0) psi_ddot(0) = -2 int psi psi_dot:
-    psi_ddot solves -f'' + (x + q - z) f = 2 psi_dot, so the Wronskian of
-    psi and psi_ddot has derivative -2 psi psi_dot, and psi(0) = 0. The
-    pairing stops at x_max: kappa does not change when psi is rescaled, and
-    mass of v beyond the grid only rescales psi on it. One solve_sc call on
-    the record's grid is the only solve; ``record`` is paired as
-    :func:`paired_record` pairs it.
+    """Derivative of the n-th norming constant along v, by first-order
+    perturbation of eta = psi / ||psi||: kappa = log(eta'(0)^2), so
+    d kappa = 2 d eta'(0) / eta'(0), with d eta = u - <u, eta> eta and
+    (H_q - lambda) u = (d lambda - v) eta. On psi's scale, with
+    ||psi||^2 = -psi'(0) psi_dot(0) and g = (d lambda - v) psi,
+    d kappa = 2 (u'(0) / psi'(0) - <u, psi> / ||psi||^2). g is orthogonal
+    to psi, so u(0) = 0 by Green's identity; u + t psi gives the same
+    value, so u starts from zero data at x_max, where the pairings stop:
+    mass of v beyond only rescales psi on the grid. ``record`` is paired
+    as :func:`paired_record` pairs it.
     """
     rec = paired_record(q, n, v, record)
-    prof = rec.psi
-    grid = prof.grid
-    s_prof, c_prof = solve_sc(q, rec.lam, grid)
-    psi_g, psidot_g = prof.gauss_values, prof.gauss_z_derivs
-    integrand = (-c_prof.gauss_values * psi_g / rec.psi_prime0
-                 - (s_prof.gauss_z_derivs * psi_g + s_prof.gauss_values * psidot_g)
-                 / rec.psi_dot0)
-    # psi psi_dot past x_max is below the squared envelope tail
-    psi_ddot0 = -2.0 * float(np.sum(grid.weights * psi_g * psidot_g)) / rec.psi_prime0
-    b_n = float(prof.z_derivs_prime[0]) / rec.psi_prime0 - psi_ddot0 / rec.psi_dot0
-    return (_pair_with_direction(integrand, grid, v)
-            + b_n * lambda_directional_derivative(q, n, v, rec))
+    psi, grid = rec.psi.gauss_values, rec.psi.grid
+    norm_sq = -rec.psi_prime0 * rec.psi_dot0
+    psi_v = psi * np.asarray(v.q(grid.gauss_x))
+    d_lam = float(np.sum(grid.weights * psi * psi_v)) / norm_sq
+    u_g, u_b = solve_source(q, rec.lam, grid, d_lam * psi - psi_v)
+    return 2.0 * (float(u_b[1, 0]) / rec.psi_prime0
+                  - float(np.sum(grid.weights * u_g * psi)) / norm_sq)

@@ -42,6 +42,7 @@ __all__ = [
     "solve_psi",
     "solve_theta",
     "solve_sc",
+    "solve_source",
     "workspace",
     "DECAY_LENGTH",
     "DEFAULT_TAIL_TOL",
@@ -114,9 +115,6 @@ class SolutionProfile:
     grid: Grid
     # Gauss-node samples, used for downstream quadratures
     gauss_values: np.ndarray
-    gauss_z_derivs: np.ndarray
-    # d/dx of the z-derivative at the nodes (gradient assembly needs it at 0)
-    z_derivs_prime: np.ndarray
 
 
 def envelope_offset() -> float:
@@ -415,8 +413,8 @@ def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionP
     sgn = -1.0 if direction == "back" else 1.0
     k_g, k_b = ws.kernel(*ws.integrals(ws.basis * vg, direction))
     lin_g, lin_b = ws.combo(*coef_dot)
-    (dvg, dvb, _), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
-    return SolutionProfile(vb[0], vb[1], dvb[0], sweeps, residual, ws.grid, vg, dvg, dvb[1])
+    (_, dvb, _), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
+    return SolutionProfile(vb[0], vb[1], dvb[0], sweeps, residual, ws.grid, vg)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
@@ -451,3 +449,16 @@ def solve_sc(q: Potential, z: float, grid: Grid | Workspace | None = None):
     ws = workspace(q, z, grid)
     return (_solve(ws, z, ws.match(0, 0.0, 1.0), (0.0, 0.0), "fwd"),
             _solve(ws, z, ws.match(0, 1.0, 0.0), (0.0, 0.0), "fwd"))
+
+
+def solve_source(q: Potential, z: float, grid: Grid, g):
+    """Gauss values and boundary value and x-derivative rows of the
+    solution of -u'' + (x + q - z) u = g, g at the Gauss nodes of ``grid``,
+    with zero data at x_max: one backward Picard solve seeded by
+    int_x^{x_max} J0 g. g must decay like psi, since J0 weighs it by the
+    growing theta0: with g = exp(-x), Green's identity
+    psi(0) u'(0) - psi'(0) u(0) = int psi g held only to 2.8e-8.
+    """
+    ws = workspace(q, z, grid)
+    (u_g, u_b, _), _ = ws.picard(ws.kernel(*ws.integrals(ws.basis * g, "back")), "back", z)
+    return u_g, u_b

@@ -180,28 +180,43 @@ def test_kappa_gradient_with_slow_direction(c, v, oracle):
         assert dk == pytest.approx((4.0 * diff(5e-3) - diff(1e-2)) / 3.0, rel=1e-5)
 
 
-def test_kappa_gradient_solves_only_the_fundamental_pair(records_cache, monkeypatch):
-    # psi and psi_dot come from a record paired with v; s and c need one
-    # solve, and psi_ddot(0) comes from Green's identity, not from solves at
-    # nearby z
+def test_kappa_gradient_runs_one_source_solve(records_cache, monkeypatch):
+    # psi and psi_dot come from a record paired with v; the perturbation of
+    # the normalized eigenfunction is one source solve, one Picard solve
     calls = Counter()
 
-    def count(name):
-        fn = getattr(spectrum, name)
+    def count(owner, name):
+        fn = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     q, recs = records_cache("exp+", 1)
     v = ss.bump(1.0, 2.0, 1.0, r=2.0)
     rec = spectrum.paired_record(q, 1, v, recs[1])
-    count("solve_psi")
-    count("solve_sc")
+    count(spectrum, "solve_psi")
+    count(spectrum, "solve_sc")
+    count(volterra.Workspace, "picard")
     ss.kappa_directional_derivative(q, 1, v, rec)
-    assert calls == {"solve_sc": 1}
+    assert calls == {"picard": 1}
+
+
+@pytest.mark.parametrize("q, n, v", [
+    (ss.exp_decay(-8.0, 0.5), 1, ss.bump(1.0, 2.0, 1.0)),
+    (ss.exp_decay(-8.0, 0.5), 5, ss.bump(1.0, 2.0, 1.0)),
+    (ss.exp_decay(8.0, 1.0), 5, ss.exp_decay(1.0, 1.0)),
+], ids=["exp-8-n1", "exp-8-n5", "exp8-n5"])
+def test_gradients_match_finite_differences_on_strong_potentials(q, n, v):
+    h = 1e-4
+    plus, minus = (ss.locate_eigenvalue(ss.blend(q, v, t), n) for t in (h, -h))
+    rec = ss.locate_eigenvalue(q, n)
+    assert ss.lambda_directional_derivative(q, n, v, rec) == pytest.approx(
+        (plus.lam - minus.lam) / (2 * h), rel=1e-6)
+    assert ss.kappa_directional_derivative(q, n, v, rec) == pytest.approx(
+        (plus.kappa - minus.kappa) / (2 * h), rel=1e-6)
 
 
 def test_kappa_gradient_zero_direction(zero_records):
