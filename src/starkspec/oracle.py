@@ -1,11 +1,16 @@
 """Independent ground truth: tridiagonal discretization plus Richardson.
 
-Second-order central differences with Dirichlet clipping at 0 and L;
-eigenvalues by LAPACK Sturm-sequence bisection (stebz), which targets
-only the lowest indices and is bit-reproducible, and norming constants
-from the eigenvectors of the same decomposition. The artificial wall at
-L is admissible because eigenfunctions decay doubly-exponentially past
-their turning point.
+Second-order central differences with Dirichlet clipping at 0 and L.
+Sturm-sequence bisection (LAPACK stebz, eigenvalues only) brackets the
+lowest eigenvalues to BRACKET_TOL, which certifies which eigenvalue is
+the n-th (Barth, Martin and Wilkinson, Numer. Math. 9, 1967); close pairs
+are bisected again at full precision. Rayleigh-quotient iteration on
+tridiagonal solves (LAPACK gtsv), started at each bracket's centre, then
+gives the digits and the eigenvector in about three solves (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4), and the norming constants come from
+those vectors. Each eigenvalue must land in its own bracket. The
+artificial wall at L is admissible because eigenfunctions decay
+doubly-exponentially past their turning point.
 """
 from __future__ import annotations
 
@@ -14,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, NumericError, TruncationError
 from .potentials import Potential
 
 __all__ = [
@@ -29,6 +35,13 @@ __all__ = [
 
 DEFAULT_MESHES = (0.02, 0.01, 0.005)
 _EDGE_MASS_TOL = 1e-8
+#: LAPACK's bisection stops at intervals this wide, so each eigenvalue lies
+#: within BRACKET_TOL of its interval's centre: that is its Sturm bracket
+BRACKET_TOL = 1e-2
+#: Rayleigh-quotient iteration stops when two successive quotients agree to
+#: _RQI_TOL (1 + |quotient|), and raises after _RQI_MAX_SOLVES solves
+_RQI_TOL = 1e-12
+_RQI_MAX_SOLVES = 10
 
 
 @dataclass(frozen=True)
@@ -37,6 +50,7 @@ class DiscreteOperator:
     h: float
     diag: np.ndarray
     offdiag: np.ndarray
+    potential: np.ndarray  # x + q(x) at the nodes, the diagonal less 2/h^2
 
     @property
     def dim(self) -> int:
@@ -51,14 +65,14 @@ def build_operator(q: Potential, L: float, h: float) -> DiscreteOperator:
     if m < 3:
         raise DomainError("build_operator: domain shorter than a few mesh cells")
     x = h * np.arange(1, m + 1)
-    diag = 2.0 / h ** 2 + x + np.asarray(q.q(x))
+    qx = np.asarray(q.q(x))
+    diag = 2.0 / h ** 2 + x + qx
     offdiag = np.full(m - 1, -1.0 / h ** 2)
-    return DiscreteOperator(L, h, diag, offdiag)
+    return DiscreteOperator(L, h, diag, offdiag, x + qx)
 
 
-def _check_edge_mass(op: DiscreteOperator, v: np.ndarray, count: int):
+def _check_edge_mass(op: DiscreteOperator, vn: np.ndarray, count: int):
     tail_nodes = int(math.ceil(0.1 * op.dim))
-    vn = v[:, count - 1]
     mass = float(np.sum(vn[-tail_nodes:] ** 2) / np.sum(vn ** 2))
     if mass > _EDGE_MASS_TOL:
         raise TruncationError(
@@ -66,20 +80,77 @@ def _check_edge_mass(op: DiscreteOperator, v: np.ndarray, count: int):
             f"10% of [0, {op.L:g}]; enlarge L")
 
 
+def _brackets(op: DiscreteOperator, top: int):
+    """Centres and radii of disjoint Sturm brackets of eigenvalues 0..top.
+    Brackets within 2 BRACKET_TOL of each other are bisected again at full
+    precision, in one call over the index range they span; each radius is
+    at most half the distance to a neighbouring centre, so a bracket holds
+    its own eigenvalue and no other."""
+    w = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, top),
+                         eigvals_only=True, tol=BRACKET_TOL)
+    close = np.flatnonzero(np.diff(w) - 2.0 * BRACKET_TOL <= 2.0 * BRACKET_TOL)
+    if close.size:
+        lo, hi = close[0], close[-1] + 1
+        w[lo:hi + 1] = eigh_tridiagonal(op.diag, op.offdiag, select="i",
+                                        select_range=(lo, hi), eigvals_only=True)
+    gap = np.diff(w)
+    radius = np.minimum(BRACKET_TOL, 0.5 * np.minimum(np.r_[np.inf, gap], np.r_[gap, np.inf]))
+    return w, radius
+
+
+def _rqi(op: DiscreteOperator, shift: float, n: int):
+    """(lambda, unit eigenvector) by Rayleigh-quotient iteration from
+    `shift` and the vector of ones. The quotient is taken in difference
+    form, which does not cancel against the 2/h^2 diagonal. It stops when
+    two successive quotients agree: a start already at the eigenvalue
+    still takes a second solve, since one solve leaves the vector
+    polluted by close neighbours while the quotient (quadratic in that
+    pollution) has stopped moving."""
+    x, previous = np.ones(op.dim), math.nan
+    for _ in range(_RQI_MAX_SOLVES):
+        x, info = dgtsv(op.offdiag, op.diag - shift, op.offdiag, x)[3:]
+        if info != 0:
+            raise NumericError(f"n={n}, stage oracle RQI: dgtsv info = {info} at shift "
+                               f"{shift!r}, h = {op.h:g}")
+        x /= np.linalg.norm(x)
+        dx = np.diff(x)
+        shift = ((x[0] ** 2 + x[-1] ** 2 + dx @ dx) / op.h ** 2
+                 + (op.potential * x) @ x) / (x @ x)
+        if abs(shift - previous) <= _RQI_TOL * (1.0 + abs(shift)):
+            return shift, x
+        previous = shift
+    raise NumericError(f"n={n}, stage oracle RQI: no convergence in {_RQI_MAX_SOLVES} "
+                       f"solves at h = {op.h:g}; last shift {shift!r}")
+
+
 def oracle_spectrum(q: Potential, L: float, h: float, count: int) -> np.ndarray:
     """Lowest `count` discrete eigenvalues and norming constants at mesh
-    width h, as the rows of a (2, count) array, from one eigendecomposition."""
+    width h, as the rows of a (2, count) array. Sturm brackets label the
+    eigenvalues (one more than `count` is bracketed, so the last label is
+    certified too); Rayleigh-quotient iteration from each bracket gives
+    the eigenvalue and the eigenvector its norming constant is read from."""
     op = build_operator(q, L, h)
     if not 1 <= count <= op.dim:
         raise DomainError(f"oracle_spectrum: count must lie in [1, {op.dim}], the "
                           f"operator's dimension; got {count!r}")
-    w, v = eigh_tridiagonal(op.diag, op.offdiag, select="i",
-                            select_range=(0, count - 1))
-    _check_edge_mass(op, v, count)
-    v = v / np.sqrt(h * np.sum(v ** 2, axis=0))
+    centre, radius = _brackets(op, min(count, op.dim - 1))
+    lam = np.empty(count)
+    ends = np.empty((2, count))
+    for j in range(count):
+        lam[j], x = _rqi(op, centre[j], j + 1)
+        if not abs(lam[j] - centre[j]) <= radius[j]:
+            raise NumericError(
+                f"n={j + 1}, stage oracle RQI: lambda = {lam[j]!r} left its bracket "
+                f"[{centre[j] - radius[j]!r}, {centre[j] + radius[j]!r}] at h = {h:g}")
+        ends[:, j] = x[:2] / math.sqrt(h * (x @ x))
+    bad = np.flatnonzero(np.diff(lam) <= 0.0)
+    if bad.size:
+        raise NumericError(f"n={bad[0] + 2}, stage oracle RQI: lambda does not increase "
+                           f"past n={bad[0] + 1} at h = {h:g}")
+    _check_edge_mass(op, x, count)  # x is the count-th eigenvector
     # one-sided second-order derivative at 0 with psi(0) = 0
-    dpsi0 = (4.0 * v[0, :] - v[1, :]) / (2.0 * h)
-    return np.stack((w, np.log(dpsi0 ** 2)))
+    dpsi0 = (4.0 * ends[0] - ends[1]) / (2.0 * h)
+    return np.stack((lam, np.log(dpsi0 ** 2)))
 
 
 def richardson(values, order: int):

@@ -1,12 +1,15 @@
 """Independent references for the tests: scalar Airy values and their
 envelope, the unperturbed basis and its Green kernel, the weighted norms
-and omega of a potential, and the potential scaled by a constant.
+and omega of a potential, the potential scaled by a constant, and the
+oracle's eigenpairs by LAPACK's full-precision path.
 
 They stay independent of the solver on purpose. Each value comes from one
 scipy.special (AMOS) call at one point, and each integral from adaptive
 QUADPACK quadrature, so none shares the solver's Airy tables (Taylor steps
 from a lattice) or its Gauss panel grids: a fault in either shows up as a
-disagreement with these, not as two copies of the same error.
+disagreement with these, not as two copies of the same error. The oracle
+reference shares only the discrete operator with the oracle; its
+eigenvalues and eigenvectors come from another LAPACK path.
 """
 from __future__ import annotations
 
@@ -16,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
+from scipy.linalg import eigh_tridiagonal
 
 from starkspec.errors import DomainError, NumericError
+from starkspec.oracle import build_operator
 
 _SQRT_PI = math.sqrt(math.pi)
 #: beyond this the plain Bi overflows / Ai underflows; switch to the scaled form
@@ -248,3 +253,16 @@ def scaled(q, t: float):
     fq, fqp = q.q, q.q_prime
     return dataclasses.replace(q, q=lambda x: t * fq(x), q_prime=lambda x: t * fqp(x),
                                sup_norm=abs(t) * q.sup_norm)
+
+
+# -- the oracle at full precision ---------------------------------------------
+
+def oracle_spectrum_full(q, L: float, h: float, count: int) -> np.ndarray:
+    """starkspec.oracle_spectrum by full-precision LAPACK: the eigenvalues
+    by Sturm bisection (stebz), the eigenvectors by inverse iteration
+    (stein), and kappa from those vectors' one-sided derivative at 0."""
+    op = build_operator(q, L, h)
+    w, v = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, count - 1))
+    v = v / np.sqrt(h * np.sum(v ** 2, axis=0))
+    dpsi0 = (4.0 * v[0] - v[1]) / (2.0 * h)
+    return np.stack((w, np.log(dpsi0 ** 2)))

@@ -1,4 +1,5 @@
-"""Strong-potential sweeps: locate_eigenvalue over two fixed parameter grids.
+"""Strong-potential sweeps: locate_eigenvalue and the oracle over two
+fixed parameter grids.
 
 Runs by hand, not under pytest (the name does not match ``test_*.py``):
 
@@ -9,19 +10,25 @@ The exp sweep solves every index n = 1..10 of exp(c, a), c in {+-1, +-4,
 solves n = 1..8 of alg(c, 3), alg(c, 1.3, r = 1.5), bump(c, 2, 1) and
 bump(c, 3, 2.5), c in {+-4, +-8, +-16}: 192 indices. OUT.json maps
 "family(params),n" to [lambda, kappa], or to the error text when the index
-raises. Given BASELINE.json, a file this script wrote before, it prints,
-per sweep, the indices that raise in each file and the largest |d lambda|
-and |d kappa| over the indices that solve in both. It exits 1 when the
-baseline lacks an index, the two files raise on different indices, or an
-index that solves in both moved by more than TOL in lambda or kappa (the
-self-convergence target), so a change that should move nothing can be
-checked by exit code.
+raises. The oracle sweep runs extrapolated_spectrum(q, ORACLE_L,
+ORACLE_COUNT) on each of those 60 potentials and maps "oracle
+family(params)" to [lambdas, kappas], or to the error text. Given
+BASELINE.json, a file this script wrote before, it prints, per sweep, the
+entries that raise in each file and the largest |d lambda| and |d kappa|
+over the entries that solve in both. It exits 1 when the baseline lacks an
+entry, the two files raise on different entries, or an entry that solves
+in both moved by more than its sweep's tolerance in lambda or kappa (TOL,
+the self-convergence target, for the solver; ORACLE_TOL for the oracle),
+so a change that should move nothing can be checked by exit code.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import time
+
+import numpy as np
 
 import starkspec as ss
 
@@ -29,6 +36,9 @@ EXP_C = (1.0, -1.0, 4.0, -4.0, 8.0, -8.0, 12.0, -12.0, 16.0, -16.0, 20.0, -20.0)
 EXP_A = (0.5, 1.0, 2.0)
 FAMILY_C = (4.0, -4.0, 8.0, -8.0, 16.0, -16.0)
 TOL = 1e-12
+ORACLE_L = 40.0
+ORACLE_COUNT = 10
+ORACLE_TOL = 1e-9
 
 
 def _exp_sweep():
@@ -45,39 +55,60 @@ def _family_sweep():
         yield f"bump({c:g},3,2.5)", ss.bump(c, 3.0, 2.5), range(1, 9)
 
 
-SWEEPS = {"exp": _exp_sweep, "family": _family_sweep}
+def _attempt(solve):
+    try:
+        return solve()
+    except ss.StarkSpecError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _locate(q, n):
+    rec = ss.locate_eigenvalue(q, n)
+    return [rec.lam, rec.kappa]
 
 
 def sweep(cases) -> dict:
-    out = {}
-    for label, q, indices in cases:
-        for n in indices:
-            try:
-                rec = ss.locate_eigenvalue(q, n)
-                out[f"{label},{n}"] = [rec.lam, rec.kappa]
-            except ss.StarkSpecError as exc:
-                out[f"{label},{n}"] = f"{type(exc).__name__}: {exc}"
-    return out
+    return {f"{label},{n}": _attempt(lambda: _locate(q, n))
+            for label, q, indices in cases for n in indices}
 
 
-def compare(new: dict, old: dict) -> bool:
-    """Print the raising indices of both tables and the largest moves;
-    True when both hold the same indices, raise on the same ones, and
-    nothing moved past TOL."""
+def oracle_sweep(cases) -> dict:
+    return {f"oracle {label}": _attempt(lambda: [
+        row.tolist() for row in ss.extrapolated_spectrum(q, ORACLE_L, ORACLE_COUNT)])
+        for label, q, _ in cases}
+
+
+#: name -> (run, tolerance)
+SWEEPS = {
+    "exp": (lambda: sweep(_exp_sweep()), TOL),
+    "family": (lambda: sweep(_family_sweep()), TOL),
+    "oracle": (lambda: oracle_sweep(itertools.chain(_exp_sweep(), _family_sweep())),
+               ORACLE_TOL),
+}
+
+
+def compare(new: dict, old: dict, tol: float) -> bool:
+    """Print the raising entries of both tables and the largest moves;
+    True when both hold the same entries, raise on the same ones, and
+    nothing moved past tol."""
     raising = []
     for name, table in (("this sweep", new), ("baseline", old)):
         raising.append(sorted(k for k, v in table.items() if isinstance(v, str)))
-        print(f"  {name}: {len(raising[-1])} of {len(table)} indices raise: {raising[-1]}")
+        print(f"  {name}: {len(raising[-1])} of {len(table)} entries raise: {raising[-1]}")
     missing = sorted(set(new) - set(old))
     if missing:
-        print(f"  {len(missing)} indices missing from the baseline: {missing}")
+        print(f"  {len(missing)} entries missing from the baseline: {missing}")
     both = [k for k in new if not isinstance(new[k], str) and not isinstance(old.get(k, ""), str)]
-    d_lam = max(((abs(new[k][0] - old[k][0]), k) for k in both), default=(0.0, None))
-    d_kappa = max(((abs(new[k][1] - old[k][1]), k) for k in both), default=(0.0, None))
+
+    def largest(row):
+        return max(((float(np.max(np.abs(np.subtract(new[k][row], old[k][row])))), k)
+                    for k in both), default=(0.0, None))
+
+    d_lam, d_kappa = largest(0), largest(1)
     print(f"  solved in both: {len(both)}; max |d lambda| {d_lam[0]:.3e} at {d_lam[1]}; "
           f"max |d kappa| {d_kappa[0]:.3e} at {d_kappa[1]}")
     return (not missing and raising[0] == raising[1]
-            and d_lam[0] <= TOL and d_kappa[0] <= TOL)
+            and d_lam[0] <= tol and d_kappa[0] <= tol)
 
 
 def main(argv) -> int:
@@ -85,10 +116,10 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     results = {}
-    for name, cases in SWEEPS.items():
+    for name, (run, _) in SWEEPS.items():
         start = time.perf_counter()
-        results[name] = sweep(cases())
-        print(f"{name} sweep: {len(results[name])} indices in "
+        results[name] = run()
+        print(f"{name} sweep: {len(results[name])} entries in "
               f"{time.perf_counter() - start:.1f} s")
     with open(argv[0], "w") as fh:
         json.dump({k: v for r in results.values() for k, v in r.items()}, fh,
@@ -100,8 +131,9 @@ def main(argv) -> int:
     same = True
     for name, new in results.items():
         print(f"{name} sweep:")
-        same &= compare(new, {k: v for k, v in old.items() if k in new})
-    print("same as the baseline" if same else f"differs from the baseline (TOL = {TOL:g})")
+        same &= compare(new, {k: v for k, v in old.items() if k in new}, SWEEPS[name][1])
+    print("same as the baseline" if same else
+          f"differs from the baseline (TOL = {TOL:g}, ORACLE_TOL = {ORACLE_TOL:g})")
     return 0 if same else 1
 
 

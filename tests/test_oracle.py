@@ -1,12 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import starkspec as ss
-from starkspec.errors import DomainError, TruncationError
+from starkspec import oracle
+from starkspec.errors import DomainError, NumericError, TruncationError
 from starkspec.oracle import DEFAULT_MESHES, build_operator, richardson
+
+from references import oracle_spectrum_full
 
 
 def test_operator_structure(q_exp):
@@ -116,3 +120,65 @@ def test_domain_insensitivity(q_exp):
     a, _ = ss.extrapolated_spectrum(q_exp, 30.0, 3)
     b, _ = ss.extrapolated_spectrum(q_exp, 35.0, 3)
     assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@pytest.mark.parametrize("q, L, count, decompositions", [
+    # the verify campaign's potential and oracle length for n <= 30
+    (ss.exp_decay(0.3, 1.0), 45.96, 30, 1),
+    # lambda_1 and lambda_2 lie 0.025 apart: the close pair is bisected again
+    (ss.bump(16.0, 2.0, 1.0), 40.0, 10, 2),
+    # lambda_8 and lambda_9 lie 0.051 apart: brackets alone separate them
+    (ss.bump(16.0, 3.0, 2.5), 40.0, 10, 1),
+], ids=["exp(0.3,1)", "bump(16,2,1)", "bump(16,3,2.5)"])
+def test_oracle_matches_full_precision_lapack(monkeypatch, q, L, count, decompositions):
+    calls = Counter()
+    eigh = oracle.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls[len(args[0])] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
+    for h in DEFAULT_MESHES:
+        got = ss.oracle_spectrum(q, L, h, count)
+        want = oracle_spectrum_full(q, L, h, count)
+        assert np.max(np.abs(got[0] - want[0])) <= 1e-10
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-9
+        assert calls[int(round(L / h)) - 1] == decompositions
+
+
+def test_singular_rqi_solve_is_a_numeric_error(q_exp, monkeypatch):
+    monkeypatch.setattr(oracle, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 7))
+    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: dgtsv info = 7 .*h = 0\.02"):
+        ss.oracle_spectrum(q_exp, 30.0, 0.02, 3)
+
+
+def test_rqi_without_convergence_is_a_numeric_error(q_exp, monkeypatch):
+    # a fresh random vector from every solve: the quotient never settles
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(oracle, "dgtsv", lambda dl, d, du, b: (
+        dl, d, du, rng.standard_normal(b.shape), 0))
+    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: no convergence in 10 "
+                                           r"solves at h = 0\.02"):
+        ss.oracle_spectrum(q_exp, 30.0, 0.02, 3)
+
+
+def test_eigenvalue_outside_its_bracket_is_a_numeric_error(q_exp, monkeypatch):
+    # brackets moved up by 0.5: the iteration still finds the eigenvalue
+    # near each centre, which now lies outside the bracket
+    eigh = oracle.eigh_tridiagonal
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", lambda *a, **k: eigh(*a, **k) + 0.5)
+    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: lambda = .* left its "
+                                           r"bracket .* at h = 0\.02"):
+        ss.oracle_spectrum(q_exp, 30.0, 0.02, 3)
+
+
+def test_repeated_eigenvalue_is_a_numeric_error(q_exp, monkeypatch):
+    # two wide brackets with one centre: both iterations find the same
+    # eigenvalue, which lies in both brackets
+    centre = float(np.mean(ss.oracle_spectrum(q_exp, 30.0, 0.02, 2)[0]))
+    monkeypatch.setattr(oracle, "_brackets", lambda op, top: (
+        np.full(top + 1, centre), np.full(top + 1, 5.0)))
+    with pytest.raises(NumericError, match=r"n=2, stage oracle RQI: lambda does not increase "
+                                           r"past n=1 at h = 0\.02"):
+        ss.oracle_spectrum(q_exp, 30.0, 0.02, 2)
