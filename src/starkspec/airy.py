@@ -3,8 +3,8 @@ iteration, and the envelope margin.
 
 Evaluation is backed by scipy.special (AMOS); this module adds the n-th
 Ai zero by Newton from its asymptotic seed (DLMF 9.9), the same Newton
-the eigenvalue solver runs, and the empirical constant of the envelope
-bound on a grid.
+the eigenvalue solver and the oracle's Rayleigh-quotient iteration run,
+and the empirical constant of the envelope bound on a grid.
 """
 from __future__ import annotations
 

@@ -7,10 +7,10 @@ the n-th (Barth, Martin and Wilkinson, Numer. Math. 9, 1967); close pairs
 are bisected again at full precision. Rayleigh-quotient iteration on
 tridiagonal solves (LAPACK gtsv), started at each bracket's centre, then
 gives the digits and the eigenvector in about three solves (Parlett, The
-Symmetric Eigenvalue Problem, ch. 4), and the norming constants come from
-those vectors. Each eigenvalue must land in its own bracket. The
-artificial wall at L is admissible because eigenfunctions decay
-doubly-exponentially past their turning point.
+Symmetric Eigenvalue Problem, ch. 4), stepped by airy.newton; the norming
+constants come from those vectors. Each eigenvalue must land in its own
+bracket. The artificial wall at L is admissible because eigenfunctions
+decay doubly-exponentially past their turning point.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
+from .airy import newton
 from .errors import DomainError, NumericError, TruncationError
 from .potentials import Potential
 
@@ -38,10 +39,6 @@ _EDGE_MASS_TOL = 1e-8
 #: LAPACK's bisection stops at intervals this wide, so each eigenvalue lies
 #: within BRACKET_TOL of its interval's centre: that is its Sturm bracket
 BRACKET_TOL = 1e-2
-#: Rayleigh-quotient iteration stops when two successive quotients agree to
-#: _RQI_TOL (1 + |quotient|), and raises after _RQI_MAX_SOLVES solves
-_RQI_TOL = 1e-12
-_RQI_MAX_SOLVES = 10
 
 
 @dataclass(frozen=True)
@@ -100,27 +97,30 @@ def _brackets(op: DiscreteOperator, top: int):
 
 def _rqi(op: DiscreteOperator, shift: float, n: int):
     """(lambda, unit eigenvector) by Rayleigh-quotient iteration from
-    `shift` and the vector of ones. The quotient is taken in difference
-    form, which does not cancel against the 2/h^2 diagonal. It stops when
-    two successive quotients agree: a start already at the eigenvalue
-    still takes a second solve, since one solve leaves the vector
-    polluted by close neighbours while the quotient (quadratic in that
-    pollution) has stopped moving."""
-    x, previous = np.ones(op.dim), math.nan
-    for _ in range(_RQI_MAX_SOLVES):
-        x, info = dgtsv(op.offdiag, op.diag - shift, op.offdiag, x)[3:]
+    `shift` and the vector of ones: :func:`newton` on the Rayleigh
+    quotient, each step taking s to the quotient, in difference form (no
+    cancellation against the 2/h^2 diagonal), of one solve of
+    (T - s) x = x. One solve leaves a close neighbour's share
+    |s - lambda| / gap in the vector while the quotient, quadratic in it,
+    has stopped moving; newton stops at one solve only from a start within
+    1e-15 (1 + |s|), and a full-precision bracket is about eps 4/h^2 off."""
+    x = np.ones(op.dim)
+
+    def step(s):
+        nonlocal x
+        x, info = dgtsv(op.offdiag, op.diag - s, op.offdiag, x)[3:]
         if info != 0:
-            raise NumericError(f"n={n}, stage oracle RQI: dgtsv info = {info} at shift "
-                               f"{shift!r}, h = {op.h:g}")
+            raise NumericError(f"dgtsv info = {info} at shift {s!r}")
         x /= np.linalg.norm(x)
         dx = np.diff(x)
-        shift = ((x[0] ** 2 + x[-1] ** 2 + dx @ dx) / op.h ** 2
-                 + (op.potential * x) @ x) / (x @ x)
-        if abs(shift - previous) <= _RQI_TOL * (1.0 + abs(shift)):
-            return shift, x
-        previous = shift
-    raise NumericError(f"n={n}, stage oracle RQI: no convergence in {_RQI_MAX_SOLVES} "
-                       f"solves at h = {op.h:g}; last shift {shift!r}")
+        return float(s - ((x[0] ** 2 + x[-1] ** 2 + dx @ dx) / op.h ** 2
+                          + (op.potential * x) @ x) / (x @ x))
+
+    try:
+        lam = newton(step, float(shift), (-math.inf, math.inf), "shift")
+    except NumericError as err:  # newton's BracketError, or the solve's info
+        raise type(err)(f"n={n}, stage oracle RQI: {err}, h = {op.h:g}") from err
+    return lam, x
 
 
 def oracle_spectrum(q: Potential, L: float, h: float, count: int) -> np.ndarray:

@@ -110,8 +110,6 @@ class SolutionProfile:
     values: np.ndarray
     derivs: np.ndarray
     z_derivs: np.ndarray
-    iterations: int
-    residual: float          # last Picard update, envelope-weighted, relative
     grid: Grid
     # Gauss-node samples, used for downstream quadratures
     gauss_values: np.ndarray
@@ -336,9 +334,9 @@ class Workspace:
         does not fall: where q - z < 0 is deep the iterates grow by orders of
         magnitude before the series converges, and the float sweeps can end
         in a cycle whose update, that growth times the rounding, exceeds
-        PICARD_TOL. Returns the last sweep's values at the Gauss nodes, its
-        value and x-derivative rows at the boundaries, its update relative
-        to the solution, and the number of sweeps."""
+        PICARD_TOL. Returns ((the last sweep's values at the Gauss nodes,
+        its value and x-derivative rows at the boundaries), the number of
+        sweeps)."""
         ig, ib = inhom
         sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
                        else (1.0, self.weight_grow))
@@ -360,7 +358,7 @@ class Workspace:
             bound = max(scale, size) or 1.0
             if update <= PICARD_TOL * bound or last <= update <= PICARD_FLOOR * bound:
                 k_g, k_b = self.kernel(u_g, u_b)
-                return (ig + sgn * k_g, ib + sgn * k_b, update / (size or 1.0)), sweeps
+                return (ig + sgn * k_g, ib + sgn * k_b), sweeps
             last = update
         raise NumericError(
             f"picard: no convergence in {PICARD_MAX_ITER} sweeps at z = {z:g} on the "
@@ -409,12 +407,12 @@ def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionP
     - sgn int J0 f: the potential's z-derivative is -1, so the coupling to
     f is the kernel on q = 1, two more running integrals.
     """
-    (vg, vb, residual), sweeps = ws.picard(ws.combo(*coef), direction, z)
+    (vg, vb), _ = ws.picard(ws.combo(*coef), direction, z)
     sgn = -1.0 if direction == "back" else 1.0
     k_g, k_b = ws.kernel(*ws.integrals(ws.basis * vg, direction))
     lin_g, lin_b = ws.combo(*coef_dot)
-    (_, dvb, _), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
-    return SolutionProfile(vb[0], vb[1], dvb[0], sweeps, residual, ws.grid, vg)
+    (_, dvb), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
+    return SolutionProfile(vb[0], vb[1], dvb[0], ws.grid, vg)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
@@ -460,5 +458,5 @@ def solve_source(q: Potential, z: float, grid: Grid, g):
     psi(0) u'(0) - psi'(0) u(0) = int psi g held only to 2.8e-8.
     """
     ws = workspace(q, z, grid)
-    (u_g, u_b, _), _ = ws.picard(ws.kernel(*ws.integrals(ws.basis * g, "back")), "back", z)
+    (u_g, u_b), _ = ws.picard(ws.kernel(*ws.integrals(ws.basis * g, "back")), "back", z)
     return u_g, u_b

@@ -10,10 +10,15 @@ OUT/<workload>/. Given BASELINE, a directory this script wrote before (at a
 parent commit, say), it compares results.csv, summary.json and log.txt of
 each workload byte for byte, names each file that differs with the first
 line that differs, and exits 1 unless every file is identical, so a change
-that should move nothing can be checked by exit code.
+that should move nothing can be checked by exit code. For a results.csv
+that differs, it also prints the largest |new - old| of each numeric
+column that moved, so a change that should move a column a little shows
+how far it moved.
 """
 from __future__ import annotations
 
+import csv
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -41,6 +46,27 @@ def first_difference(new: Path, old: Path):
             f"{len(old_lines)} in the baseline")
 
 
+def column_moves(new: Path, old: Path):
+    """The largest |new - old| of each numeric column that moved, between
+    two CSV files with the same header and row count, as one line (inf
+    where a value turned NaN or back); None when they cannot be paired."""
+    (head, *a), (head_old, *b) = (list(csv.reader(p.read_text().splitlines())) or [[]]
+                                  for p in (new, old))
+    if head != head_old or len(a) != len(b):
+        return None
+    moves = {}
+    for row, row_old in zip(a, b):
+        for name, x, y in zip(head, row, row_old):
+            try:
+                d = abs(float(x) - float(y))
+            except ValueError:
+                continue
+            if x != y:
+                moves[name] = max(moves.get(name, 0.0), d if d == d else math.inf)
+    return "largest |d| by column: " + (
+        ", ".join(f"{name} {d:.3g}" for name, d in moves.items()) or "none moved")
+
+
 def main(argv) -> int:
     if len(argv) not in (1, 2):
         print(__doc__.strip(), file=sys.stderr)
@@ -57,9 +83,12 @@ def main(argv) -> int:
     same = True
     for workload in harness.WORKLOADS:
         for name in FILES:
-            diff = first_difference(out / workload / name, Path(argv[1]) / workload / name)
+            new, old = out / workload / name, Path(argv[1]) / workload / name
+            diff = first_difference(new, old)
             if diff:
                 print(f"  {workload}/{name}: {diff}")
+                if name == "results.csv" and not diff.startswith("missing"):
+                    print(f"    {column_moves(new, old)}")
                 same = False
     print("same as the baseline" if same else "differs from the baseline")
     return 0 if same else 1

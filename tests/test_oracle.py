@@ -158,8 +158,31 @@ def test_rqi_without_convergence_is_a_numeric_error(q_exp, monkeypatch):
     rng = np.random.default_rng(0)
     monkeypatch.setattr(oracle, "dgtsv", lambda dl, d, du, b: (
         dl, d, du, rng.standard_normal(b.shape), 0))
-    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: no convergence in 10 "
-                                           r"solves at h = 0\.02"):
+    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: Newton did not converge "
+                                           r"in 40 steps.*h = 0\.02"):
+        ss.oracle_spectrum(q_exp, 30.0, 0.02, 3)
+
+
+def test_rqi_is_the_package_newton(q_exp, monkeypatch):
+    # one newton call per index: the oracle runs no iteration loop of its own
+    calls = 0
+    newton = oracle.newton
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return newton(*args)
+
+    monkeypatch.setattr(oracle, "newton", counted)
+    ss.oracle_spectrum(q_exp, 30.0, 0.02, 3)
+    assert calls == 3
+
+
+def test_nan_rqi_solve_is_a_numeric_error(q_exp, monkeypatch):
+    # a NaN iterate leaves newton's unbounded window
+    monkeypatch.setattr(oracle, "dgtsv", lambda dl, d, du, b: (
+        dl, d, du, np.full_like(b, np.nan), 0))
+    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: .*nan.*h = 0\.02"):
         ss.oracle_spectrum(q_exp, 30.0, 0.02, 3)
 
 
