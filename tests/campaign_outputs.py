@@ -49,11 +49,12 @@ def first_difference(new: Path, old: Path):
 def column_moves(new: Path, old: Path):
     """The largest |new - old| of each numeric column that moved, between
     two CSV files with the same header and row count, as one line (inf
-    where a value turned NaN or back); None when they cannot be paired."""
+    where a value turned NaN or back), or a line saying they cannot be
+    paired."""
     (head, *a), (head_old, *b) = (list(csv.reader(p.read_text().splitlines())) or [[]]
                                   for p in (new, old))
     if head != head_old or len(a) != len(b):
-        return None
+        return "columns cannot be paired (header or row count differs)"
     moves = {}
     for row, row_old in zip(a, b):
         for name, x, y in zip(head, row, row_old):
