@@ -8,9 +8,9 @@ are bisected again at full precision. Rayleigh-quotient iteration on
 tridiagonal solves (LAPACK gtsv), started at each bracket's centre, then
 gives the digits and the eigenvector in about three solves (Parlett, The
 Symmetric Eigenvalue Problem, ch. 4), stepped by airy.newton; the norming
-constants come from those vectors. Each eigenvalue must land in its own
-bracket. The artificial wall at L is admissible because eigenfunctions
-decay doubly-exponentially past their turning point.
+constants come from those vectors' five-point slope at 0. Each eigenvalue
+must land in its own bracket. The artificial wall at L is admissible
+because eigenfunctions decay doubly-exponentially past their turning point.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def build_operator(q: Potential, L: float, h: float) -> DiscreteOperator:
         raise DomainError(
             f"build_operator: need finite L > 0 and h > 0, got L = {L!r}, h = {h!r}")
     m = int(round(L / h)) - 1
-    if m < 3:
+    if m < 4:  # the derivative at 0 reads four nodes
         raise DomainError("build_operator: domain shorter than a few mesh cells")
     x = h * np.arange(1, m + 1)
     qx = np.asarray(q.q(x))
@@ -135,21 +135,21 @@ def oracle_spectrum(q: Potential, L: float, h: float, count: int) -> np.ndarray:
                           f"operator's dimension; got {count!r}")
     centre, radius = _brackets(op, min(count, op.dim - 1))
     lam = np.empty(count)
-    ends = np.empty((2, count))
+    ends = np.empty((4, count))
     for j in range(count):
         lam[j], x = _rqi(op, centre[j], j + 1)
         if not abs(lam[j] - centre[j]) <= radius[j]:
             raise NumericError(
                 f"n={j + 1}, stage oracle RQI: lambda = {lam[j]!r} left its bracket "
                 f"[{centre[j] - radius[j]!r}, {centre[j] + radius[j]!r}] at h = {h:g}")
-        ends[:, j] = x[:2] / math.sqrt(h * (x @ x))
+        ends[:, j] = x[:4] / math.sqrt(h * (x @ x))
     bad = np.flatnonzero(np.diff(lam) <= 0.0)
     if bad.size:
         raise NumericError(f"n={bad[0] + 2}, stage oracle RQI: lambda does not increase "
                            f"past n={bad[0] + 1} at h = {h:g}")
     _check_edge_mass(op, x, count)  # x is the count-th eigenvector
-    # one-sided second-order derivative at 0 with psi(0) = 0
-    dpsi0 = (4.0 * ends[0] - ends[1]) / (2.0 * h)
+    # five-point one-sided derivative at 0 with psi(0) = 0: its error starts at h^4
+    dpsi0 = (48.0 * ends[0] - 36.0 * ends[1] + 16.0 * ends[2] - 3.0 * ends[3]) / (12.0 * h)
     return np.stack((lam, np.log(dpsi0 ** 2)))
 
 

@@ -183,7 +183,9 @@ def make_potential(spec: dict) -> Potential:
     # NaN marks x outside [0, xs[-1]]; the table has decayed to 0 at its last knot
     q = lambda x: np.nan_to_num(spline(x), nan=0.0)
     qp = lambda x: np.nan_to_num(dspline(x), nan=0.0)
-    return Potential(family, dict(params), r, q, qp, peak, tuple(xs[1:]))
+    # the spline overshoots its knots; its extremes lie at the roots of q'
+    sup = np.max(np.abs(q(dspline.roots(extrapolate=False))), initial=peak)
+    return Potential(family, dict(params), r, q, qp, float(sup), tuple(xs[1:]))
 
 
 def blend(q: Potential, v: Potential, t: float) -> Potential:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .airy import airy_zero, newton
+from .airy import NEWTON_NOISE, airy_zero, newton
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
@@ -34,9 +34,6 @@ __all__ = [
     "paired_record",
 ]
 
-BRACKET_COEFF = 4.0
-BRACKET_EXPONENT = -2.0 / 3.0 + 0.05
-
 
 @dataclass
 class EigenRecord:
@@ -47,7 +44,7 @@ class EigenRecord:
     kappa: float
     lam_pred: float         # first-order prediction Newton starts from
     kappa_pred: float       # first-order norming-constant prediction
-    bracket: tuple          # Newton window: an iterate outside it raises
+    bracket: tuple          # -a_n +- (sup|q| + slack), holds lam by min-max
     norm_sq: float          # Gauss quadrature of psi^2 on [0, x_max]
     psi_prime0: float
     psi_dot0: float
@@ -96,22 +93,23 @@ def locate_eigenvalue(q: Potential, n: int) -> EigenRecord:
     One Workspace at -a_n gives both first-order predictions, and Newton
     runs from the lambda prediction, each iterate on the Workspace that
     :func:`workspace` picks from the last one. Iterates must stay
-    within the window around -a_n whose half-width is the
-    crude-localization scale or twice the first-order correction,
-    whichever is larger. That correction is at most 1.02 sup|q|, so the
-    window keeps the root within 2.03 c of the grid's centre,
-    c = 1 + sup|q|, where default_grid's panels span at most sqrt(3.03)
-    PANEL_PHASE of the root's own phase. By Sturm oscillation the root is
-    the n-th eigenvalue exactly when its eigenfunction has n - 1 sign
-    changes; any other root raises BracketError. Errors name ``n`` and the
-    stage, ``newton`` or ``certificate``.
+    within -a_n +- (sup|q| + NEWTON_NOISE (1 + |a_n|)), which holds the
+    n-th eigenvalue: H_0 - sup|q| <= H_q <= H_0 + sup|q|, so by min-max
+    |lambda_n + a_n| <= sup|q| (Reed-Simon IV, XIII.1); the slack,
+    newton's roundoff scale, covers the rounding of a_n and of the solves.
+    The window keeps the root within c = 1 + sup|q| of the grid's centre
+    (the slack is below 1 while |a_n| < 1e8), where default_grid's panels
+    span at most sqrt(2) PANEL_PHASE of the root's own phase. By Sturm
+    oscillation the root is the n-th eigenvalue exactly when its
+    eigenfunction has n - 1 sign changes; any other root raises
+    BracketError. Errors name ``n`` and the stage, ``newton`` or
+    ``certificate``.
     """
     ws = workspace(q, -airy_zero(n))
     center = ws.z
     lam_pred = lambda_prediction(ws)
     kappa_pred = kappa_prediction(ws)
-    delta = max(BRACKET_COEFF * (1.5 * math.pi * n) ** BRACKET_EXPONENT,
-                2.0 * abs(lam_pred - center))
+    delta = q.sup_norm + NEWTON_NOISE * (1.0 + abs(center))
     window = (center - delta, center + delta)
     try:
         lam, prof = _newton(q, lam_pred, ws, window)

@@ -260,9 +260,9 @@ def scaled(q, t: float):
 def oracle_spectrum_full(q, L: float, h: float, count: int) -> np.ndarray:
     """starkspec.oracle_spectrum by full-precision LAPACK: the eigenvalues
     by Sturm bisection (stebz), the eigenvectors by inverse iteration
-    (stein), and kappa from those vectors' one-sided derivative at 0."""
+    (stein), and kappa from those vectors' five-point slope at 0."""
     op = build_operator(q, L, h)
     w, v = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, count - 1))
     v = v / np.sqrt(h * np.sum(v ** 2, axis=0))
-    dpsi0 = (4.0 * v[0] - v[1]) / (2.0 * h)
+    dpsi0 = (48.0 * v[0] - 36.0 * v[1] + 16.0 * v[2] - 3.0 * v[3]) / (12.0 * h)
     return np.stack((w, np.log(dpsi0 ** 2)))

@@ -15,7 +15,9 @@ ORACLE_COUNT) on each of those 60 potentials and maps "oracle
 family(params)" to [lambdas, kappas], or to the error text. Given
 BASELINE.json, a file this script wrote before, it prints, per sweep, the
 entries that raise in each file and the largest |d lambda| and |d kappa|
-over the entries that solve in both. It exits 1 when the baseline lacks an
+over the entries that solve in both, and, for each entry that raises in
+one file only, the solved side's |d lambda| and |d kappa| from that file's
+oracle entry for the same potential. It exits 1 when the baseline lacks an
 entry, the two files raise on different entries, or an entry that solves
 in both moved by more than its sweep's tolerance in lambda or kappa (TOL,
 the self-convergence target, for the solver; ORACLE_TOL for the oracle),
@@ -111,6 +113,25 @@ def compare(new: dict, old: dict, tol: float) -> bool:
             and d_lam[0] <= tol and d_kappa[0] <= tol)
 
 
+def one_sided(new: dict, old: dict, new_oracle: dict) -> None:
+    """Print one line per entry of the sweep ``new`` that raises in exactly
+    one of new and the baseline ``old``: the solved side's distance from its
+    own file's oracle entry (``new_oracle`` for new, ``old`` itself for old)."""
+    for k in sorted(k for k in new if k in old
+                    and isinstance(new[k], str) != isinstance(old[k], str)):
+        side, (lam, kappa), oracles = (("this sweep", new[k], new_oracle)
+                                       if isinstance(old[k], str) else
+                                       ("baseline", old[k], old))
+        label, n = k.rsplit(",", 1)
+        ref = oracles.get(f"oracle {label}")
+        if not isinstance(ref, list):
+            print(f"  solves in {side} only: {k}; no oracle entry to compare with")
+            continue
+        j = int(n) - 1
+        print(f"  solves in {side} only: {k}; |d lambda| {abs(lam - ref[0][j]):.1e}, "
+              f"|d kappa| {abs(kappa - ref[1][j]):.1e} from the oracle")
+
+
 def main(argv) -> int:
     if len(argv) not in (1, 2):
         print(__doc__.strip(), file=sys.stderr)
@@ -132,6 +153,8 @@ def main(argv) -> int:
     for name, new in results.items():
         print(f"{name} sweep:")
         same &= compare(new, {k: v for k, v in old.items() if k in new}, SWEEPS[name][1])
+        if name != "oracle":
+            one_sided(new, old, results["oracle"])
     print("same as the baseline" if same else
           f"differs from the baseline (TOL = {TOL:g}, ORACLE_TOL = {ORACLE_TOL:g})")
     return 0 if same else 1

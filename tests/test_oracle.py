@@ -22,7 +22,8 @@ def test_operator_structure(q_exp):
 
 
 @pytest.mark.parametrize("L, h", [(40.0, 0.0), (40.0, -0.01), (-40.0, 0.01), (math.nan, 0.01),
-                                  (40.0, math.nan), (math.inf, 0.01), (40.0, math.inf)])
+                                  (40.0, math.nan), (math.inf, 0.01), (40.0, math.inf),
+                                  (0.04, 0.01)])  # 3 nodes; the slope at 0 reads 4
 def test_bad_mesh_is_a_domain_error(q_exp, L, h):
     with pytest.raises(DomainError, match="build_operator"):
         build_operator(q_exp, L, h)
@@ -76,6 +77,17 @@ def test_norming_cross_method(records_cache):
     q, recs = records_cache("exp+", 1)
     _, kap = ss.extrapolated_spectrum(q, 25.0, 1)
     assert kap[0] == pytest.approx(recs[1].kappa, abs=1e-4)
+
+
+@pytest.mark.parametrize("q", [ss.exp_decay(0.3, 1.0), ss.alg_decay(0.5, 1.6, r=1.5)],
+                         ids=["exp(0.3,1)", "alg(0.5,1.6,r=1.5)"])
+def test_norming_agrees_with_shooting_to_1e_8(q):
+    # the five-point slope at 0 has no h^3 term, which Richardson's even
+    # orders cannot remove: 2.3e-9 and 2.1e-9, where (4 u_1 - u_2) / (2 h)
+    # left 6.3e-8 and 1.8e-8
+    _, kap = ss.extrapolated_spectrum(q, 40.0, 10)
+    shoot = [ss.locate_eigenvalue(q, n).kappa for n in range(1, 11)]
+    assert np.max(np.abs(kap - shoot)) <= 1e-8
 
 
 def test_richardson_on_stacked_rows_is_bitwise_per_row(q_exp):

@@ -75,6 +75,13 @@ def test_table_validation():
         ss.tabulated([0.5, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.0])  # must start at 0
 
 
+def test_table_sup_norm_bounds_the_spline():
+    # the natural spline through a flat-topped spike overshoots its knots,
+    # to 1.1761 between the two samples of 1
+    q = ss.tabulated([0, 1, 2, 3, 4, 5], [0, 1, 1, 0, 0, 0])
+    assert q.sup_norm >= np.max(np.abs(q.q(np.linspace(0.0, 5.0, 100_001))))
+
+
 def test_norms_exp_by_parts_oracle():
     # sympy closed form of the weighted square integral as the oracle
     x = sympy.Symbol("x", positive=True)
@@ -208,3 +215,6 @@ def test_table_interpolates_its_knots_and_vanishes_past_the_last(sample):
     assert np.all(np.abs(q.q_prime(mid) - fd) <= 1e-7 * peak / min(gaps))
     past = np.nextafter(xs[-1], np.inf) + np.array([0.0, 0.5, 10.0, 1e6])
     assert np.all(q.q(past) == 0.0) and np.all(q.q_prime(past) == 0.0)
+    # the spline's extremes at its critical points bound it, to roundoff
+    x = np.linspace(0.0, xs[-1], 10_001)
+    assert np.max(np.abs(q.q(x))) <= q.sup_norm * (1.0 + 1e-12)

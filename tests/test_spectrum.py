@@ -334,6 +334,24 @@ def test_locate_solves_or_names_the_failure(n):
         assert ss.oscillation_count(rec) == n - 1
 
 
+# the Newton window -a_n +- sup|q| holds lambda_n by min-max; a tuned window
+# ([-0.553, 8.729] for bump(-16, 2, 1), n = 2) left these two roots out
+@pytest.mark.parametrize("c, n, lam", [(-16.0, 2, -1.4176611), (8.0, 6, 10.0466218)])
+def test_locate_solves_inside_the_min_max_window(c, n, lam):
+    rec = ss.locate_eigenvalue(_potential("bump", c, 2.0, 1.0), n)
+    assert rec.lam == pytest.approx(float(_oracle("bump", c, 2.0, 1.0)[n - 1]), abs=1e-6)
+    assert rec.lam == pytest.approx(lam, abs=1e-6)
+    assert ss.oscillation_count(rec) == n - 1
+
+
+@pytest.mark.parametrize("n", [161, 166, 168, 174])
+def test_free_window_has_roundoff_slack(q_zero, n):
+    # q = 0 leaves the window only its slack; a_n's own rounding, about
+    # 1e-15 relative, carried Newton out of a window of width 0 here
+    rec = ss.locate_eigenvalue(q_zero, n)
+    assert abs(rec.lam + ss.airy_zero(n)) <= 1e-12
+
+
 # (family, *params): exp(c, a), alg(c, p) and bump(c, x0, w), whose graded
 # kinks end panels among the equal-phase ones
 _PARAMS = st.one_of(
@@ -355,10 +373,12 @@ _PARAMS = st.one_of(
 @example(("bump", -8.0, 0.5, 0.3), 1)
 @example(("bump", 16.0, 4.0, 2.0), 2)
 def test_locate_agrees_with_oracle_or_names_the_index(params, n):
+    q = _potential(*params)
     try:
-        rec = ss.locate_eigenvalue(_potential(*params), n)
+        rec = ss.locate_eigenvalue(q, n)
     except ss.StarkSpecError as err:
         assert f"n={n}," in str(err)
         return
+    assert abs(rec.lam + ss.airy_zero(n)) <= q.sup_norm  # min-max
     assert ss.oscillation_count(rec) == n - 1
     assert rec.lam == pytest.approx(float(_oracle(*params)[n - 1]), abs=1e-6)
