@@ -7,8 +7,8 @@ decay rates.
 """
 
 from .airy import airy_zero, envelope_margin
-from .asymptotics import (AsymptoticsReport, build_report, decay_rate_fit,
-                          kappa_prediction, lambda_prediction)
+from .asymptotics import (build_report, decay_rate_fit, kappa_prediction,
+                          lambda_prediction)
 from .errors import (BracketError, DegeneracyError, DomainError,
                      InsufficientDataError, NumericError, StarkSpecError,
                      TruncationError, ValidationError)

@@ -3,13 +3,13 @@
 The predictions are the leading corrections to the unperturbed data:
 an Ai^2 pairing for the eigenvalues and an Ai*Ai' pairing for the
 norming constants, both divided by sqrt(-a_n), each a Gauss sum on the
-Airy table of the index's Workspace at z = -a_n. Remainder decay is
-quantified by a log-log least-squares slope with a noise-floor guard.
+Airy table of the index's Workspace at z = -a_n. build_report fits the
+decay of both remainders, each by a log-log least-squares slope with a
+noise-floor guard, into the two records summary.json holds.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -18,13 +18,7 @@ from .airy import airy_zero  # noqa: F401  (bench/tracing.py wraps it by name)
 from .errors import InsufficientDataError
 from .volterra import Workspace
 
-__all__ = [
-    "AsymptoticsReport",
-    "lambda_prediction",
-    "kappa_prediction",
-    "decay_rate_fit",
-    "build_report",
-]
+__all__ = ["lambda_prediction", "kappa_prediction", "decay_rate_fit", "build_report"]
 
 #: fewest residuals above the noise a decay fit takes
 MIN_FIT_POINTS = 8
@@ -84,29 +78,21 @@ def decay_rate_fit(resid, ns, tolerance_floor: float):
     return slope, half_width
 
 
-@dataclass
-class AsymptoticsReport:
-    lambda_resid: np.ndarray
-    kappa_resid: np.ndarray
-    #: (slope, 95% half-width), or None when the residuals sit at the noise floor
-    fitted_slope_lambda: tuple | None
-    fitted_slope_kappa: tuple | None
-
-
-def _fit_above_floor(resid, ns, floor):
-    try:
-        return decay_rate_fit(resid, ns, floor)
-    except InsufficientDataError:
-        return None
-
-
 def build_report(ns, lambda_resid, kappa_resid, lambda_floor: float,
-                 kappa_floor: float) -> AsymptoticsReport:
-    """Fitted decay slopes of the residuals against the first-order
-    predictions, each slope on its own residuals and tolerance floor
-    (residuals below 10x the floor are solver noise)."""
-    lam_resid = np.asarray(lambda_resid, dtype=float)
-    kap_resid = np.asarray(kappa_resid, dtype=float)
-    return AsymptoticsReport(lam_resid, kap_resid,
-                             _fit_above_floor(lam_resid, ns, lambda_floor),
-                             _fit_above_floor(kap_resid, ns, kappa_floor))
+                 kappa_floor: float) -> dict:
+    """The remainder-decay records, keyed "lambda" and "kappa": each the
+    ``slope`` and 95% ``half_width`` of decay_rate_fit, and the ``noise_floor``.
+    Too few residuals above 10x the floor (the zero potential, a short index
+    range) leave slope and half_width None, and a ``note`` counts them."""
+    report = {}
+    for which, resid, floor in (("lambda", lambda_resid, lambda_floor),
+                                ("kappa", kappa_resid, kappa_floor)):
+        record = report[which] = {"noise_floor": floor}
+        try:
+            record["slope"], record["half_width"] = decay_rate_fit(resid, ns, floor)
+        except InsufficientDataError:
+            above = int(np.sum(above_noise(resid, floor)))
+            record.update(slope=None, half_width=None, note=(
+                f"{above} residuals above 10x the noise floor, the fit needs "
+                f"{MIN_FIT_POINTS}; vacuously consistent"))
+    return report

@@ -196,34 +196,20 @@ def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list, with_oracle: b
 
 
 def _check_asym(q, rows, cfg) -> dict:
-    """Both remainder-decay checks, keyed "lambda" and "kappa", from one
-    report on the residuals the rows hold."""
+    """Both remainder-decay checks, keyed "lambda" and "kappa": one report's
+    records on the rows' residuals from n = 2, each given the campaign's
+    ``threshold`` by r and its verdict ``passed`` (vacuous when unfitted)."""
     tol = cfg.tolerances
     decay_min = (tol["slope_decay_min"] if q.r >= 2.0 else tol["slope_decay_min_low_r"])
     fit = [row for row in rows if row["n"] >= 2]
-    rep = asymptotics.build_report([row["n"] for row in fit],
-                                   [row["lambda_resid"] for row in fit],
-                                   [row["kappa_resid"] for row in fit],
-                                   lambda_floor=tol["lambda_noise_floor"],
-                                   kappa_floor=tol["kappa_noise_floor"])
-    checks = {}
-    for which, slope_fit, resid in (("lambda", rep.fitted_slope_lambda, rep.lambda_resid),
-                                    ("kappa", rep.fitted_slope_kappa, rep.kappa_resid)):
-        slope, half = slope_fit or (None, None)
-        checks[which] = {
-            "passed": slope is None or bool(slope <= -decay_min),
-            "slope": slope,
-            "half_width": half,
-            "threshold": -decay_min,
-            "noise_floor": tol[f"{which}_noise_floor"],
-        }
-        if slope is None:
-            # too few residuals above the noise to fit (all at the floor for
-            # the zero potential, or a short index range): nothing to falsify
-            above = int(np.sum(asymptotics.above_noise(resid, tol[f"{which}_noise_floor"])))
-            checks[which]["note"] = (
-                f"{above} residuals above 10x the noise floor, the fit needs "
-                f"{asymptotics.MIN_FIT_POINTS}; vacuously consistent")
+    checks = asymptotics.build_report([row["n"] for row in fit],
+                                      [row["lambda_resid"] for row in fit],
+                                      [row["kappa_resid"] for row in fit],
+                                      lambda_floor=tol["lambda_noise_floor"],
+                                      kappa_floor=tol["kappa_noise_floor"])
+    for record in checks.values():
+        record["threshold"] = -decay_min
+        record["passed"] = record["slope"] is None or bool(record["slope"] <= -decay_min)
     return checks
 
 

@@ -171,20 +171,22 @@ def make_potential(spec: dict) -> Potential:
         raise ValidationError("table.x must be strictly increasing")
     if xs[0] != 0.0:
         raise ValidationError("table.x must start at 0")
-    peak = float(np.max(np.abs(ys))) or 1.0
+    peak = float(np.max(np.abs(ys)))
     if abs(ys[-1]) > 1e-12 * peak:
         raise ValidationError("table.y must decay to 0 at the last node")
     # imported for table potentials only: scipy.interpolate, with the
     # scipy.optimize it loads, is about 0.3 s of every other campaign's set-up
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import CubicSpline, PPoly
 
     spline = CubicSpline(xs, ys, bc_type="natural", extrapolate=False)
     dspline = spline.derivative()
     # NaN marks x outside [0, xs[-1]]; the table has decayed to 0 at its last knot
     q = lambda x: np.nan_to_num(spline(x), nan=0.0)
     qp = lambda x: np.nan_to_num(dspline(x), nan=0.0)
-    # the spline overshoots its knots; its extremes lie at the roots of q'
-    sup = np.max(np.abs(q(dspline.roots(extrapolate=False))), initial=peak)
+    # the spline overshoots its knots; its extremes lie at the roots of q', found
+    # on q' rescaled exactly by a power of 2, lest a tiny or huge q' lose them
+    crit = PPoly(np.ldexp(dspline.c, -np.frexp(peak)[1]), xs).roots(extrapolate=False)
+    sup = np.max(np.abs(q(crit)), initial=peak)
     return Potential(family, dict(params), r, q, qp, float(sup), tuple(xs[1:]))
 
 

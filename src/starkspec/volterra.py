@@ -153,6 +153,8 @@ def default_grid(q: Potential, z: float) -> Grid:
     if not math.isfinite(z):
         raise DomainError("default_grid: need a finite z")
     x_max = z + envelope_offset()
+    if x_max <= 0.0:
+        raise DomainError(f"default_grid: z = {z:g} ends the grid at x_max = {x_max:g} <= 0")
     c = 1.0 + q.sup_norm
     c32 = c ** 1.5
     lo, hi = (math.copysign((2.0 / 3.0) * ((c + abs(x - z)) ** 1.5 - c32), x - z)

@@ -63,12 +63,12 @@ def test_criterion_3_eigenvalue_remainder_decay(records_cache):
     for key in ("exp+", "exp-", "bump"):
         q, recs = records_cache(key, 40)
         rep = asym_report(recs)
-        slope = rep.fitted_slope_lambda[0]
+        slope = rep["lambda"]["slope"]
         ok = ok and slope <= -0.8
         details.append(f"{key}: {slope:.3f} (<=-0.8)")
     q, recs = records_cache("low_r", 40)
     rep = asym_report(recs)
-    slope = rep.fitted_slope_lambda[0]
+    slope = rep["lambda"]["slope"]
     ok = ok and slope <= -0.75
     details.append(f"low_r: {slope:.3f} (<=-0.75)")
     assert report(3, ok, "lambda remainder log-log slopes: " + "; ".join(details))
@@ -84,7 +84,7 @@ def test_criterion_3_eigenvalue_remainder_decay(records_cache):
 def test_criterion_3_alg_literal_window(records_cache):
     q, recs = records_cache("alg", 40)
     rep = asym_report(recs)
-    slope = rep.fitted_slope_lambda[0]
+    slope = rep["lambda"]["slope"]
     report("3-alg", slope <= -0.8,
            f"alg over the literal n=2..40 window: slope={slope:.3f} "
            "(transient; expected failure, see companion extended-window test)")
@@ -112,7 +112,7 @@ def test_criterion_4_norming_remainder_decay(records_cache):
     for key in R2_KEYS:
         q, recs = records_cache(key, 40)
         rep = asym_report(recs)
-        slope = rep.fitted_slope_kappa[0]
+        slope = rep["kappa"]["slope"]
         ok = ok and slope <= -0.8
         details.append(f"{key}: {slope:.3f} (<=-0.8)")
     assert report(4, ok, "kappa remainder log-log slopes: " + "; ".join(details))

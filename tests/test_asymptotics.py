@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 import starkspec as ss
 from conftest import POTENTIALS, asym_report
 from references import scaled
+from starkspec.asymptotics import MIN_FIT_POINTS
 from starkspec.errors import InsufficientDataError
 from starkspec.volterra import workspace
 
@@ -134,6 +136,34 @@ def test_report_assembly(records_cache):
     # the record keeps both predictions, Newton's start among them
     assert (recs[2].lam_pred, recs[2].kappa_pred) == predictions(q, 2)
     rep = asym_report(recs, n_hi=20)
-    assert len(rep.lambda_resid) == len(rep.kappa_resid) == 19
-    slope, half = rep.fitted_slope_lambda
-    assert slope < -0.5 and half < 0.5
+    # both kinds are fitted: no record falls back to the vacuous note
+    for kind in ("lambda", "kappa"):
+        assert isinstance(rep[kind]["slope"], float) and "note" not in rep[kind]
+    assert rep["lambda"]["slope"] < -0.5 and rep["lambda"]["half_width"] < 0.5
+
+
+@st.composite
+def _residuals(draw):
+    """k and 19 residuals of which exactly k lie above 10x a floor of 1e-9."""
+    k = draw(st.integers(0, 19))
+    resid = draw(st.lists(st.floats(-5e-9, 5e-9), min_size=19, max_size=19))
+    for i in draw(st.permutations(range(19)))[:k]:
+        resid[i] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2e-8, 1e3))
+    return k, resid
+
+
+@settings(max_examples=60, deadline=None)
+@given(_residuals(), _residuals())
+def test_report_fits_exactly_when_enough_residuals_clear_the_floor(lam, kap):
+    ns = list(range(2, 21))
+    rep = ss.build_report(ns, lam[1], kap[1], 1e-9, 1e-9)
+    assert set(rep) == {"lambda", "kappa"}
+    for (k, resid), record in ((lam, rep["lambda"]), (kap, rep["kappa"])):
+        assert record["noise_floor"] == 1e-9
+        if k < MIN_FIT_POINTS:
+            assert record["slope"] is None and record["half_width"] is None
+            assert record["note"] == (f"{k} residuals above 10x the noise floor, the fit "
+                                      f"needs {MIN_FIT_POINTS}; vacuously consistent")
+        else:
+            assert "note" not in record
+            assert (record["slope"], record["half_width"]) == ss.decay_rate_fit(resid, ns, 1e-9)

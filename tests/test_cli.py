@@ -341,8 +341,14 @@ def test_noise_floor_of_one_slope_leaves_the_other_fitted(tmp_path):
                                    "output_dir": str(tmp_path / "o")}))
     cli.main(["asympt", "--config", str(cfgfile)])
     checks = json.loads((tmp_path / "o" / "summary.json").read_text())["checks"]
-    assert checks["kappa_asym"]["slope"] is None
+    # no kappa residual of exp(0.3, 1) reaches 10x a floor of 1.0
+    assert checks["kappa_asym"] == {
+        "passed": True, "slope": None, "half_width": None, "threshold": -0.8,
+        "noise_floor": 1.0,
+        "note": "0 residuals above 10x the noise floor, the fit needs 8; vacuously consistent"}
     assert isinstance(checks["eigen_asym"]["slope"], float)
+    assert set(checks["eigen_asym"]) == {"passed", "slope", "half_width", "threshold",
+                                         "noise_floor"}
 
 
 def test_cli_eig_subcommand(tmp_path):

@@ -82,6 +82,23 @@ def test_table_sup_norm_bounds_the_spline():
     assert q.sup_norm >= np.max(np.abs(q.q(np.linspace(0.0, 5.0, 100_001))))
 
 
+@pytest.mark.parametrize("k", [-600, 990])
+def test_table_sup_norm_is_scale_free(k):
+    # scaling the samples by 2^k scales the spline, and its true maximum,
+    # exactly; at these scales the quadratic formula for the roots of an
+    # unscaled q' under- or overflows
+    xs, ys = [0, 1, 2, 3], np.array([0.0, 0.0, 1.0, 0.0])
+    assert ss.tabulated(xs, 2.0 ** k * ys).sup_norm == 2.0 ** k * ss.tabulated(xs, ys).sup_norm
+
+
+def test_zero_table_has_zero_sup_norm():
+    # q = 0 as a table: the Newton window is the roundoff slack alone, and
+    # the first eigenvalue is the free one
+    q = ss.tabulated([0, 1, 2, 3], [0, 0, 0, 0])
+    assert q.sup_norm == 0.0
+    assert ss.locate_eigenvalue(q, 1).lam == -ss.airy_zero(1)
+
+
 def test_norms_exp_by_parts_oracle():
     # sympy closed form of the weighted square integral as the oracle
     x = sympy.Symbol("x", positive=True)

@@ -9,7 +9,7 @@ from scipy import special
 
 import starkspec as ss
 from starkspec import spectrum, volterra
-from starkspec.errors import NumericError
+from starkspec.errors import DomainError, NumericError
 from starkspec.volterra import (LATTICE_STEP, Workspace, airy_table, default_grid,
                                 envelope_offset, grid_from_nodes)
 from conftest import POTENTIALS
@@ -23,6 +23,13 @@ def envelope_weights(grid, z, grow=False):
     E = (2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5
     sigma = 1.0 + np.abs(w) ** 0.25
     return sigma * np.exp(-E if grow else E)
+
+
+def test_grid_ending_at_or_before_the_origin_names_z(q_zero, q_exp):
+    with pytest.raises(DomainError, match=r"z = -15 ends the grid at x_max = -1\.02"):
+        ss.solve_psi(q_exp, -15.0)
+    with pytest.raises(DomainError, match=r"x_max = 0 <= 0"):
+        default_grid(q_zero, -envelope_offset())
 
 
 def test_truncation_point_free_case(q_zero):
