@@ -191,6 +191,6 @@ def kappa_directional_derivative(q: Potential, n: int, v: Potential,
     norm_sq = -rec.psi_prime0 * rec.psi_dot0
     psi_v = psi * np.asarray(v.q(grid.gauss_x))
     d_lam = float(np.sum(grid.weights * psi * psi_v)) / norm_sq
-    u_g, u_b = solve_source(q, rec.lam, grid, d_lam * psi - psi_v)
+    u_g, u_b = solve_source(workspace(q, rec.lam, grid), rec.lam, d_lam * psi - psi_v, (0.0, 0.0))
     return 2.0 * (float(u_b[1, 0]) / rec.psi_prime0
                   - float(np.sum(grid.weights * u_g * psi)) / norm_sq)

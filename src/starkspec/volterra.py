@@ -16,8 +16,9 @@ below tolerance; the last sweep's integrals also give the values and
 x-derivatives at the panel boundaries. Each class, psi, theta, s and c, is
 seeded by a psi0 + b theta0 matched to its Cauchy data at z. The basis
 stays at its Workspace's centre z0: a solve at z within the Workspace's
-reach carries z - z0 as a constant potential, and one rule gives the
-inhomogeneity of every z-derivative (see :func:`_solve`).
+reach carries z - z0 as a constant potential (see :func:`_solve`). psi
+alone carries a z-derivative, solved as the source problem
+(H_q - z) psi_dot = psi (see :func:`solve_source`).
 """
 from __future__ import annotations
 
@@ -102,14 +103,15 @@ class Grid:
 
 @dataclass
 class SolutionProfile:
-    """A solved profile sampled on the grid nodes, plus its z-derivative.
+    """A solved profile sampled on the grid nodes; ``z_derivs`` holds
+    psi's z-derivative, and is None for theta, s and c.
 
     It covers [0, x_max] only: the grid ends where the decaying envelope
     is negligible (see :func:`default_grid`)."""
 
     values: np.ndarray
     derivs: np.ndarray
-    z_derivs: np.ndarray
+    z_derivs: np.ndarray | None
     grid: Grid
     # Gauss-node samples, used for downstream quadratures
     gauss_values: np.ndarray
@@ -397,68 +399,63 @@ def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> W
     return Workspace(q, z, default_grid(q, z) if grid is None else grid)
 
 
-def _solve(ws: Workspace, z: float, coef, coef_dot, direction: str) -> SolutionProfile:
-    """The solution at z seeded by a psi0 + b theta0, ``coef = (a, b)``,
-    and its z-derivative; ``coef_dot`` is (da/dz, db/dz).
+def _solve(ws: Workspace, z: float, coef, direction: str) -> SolutionProfile:
+    """The solution at z seeded by a psi0 + b theta0, ``coef = (a, b)``.
 
     The basis stays at the Workspace centre: H_q - z = H_{q - (z - ws.z)}
     - ws.z, so the kernel carries the shift as the constant potential
     -(z - ws.z), and each class matches its seed to its Cauchy data at z.
-    With the basis fixed, the z-derivative of f = seed + K f solves the
-    same equation with the inhomogeneity a_dot psi0 + b_dot theta0
-    - sgn int J0 f: the potential's z-derivative is -1, so the coupling to
-    f is the kernel on q = 1, two more running integrals.
     """
     (vg, vb), _ = ws.picard(ws.combo(*coef), direction, z)
-    sgn = -1.0 if direction == "back" else 1.0
-    k_g, k_b = ws.kernel(*ws.integrals(ws.basis * vg, direction))
-    lin_g, lin_b = ws.combo(*coef_dot)
-    (_, dvb), _ = ws.picard((lin_g - sgn * k_g, lin_b - sgn * k_b), direction, z)
-    return SolutionProfile(vb[0], vb[1], dvb[0], ws.grid, vg)
+    return SolutionProfile(vb[0], vb[1], None, ws.grid, vg)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
     """The square-integrable solution and its z-derivative.
 
     psi solves the backward Volterra equation whose seed is sqrt(pi)
-    Ai(x - z) beyond x_max: it meets that in value and slope at x_max, and
-    by the Airy equation d/dz of the slope is -(x_max - z) sqrt(pi)
-    Ai(x_max - z). ``grid`` is a Grid, None for the default grid, or a
-    Workspace on the grid to use, which serves z as :func:`workspace` says.
+    Ai(x - z) beyond x_max: it meets that in value and slope at x_max.
+    Its z-derivative solves (H_q - z) psi_dot = psi with the z-derivative
+    of those data, by the Airy equation -sqrt(pi) Ai'(x_max - z) and
+    -(x_max - z) sqrt(pi) Ai(x_max - z). ``grid`` is a Grid, None for the
+    default grid, or a Workspace on the grid to use, which serves z as
+    :func:`workspace` says.
     """
     ws = workspace(q, z, grid)
     x_max = ws.grid.x_max
     ai, aip = _airy_step(ws.boundary[0, -1], ws.boundary[1, -1], x_max - ws.z, ws.z - z)
-    return _solve(ws, z, ws.match(-1, ai, aip), ws.match(-1, -aip, -(x_max - z) * ai), "back")
+    psi = _solve(ws, z, ws.match(-1, ai, aip), "back")
+    _, u_b = solve_source(ws, z, psi.gauss_values, ws.match(-1, -aip, -(x_max - z) * ai))
+    psi.z_derivs = u_b[0]
+    return psi
 
 
 def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
     """The forward-normalized growing solution, with the Cauchy data of
-    sqrt(pi) Bi(x - z) at 0, and its z-derivative; ``grid`` as for
-    :func:`solve_psi`."""
+    sqrt(pi) Bi(x - z) at 0; ``grid`` as for :func:`solve_psi`."""
     ws = workspace(q, z, grid)
     bi, bip = _airy_step(ws.boundary[2, 0], ws.boundary[3, 0], -ws.z, ws.z - z)
-    return _solve(ws, z, ws.match(0, bi, bip), ws.match(0, -bip, z * bi), "fwd")
+    return _solve(ws, z, ws.match(0, bi, bip), "fwd")
 
 
 def solve_sc(q: Potential, z: float, grid: Grid | Workspace | None = None):
     """The fundamental pair normalized at 0, s(z,0) = 0, s'(z,0) = 1,
-    c(z,0) = 1, c'(z,0) = 0, with z-derivatives; ``grid`` as for
-    :func:`solve_psi`. The Cauchy data do not depend on z, so neither do
-    the seeds' coefficients."""
+    c(z,0) = 1, c'(z,0) = 0; ``grid`` as for :func:`solve_psi`."""
     ws = workspace(q, z, grid)
-    return (_solve(ws, z, ws.match(0, 0.0, 1.0), (0.0, 0.0), "fwd"),
-            _solve(ws, z, ws.match(0, 1.0, 0.0), (0.0, 0.0), "fwd"))
+    return (_solve(ws, z, ws.match(0, 0.0, 1.0), "fwd"),
+            _solve(ws, z, ws.match(0, 1.0, 0.0), "fwd"))
 
 
-def solve_source(q: Potential, z: float, grid: Grid, g):
+def solve_source(ws: Workspace, z: float, g, coef):
     """Gauss values and boundary value and x-derivative rows of the
-    solution of -u'' + (x + q - z) u = g, g at the Gauss nodes of ``grid``,
-    with zero data at x_max: one backward Picard solve seeded by
+    solution at z on ``ws`` of -u'' + (x + q - z) u = g, g at the Gauss
+    nodes, with the Cauchy data of a psi0 + b theta0 at x_max, ``coef =
+    (a, b)``: one backward Picard solve seeded by a psi0 + b theta0 +
     int_x^{x_max} J0 g. g must decay like psi, since J0 weighs it by the
     growing theta0: with g = exp(-x), Green's identity
     psi(0) u'(0) - psi'(0) u(0) = int psi g held only to 2.8e-8.
     """
-    ws = workspace(q, z, grid)
-    (u_g, u_b), _ = ws.picard(ws.kernel(*ws.integrals(ws.basis * g, "back")), "back", z)
+    lin_g, lin_b = ws.combo(*coef)
+    k_g, k_b = ws.kernel(*ws.integrals(ws.basis * g, "back"))
+    (u_g, u_b), _ = ws.picard((lin_g + k_g, lin_b + k_b), "back", z)
     return u_g, u_b

@@ -110,7 +110,6 @@ class BasisValues:
     s0_prime: float
     c0: float
     c0_prime: float
-    s0_dot: float
 
 
 def basis_eval(z: float, x: float) -> BasisValues:
@@ -118,8 +117,7 @@ def basis_eval(z: float, x: float) -> BasisValues:
 
     psi0 decays and theta0 grows past the turning point x = z; s0 and c0
     are the fundamental pair normalized at x = 0. Normalization:
-    W(psi0, theta0) = 1. The s0_dot field uses the identity
-    s0_dot = c0 - s0_prime.
+    W(psi0, theta0) = 1.
     """
     at_x = airy_eval(x - z)
     at_0 = airy_eval(-z)
@@ -139,8 +137,7 @@ def basis_eval(z: float, x: float) -> BasisValues:
     s0p = -t0 * psi0p + p0 * theta0p
     c0 = tp0 * psi0 - pp0 * theta0
     c0p = tp0 * psi0p - pp0 * theta0p
-    return BasisValues(z, x, psi0, psi0p, theta0, theta0p,
-                       s0, s0p, c0, c0p, s0_dot=c0 - s0p)
+    return BasisValues(z, x, psi0, psi0p, theta0, theta0p, s0, s0p, c0, c0p)
 
 
 def _scaled_airy(w: float):

@@ -38,15 +38,6 @@ def test_psi0_at_origin_matches_oracle():
     assert b.psi0 == pytest.approx(SQPI * 0.35502805388781724, rel=1e-13)
 
 
-def test_s0_dot_matches_z_difference():
-    h = 1e-5
-    for z, x in [(0.7, 1.1), (4.0, 5.2), (-2.0, 0.4)]:
-        b = basis_eval(z, x)
-        sp = basis_eval(z + h, x).s0
-        sm = basis_eval(z - h, x).s0
-        assert (sp - sm) / (2 * h) == pytest.approx(b.s0_dot, rel=1e-6, abs=1e-8)
-
-
 def test_psi0_z_derivative_identity():
     h = 1e-5
     for z, x in [(1.0, 2.0), (6.0, 3.5)]:

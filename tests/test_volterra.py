@@ -150,11 +150,32 @@ def test_free_solves_reproduce_basis(q_zero, monkeypatch):
     assert_allclose(psi.z_derivs, [-b.psi0_prime for b in ref], rtol=1e-12)
     theta = ss.solve_theta(q_zero, z)
     assert_allclose(theta.values, [b.theta0 for b in ref], rtol=1e-12)
-    assert_allclose(theta.z_derivs, [-b.theta0_prime for b in ref], rtol=1e-12)
     s, c = ss.solve_sc(q_zero, z)
     assert_allclose(s.values, [b.s0 for b in ref], rtol=1e-11, atol=1e-13)
     assert_allclose(c.values, [b.c0 for b in ref], rtol=1e-11, atol=1e-13)
-    assert_allclose(s.z_derivs, [b.s0_dot for b in ref], rtol=1e-10, atol=1e-12)
+
+
+def test_only_psi_solves_a_z_derivative(q_exp, monkeypatch):
+    # psi and psi_dot take one Picard solve each, theta, s and c one per
+    # class, which carries no z-derivative
+    directions = []
+    picard = Workspace.picard
+
+    def recorded(self, inhom, direction, z):
+        directions.append(direction)
+        return picard(self, inhom, direction, z)
+
+    monkeypatch.setattr(Workspace, "picard", recorded)
+    z = 2.2
+    ws = Workspace(q_exp, z, default_grid(q_exp, z))
+    psi = ss.solve_psi(q_exp, z, ws)
+    assert directions == ["back", "back"] and psi.z_derivs is not None
+    directions.clear()
+    theta = ss.solve_theta(q_exp, z, ws)
+    assert directions == ["fwd"] and theta.z_derivs is None
+    directions.clear()
+    s, c = ss.solve_sc(q_exp, z, ws)
+    assert directions == ["fwd", "fwd"] and s.z_derivs is None and c.z_derivs is None
 
 
 def test_profiles_have_small_defect():
@@ -185,9 +206,6 @@ def test_boundary_values_exact(q_exp):
     assert s.derivs[0] == pytest.approx(1.0, rel=1e-12)
     assert c.values[0] == pytest.approx(1.0, rel=1e-12)
     assert abs(c.derivs[0]) < 1e-12
-    # z-invariance of the boundary data forces vanishing z-derivatives there
-    assert abs(s.z_derivs[0]) < 1e-12
-    assert abs(c.z_derivs[0]) < 1e-12
 
 
 def test_perturbation_scale_is_first_order(q_zero, q_exp):
@@ -247,25 +265,6 @@ def test_z_derivative_matches_finite_difference(q_exp):
     assert rel <= 1e-5
 
 
-def test_theta_and_sc_z_derivatives_match_finite_difference(q_exp):
-    z = 1.9
-    grid = default_grid(q_exp, z)
-    h = 1e-4
-    theta = ss.solve_theta(q_exp, z, grid)
-    tp = ss.solve_theta(q_exp, z + h, grid).values
-    tm = ss.solve_theta(q_exp, z - h, grid).values
-    w = envelope_weights(grid, z, grow=True)
-    scale = np.max(np.abs(theta.z_derivs) * w)
-    assert np.max(np.abs((tp - tm) / (2 * h) - theta.z_derivs) * w) <= 1e-5 * scale
-    s, c = ss.solve_sc(q_exp, z, grid)
-    sp, cp = ss.solve_sc(q_exp, z + h, grid)
-    sm, cm = ss.solve_sc(q_exp, z - h, grid)
-    for prof, plus, minus in ((s, sp, sm), (c, cp, cm)):
-        scale = np.max(np.abs(prof.z_derivs) * w) or 1.0
-        fd = (plus.values - minus.values) / (2 * h)
-        assert np.max(np.abs(fd - prof.z_derivs) * w) <= 1e-5 * scale
-
-
 def test_wronskian_psi_theta_exact_identity(q_exp):
     # W(psi, theta) is x-independent and equals 1 + int_0^M theta0 q psi;
     # the integral is O(omega(q,z)), not zero, so W itself sits near 1
@@ -320,7 +319,7 @@ def test_source_solve_meets_greens_identity(q, z):
     grid = default_grid(q, z)
     psi = ss.solve_psi(q, z, grid)
     g = np.cos(grid.gauss_x) * psi.gauss_values
-    _, u_b = volterra.solve_source(q, z, grid, g)
+    _, u_b = volterra.solve_source(Workspace(q, z, grid), z, g, (0.0, 0.0))
     wronskian = psi.values[0] * u_b[1, 0] - psi.derivs[0] * u_b[0, 0]
     pairing = grid.weights * psi.gauss_values * g
     assert abs(wronskian - np.sum(pairing)) <= 1e-12 * np.sum(np.abs(pairing))
@@ -335,7 +334,7 @@ def test_source_orthogonal_to_psi_leaves_u_zero_at_0(records_cache, key):
     grid = rec.psi.grid
     g = (ss.lambda_directional_derivative(q, 3, v, rec)
          - v.q(grid.gauss_x)) * rec.psi.gauss_values
-    u_g, u_b = volterra.solve_source(q, rec.lam, grid, g)
+    u_g, u_b = volterra.solve_source(Workspace(q, rec.lam, grid), rec.lam, g, (0.0, 0.0))
     assert abs(u_b[0, 0]) <= 1e-12 * max(np.max(np.abs(u_g)), np.max(np.abs(u_b[0])))
 
 
@@ -675,7 +674,8 @@ def test_shifted_solves_agree_with_a_fresh_workspace(q_exp, z0):
         for (shifted, grow), (fresh, _) in zip(_four_classes(q_exp, z, base),
                                                _four_classes(q_exp, z, grid)):
             w = envelope_weights(grid, z, grow)
-            for name in ("values", "derivs", "z_derivs"):
+            # psi, the decaying class, alone carries a z-derivative
+            for name in ("values", "derivs") + (() if grow else ("z_derivs",)):
                 got, want = getattr(shifted, name), getattr(fresh, name)
                 scale = np.max(np.abs(want) * w)
                 assert np.max(np.abs(got - want) * w) <= 1e-12 * scale, (frac, name)
