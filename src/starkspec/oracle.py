@@ -11,6 +11,12 @@ Symmetric Eigenvalue Problem, ch. 4), stepped by airy.newton; the norming
 constants come from those vectors' five-point slope at 0. Each eigenvalue
 must land in its own bracket. The artificial wall at L is admissible
 because eigenfunctions decay doubly-exponentially past their turning point.
+
+Only this module uses scipy.linalg, and it imports it on its first LAPACK
+call, so runs without the oracle (`asympt`, and `eig` or `verify` with
+`--method shooting`) never load it, unless a table potential's spline
+does. `eigh_tridiagonal` and `dgtsv` stay module-level names, since the
+benchmark's tracer wraps the first and the tests replace both.
 """
 from __future__ import annotations
 
@@ -18,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from .airy import newton
 from .errors import DomainError, NumericError, TruncationError
@@ -39,6 +43,25 @@ _EDGE_MASS_TOL = 1e-8
 #: LAPACK's bisection stops at intervals this wide, so each eigenvalue lies
 #: within BRACKET_TOL of its interval's centre: that is its Sturm bracket
 BRACKET_TOL = 1e-2
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """scipy.linalg.eigh_tridiagonal(d, e, **kwargs), imported on the
+    call, so that runs without the oracle (`asympt`, and `eig` or `verify`
+    with `--method shooting`) never load scipy.linalg. The name stays a
+    module attribute, called through the module globals, because the
+    benchmark's tracer wraps it and the tests replace it."""
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(d, e, **kwargs)
+
+
+def dgtsv(dl, d, du, b):
+    """LAPACK gtsv, scipy.linalg.lapack.dgtsv(dl, d, du, b), imported on
+    the call like :func:`eigh_tridiagonal`, so that runs without the oracle
+    never load scipy.linalg; a module attribute, called through the module
+    globals, so that the tests can replace it."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv(dl, d, du, b)
 
 
 @dataclass(frozen=True)

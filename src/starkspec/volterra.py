@@ -306,12 +306,12 @@ class Workspace:
         at_b = np.empty(full.shape[:-1] + (full.shape[-1] + 1,))
         if direction == "back":
             at_b[..., -1] = 0.0
-            np.cumsum(full[..., ::-1], axis=-1, out=at_b[..., -2::-1])
+            np.add.accumulate(full[..., ::-1], axis=-1, out=at_b[..., -2::-1])
             at_g = scaled @ _PARTIAL_RIGHT
             at_g += at_b[..., 1:, None]
         else:
             at_b[..., 0] = 0.0
-            np.cumsum(full, axis=-1, out=at_b[..., 1:])
+            np.add.accumulate(full, axis=-1, out=at_b[..., 1:])
             at_g = scaled @ _PARTIAL_LEFT
             at_g += at_b[..., :-1, None]
         return at_g, at_b
@@ -340,7 +340,13 @@ class Workspace:
         in a cycle whose update, that growth times the rounding, exceeds
         PICARD_TOL. Returns ((the last sweep's values at the Gauss nodes,
         its value and x-derivative rows at the boundaries), the number of
-        sweeps)."""
+        sweeps).
+
+        Each call makes two buffers once, ``prod`` for the kernel product
+        kq f and ``norm`` for the stop rule's weighted norms, and every
+        sweep writes into them; the sweep arithmetic and its order are
+        unchanged. They are locals of the call, never attributes, so a
+        Workspace stays read-only and threads can share it."""
         ig, ib = inhom
         sgn, weight = ((-1.0, self.weight_decay) if direction == "back"
                        else (1.0, self.weight_grow))
@@ -350,14 +356,19 @@ class Workspace:
         # when sgn = -1: rounding is symmetric, so the bits are the same
         (plus, p), (minus, m) = (((self.psi0, 1), (self.th0, 0)) if direction == "back"
                                  else ((self.th0, 0), (self.psi0, 1)))
+        prod, norm = np.empty(kq.shape), np.empty(ig.shape)
         f, last = ig, math.inf
         for sweeps in range(1, PICARD_MAX_ITER + 1):
-            u_g, u_b = self.integrals(kq * f, direction)
+            u_g, u_b = self.integrals(np.multiply(kq, f, out=prod), direction)
             vg = plus * u_g[p]
             vg -= minus * u_g[m]
             vg += ig
-            update = float(np.max(np.abs(vg - f) * weight))
-            size = float(np.max(np.abs(vg) * weight))
+            np.abs(np.subtract(vg, f, out=norm), out=norm)
+            norm *= weight
+            update = float(norm.max())
+            np.abs(vg, out=norm)
+            norm *= weight
+            size = float(norm.max())
             f = vg
             bound = max(scale, size) or 1.0
             if update <= PICARD_TOL * bound or last <= update <= PICARD_FLOOR * bound:

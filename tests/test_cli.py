@@ -18,20 +18,43 @@ from starkspec.errors import ValidationError
 EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
 
 
-def test_cli_import_loads_only_the_pipeline():
-    # the references the tests check against stay out of the package, and
-    # with them QUADPACK; the spline, and the optimizers it pulls in, load
-    # only when a table potential is built; a fresh interpreter sees what
-    # importing cli loads
+def _fresh_python(code, *args):
+    """stdout of ``code`` run by a fresh interpreter that imports the
+    package under test, which sees only what the code itself loads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = ("import sys, starkspec.cli; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
-             "'scipy.optimize', 'starkspec.basis') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_only_the_pipeline():
+    # the references the tests check against stay out of the package, and
+    # with them QUADPACK; the spline, and the optimizers it pulls in, load
+    # only when a table potential is built, and LAPACK's tridiagonal
+    # routines only when the oracle runs
+    out = _fresh_python(
+        "import sys, starkspec.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
+        "'scipy.linalg', 'scipy.optimize', 'starkspec.basis') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+def test_shooting_only_campaigns_never_load_scipy_linalg(tmp_path):
+    # eig, asympt and verify without the oracle run on shooting alone; the
+    # last campaign, verify with the oracle, is the control that loads it
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 3}))
+    out = _fresh_python(
+        "import sys, starkspec.cli as cli\n"
+        "cfg, out = sys.argv[1:]\n"
+        "for argv in (['eig', '--method', 'shooting'], ['asympt'],\n"
+        "             ['verify', '--method', 'shooting'], ['verify']):\n"
+        "    code = cli.main([*argv, '--config', cfg, '--out', out])\n"
+        "    print(argv[0], code, 'scipy.linalg' in sys.modules)",
+        str(cfgfile), str(tmp_path / "o"))
+    assert out.splitlines() == [f"eig {cli.EXIT_OK} False", f"asympt {cli.EXIT_OK} False",
+                                f"verify {cli.EXIT_OK} False", f"verify {cli.EXIT_OK} True"]
 
 
 def test_empty_config_gets_defaults():

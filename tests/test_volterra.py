@@ -200,6 +200,27 @@ def test_profiles_have_small_defect():
                 assert defect <= 1e-10 * np.max(np.abs(f) * weight), (q, z, name)
 
 
+def test_picard_writes_neither_its_seed_nor_an_earlier_result(q_exp):
+    # the sweeps write into buffers made once per call: the seed keeps its
+    # bits, and a second call on the same Workspace, at another z, leaves
+    # the first call's result alone and shares no memory with it or the seed
+    z = 2.2
+    ws = Workspace(q_exp, z, default_grid(q_exp, z))
+    b = ws.boundary
+    for coef, direction in ((ws.match(-1, b[0, -1], b[1, -1]), "back"),
+                            (ws.match(0, 0.0, 1.0), "fwd")):
+        seed = ws.combo(*coef)
+        seed_bits = [a.tobytes() for a in seed]
+        first, sweeps = ws.picard(seed, direction, z)
+        first_bits = [a.tobytes() for a in first]
+        second, _ = ws.picard(seed, direction, z + 0.5 * ws.reach)
+        assert sweeps > 1
+        assert [a.tobytes() for a in seed] == seed_bits
+        assert [a.tobytes() for a in first] == first_bits
+        assert not any(np.shares_memory(a, c) for a in first for c in (*second, *seed))
+        assert not any(np.shares_memory(a, c) for a in second for c in seed)
+
+
 def test_boundary_values_exact(q_exp):
     s, c = ss.solve_sc(q_exp, 2.2)
     assert s.values[0] == 0.0
