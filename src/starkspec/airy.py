@@ -1,10 +1,12 @@
 """Airy zeros, their asymptotic seeds, the package's one Newton
 iteration, and the envelope margin.
 
-Evaluation is backed by scipy.special (AMOS); this module adds the n-th
-Ai zero by Newton from its asymptotic seed (DLMF 9.9), the same Newton
-the eigenvalue solver and the oracle's Rayleigh-quotient iteration run,
-and the empirical constant of the envelope bound on a grid.
+Airy values come from the lattice of AMOS values behind every Workspace
+table (:func:`volterra.airy_table`), whose chunks on w in [-64, 32) are
+stored with the package; this module adds the n-th Ai zero by Newton from
+its asymptotic seed (DLMF 9.9), the same Newton the eigenvalue solver and
+the oracle's Rayleigh-quotient iteration run, and the empirical constant
+of the envelope bound on a grid.
 """
 from __future__ import annotations
 
@@ -12,15 +14,18 @@ import functools
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import BracketError, DomainError
+from .volterra import airy_ai, airy_table
 
 __all__ = ["airy_zero", "envelope_margin", "newton", "standard_envelope_margin", "zero_seed"]
 
 NEWTON_MAX_ITER = 40
 #: relative step below which a Newton step that fails to shrink is roundoff
 NEWTON_NOISE = 1e-8
+#: largest w envelope_margin takes: Bi is nan from w ~ 103.4, and Ai nears
+#: underflow
+ENVELOPE_W_MAX = 100.0
 
 
 def zero_seed(n: int) -> float:
@@ -61,7 +66,8 @@ def newton(step, x: float, window, what: str) -> float:
 
 def airy_zero(n: int) -> float:
     """The n-th (negative) zero a_n of Ai, by :func:`newton` from the
-    asymptotic seed with Ai and Ai' from one AMOS call per iterate.
+    asymptotic seed with Ai and Ai' from :func:`volterra.airy_ai`; the
+    converged iterate is returned with its last Newton step applied.
 
     The window around the seed has half-width the remainder scale
     5*n**(-4/3) clipped to a quarter of the local zero spacing, so it can
@@ -71,42 +77,36 @@ def airy_zero(n: int) -> float:
         raise DomainError(f"airy_zero: n must be an int >= 1, got {n!r}")
     seed = zero_seed(n)
     half = min(5.0 * n ** (-4.0 / 3.0), 0.25 * _gap_estimate(n))
+    dx = 0.0
 
     def step(x):
-        ai, aip = special.airy(x)[:2]
-        return float(ai / aip)
+        nonlocal dx
+        ai, aip = airy_ai(x)
+        dx = float(ai / aip)
+        return dx
 
-    return newton(step, seed, (seed - half, seed + half), f"a_{n}")
+    return newton(step, seed, (seed - half, seed + half), f"a_{n}") - dx
 
 
 def envelope_margin(grid) -> float:
-    """Empirical envelope constant over a grid.
+    """Empirical envelope constant over a grid of w <= ENVELOPE_W_MAX.
 
     Returns max over the grid of |Ai(w)| sigma(w) / g_A(w) and
-    |Ai'(w)| / (sigma(w) g_A(w)). Uses the scaled Airy form for w > 0 so
-    the ratio never overflows.
+    |Ai'(w)| / (sigma(w) g_A(w)), with Ai and Ai' from
+    :func:`volterra.airy_table`. g_A = exp(-(2/3) w^(3/2)) on the positive
+    axis, where its inverse times the table value stays finite up to
+    ENVELOPE_W_MAX, and g_A = 1 on the negative axis.
     """
     w = np.asarray(grid, dtype=float)
     if w.size == 0:
         raise DomainError("envelope_margin: empty grid")
-    if np.any(np.isnan(w)):
-        raise DomainError("envelope_margin: NaN in grid")
+    if not np.all(w <= ENVELOPE_W_MAX):
+        raise DomainError(f"envelope_margin: need w <= {ENVELOPE_W_MAX:g} and no NaN")
     sigma = 1.0 + np.abs(w) ** 0.25
-    # airye divides out exp(-(2/3) w^(3/2)) on the positive axis, which is
-    # exactly g_A there; on the negative axis g_A = 1 and airy is safe.
-    pos = w > 0
-    ai_over_ga = np.empty_like(w)
-    aip_over_ga = np.empty_like(w)
-    if np.any(pos):
-        eai, eaip, _, _ = special.airye(w[pos])
-        ai_over_ga[pos] = eai
-        aip_over_ga[pos] = eaip
-    if np.any(~pos):
-        ai, aip, _, _ = special.airy(w[~pos])
-        ai_over_ga[~pos] = ai
-        aip_over_ga[~pos] = aip
-    m1 = np.max(np.abs(ai_over_ga) * sigma)
-    m2 = np.max(np.abs(aip_over_ga) / sigma)
+    inv_ga = np.exp((2.0 / 3.0) * np.maximum(w, 0.0) ** 1.5)   # exactly 1 for w <= 0
+    ai, aip = airy_table(w)[:2] * inv_ga
+    m1 = np.max(np.abs(ai) * sigma)
+    m2 = np.max(np.abs(aip) / sigma)
     return float(max(m1, m2))
 
 

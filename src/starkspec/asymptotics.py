@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .airy import airy_zero  # noqa: F401  (bench/tracing.py wraps it by name)
 from .errors import InsufficientDataError
-from .volterra import Workspace
+from .volterra import Workspace, special
 
 __all__ = ["lambda_prediction", "kappa_prediction", "decay_rate_fit", "build_report"]
 

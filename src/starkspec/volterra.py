@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy import special
 
 from .errors import DomainError, NumericError
 from .potentials import Potential
@@ -36,6 +36,7 @@ __all__ = [
     "Grid",
     "SolutionProfile",
     "Workspace",
+    "airy_ai",
     "airy_table",
     "default_grid",
     "envelope_offset",
@@ -69,6 +70,21 @@ DECAY_LENGTH = (1.5 * math.log(1.0 / DEFAULT_TAIL_TOL)) ** (2.0 / 3.0)
 TRUNCATION_MARGIN = 2.0
 
 _SQRT_PI = math.sqrt(math.pi)
+
+
+class _Special:
+    """scipy.special, imported on first use: a shooting campaign reads only
+    the stored lattice chunks and never loads it. ``special`` stays a
+    module attribute, here and in asymptotics, so that tests and
+    bench/tracing.py can replace it by name."""
+
+    def __getattr__(self, attr):
+        from scipy import special
+        return getattr(special, attr)
+
+
+special = _Special()
+
 _GAUSS_NODES, _GAUSS_WEIGHTS = legendre.leggauss(8)
 
 
@@ -167,14 +183,36 @@ def default_grid(q: Potential, z: float) -> Grid:
     return grid_from_nodes(np.union1d(nodes, [k for k in q.kinks if 0.0 < k < x_max]))
 
 
-#: spacing of the process-wide AMOS lattice every Airy table steps from;
+#: spacing of the process-wide AMOS lattice every Airy value steps from;
 #: steps of at most half of it need about 10 Taylor terms, and their
 #: cancellation, like exp(2 |h| sqrt(w)) where Ai decays, stays harmless
 LATTICE_STEP = 2.0 ** -6
 _CHUNK = 1024       # lattice points per AMOS evaluation: 16 units of w
+
+
+def _stored_lattice() -> dict:
+    """Chunks -4..1, w in [-64, 32), as stored in airy_lattice.npy:
+    special.airy's values, all that the bench campaigns, the envelope
+    margin and a_n up to n = 108 read, so none of them imports scipy."""
+    return dict(zip(range(-4, 2), np.load(Path(__file__).with_name("airy_lattice.npy"))))
+
+
 #: chunk c -> (Ai, Ai', Bi, Bi') at w = (c _CHUNK + j) LATTICE_STEP, j < _CHUNK;
 #: growth assigns a new dict, so concurrent readers see whole chunks only
-_lattice: dict = {}
+_lattice: dict = _stored_lattice()
+
+
+def _lattice_with(chunks) -> dict:
+    """The lattice holding the chunk ids ``chunks``, grown by one AMOS call
+    for those it lacks."""
+    global _lattice
+    lattice = _lattice
+    missing = [c for c in chunks if c not in lattice]
+    if missing:
+        new = (np.array(missing)[:, None] * _CHUNK + np.arange(_CHUNK)) * LATTICE_STEP
+        rows = np.array(special.airy(new)).transpose(1, 0, 2)
+        _lattice = lattice = {**lattice, **dict(zip(missing, rows))}
+    return lattice
 
 
 def airy_table(w):
@@ -184,7 +222,6 @@ def airy_table(w):
     points get their AMOS values exactly, and no value depends on what the
     lattice held before.
     """
-    global _lattice
     w = np.asarray(w, dtype=float)
     if not np.all(np.abs(w) <= 2.0 ** 40):
         raise DomainError("airy_table: need finite |w| <= 2^40")
@@ -196,20 +233,24 @@ def airy_table(w):
     k = k.astype(np.int64)
     ids = k // _CHUNK
     chunks = np.sort(ids, axis=None)    # sorted unique: cheaper than np.unique's hashing
-    chunks = chunks[np.append(True, chunks[1:] != chunks[:-1])]
-    lattice = _lattice
-    missing = [c for c in chunks.tolist() if c not in lattice]
-    if missing:                         # one AMOS call, for the new chunks only
-        new = (np.array(missing)[:, None] * _CHUNK + np.arange(_CHUNK)) * LATTICE_STEP
-        rows = np.array(special.airy(new)).transpose(1, 0, 2)
-        _lattice = lattice = {**lattice, **dict(zip(missing, rows))}
-    rows = np.concatenate([lattice[c] for c in chunks.tolist()], axis=1)
+    chunks = chunks[np.append(True, chunks[1:] != chunks[:-1])].tolist()
+    lattice = _lattice_with(chunks)
+    rows = np.concatenate([lattice[c] for c in chunks], axis=1)
     at = np.searchsorted(chunks, ids) * _CHUNK + k % _CHUNK
     f0, f1 = np.take(rows[0::2], at, axis=-1), np.take(rows[1::2], at, axis=-1)
     out = np.empty((4,) + f0.shape[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports overflow
         out[0::2], out[1::2] = _airy_step(f0, f1, wk, h)
     return out
+
+
+def airy_ai(w: float):
+    """(Ai, Ai') at one finite float w: :func:`airy_table`'s Ai rows for
+    w alone, stepped on floats, without the array set-up."""
+    k = round(w / LATTICE_STEP)
+    chunk, j = divmod(k, _CHUNK)
+    row = _lattice_with((chunk,))[chunk][:2, j]
+    return _airy_step(float(row[0]), float(row[1]), k * LATTICE_STEP, w - k * LATTICE_STEP)
 
 
 def _airy_step(f, fp, w, h):

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from starkspec import airy, airy_zero, envelope_margin, exp_decay, locate_eigenvalue
-from starkspec.airy import NEWTON_MAX_ITER, newton, zero_seed
+from starkspec import airy, airy_zero, envelope_margin, exp_decay, locate_eigenvalue, volterra
+from starkspec.airy import ENVELOPE_W_MAX, NEWTON_MAX_ITER, newton, zero_seed
 from starkspec.errors import BracketError, DomainError
 from references import airy_eval, envelope
 
@@ -122,28 +122,33 @@ def test_zeros_decrease_and_residuals_small():
     assert all(zeros[i + 1] < zeros[i] for i in range(len(zeros) - 1))
 
 
-def test_airy_zero_takes_ai_and_its_slope_from_one_call(monkeypatch):
-    # one AMOS call per Newton iterate gives Ai and Ai': three calls per
-    # zero for n = 1..60, and no point evaluated twice
-    calls = []
+def test_airy_zero_and_the_envelope_margin_read_only_the_stored_lattice(monkeypatch):
+    # a_n for n <= 60 and the margin on [-30, 30) step from the chunks
+    # stored with the package: no AMOS call, and the margin keeps the bits
+    # it had when it called AMOS itself
+    def amos(w):
+        raise AssertionError("AMOS called")
 
-    def counted(x):
-        calls.append(x)
-        return special.airy(x)
-
-    monkeypatch.setattr(airy, "special", SimpleNamespace(airy=counted))
+    monkeypatch.setattr(volterra, "_lattice", volterra._stored_lattice())
+    monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=amos))
     for n in range(1, 61):
         assert abs(special.airy(airy_zero(n))[0]) <= 1e-12
-    assert len(calls) == 180 and len(set(calls)) == len(calls)
+    airy.standard_envelope_margin.cache_clear()
+    try:
+        assert airy.standard_envelope_margin() == 1.080854147839186
+    finally:
+        airy.standard_envelope_margin.cache_clear()
 
 
-@pytest.mark.parametrize("n", [1, 60, 91, 134, 1000, 2000, 19672])
+@pytest.mark.parametrize("n", [1, 60, 91, 134, 161, 166, 168, 1000, 2000, 19672])
 def test_airy_zero_matches_mpmath(n):
     # at n = 19672 rounding keeps |Ai| near 1.25e-12 even at the correctly
-    # rounded zero, so no residual test on Ai could stop there
+    # rounded zero, so no residual test on Ai could stop there; n = 161,
+    # 166 and 168 were the worst of 161..213, above 1e-15, while the
+    # converged iterate was returned without its last Newton step
     mp.mp.dps = 30
     ref = mp.airyaizero(n)
-    assert abs(airy_zero(n) - ref) <= 4.5e-16 * abs(ref)
+    assert abs(airy_zero(n) - ref) <= 2.5e-16 * abs(ref)
 
 
 def test_newton_reaches_sqrt2_within_one_ulp():
@@ -207,6 +212,25 @@ def test_envelope_margin_point_and_grid():
     assert m == pytest.approx(1.0808541478, rel=1e-8)
     m_fine = envelope_margin(np.arange(-30.0, 30.0, 0.001))
     assert abs(m - m_fine) <= 0.01 * m
+
+
+def test_envelope_margin_agrees_with_the_scaled_amos_values():
+    # table values times exp((2/3) w^(3/2)) against airye, which scales
+    # inside AMOS: AMOS's unscaled Ai and the rescaling each carry the
+    # rounding of the exponent, 2/3 w^(3/2) ulps, about 1.5e-13 at w = 100
+    w = np.concatenate([np.linspace(1e-9, ENVELOPE_W_MAX, 2001), [2.0 ** -7, 99.955]])
+    sigma = 1.0 + w ** 0.25
+    eai, eaip = special.airye(w)[:2]
+    ref = np.maximum(np.abs(eai) * sigma, np.abs(eaip) / sigma)
+    rel = np.abs(np.array([envelope_margin([x]) for x in w]) / ref - 1.0)
+    assert rel[w <= 60.0].max() <= 1e-13 and rel.max() <= 2.5e-13
+
+
+@pytest.mark.parametrize("grid", [[ENVELOPE_W_MAX + 0.01], [0.0, 150.0], [np.nan], []])
+def test_envelope_margin_rejects_points_past_its_range(grid):
+    # Bi is nan from w ~ 103.4 and Ai nears underflow
+    with pytest.raises(DomainError, match="envelope_margin"):
+        envelope_margin(grid)
 
 
 def test_airy_norm_integral_identity():

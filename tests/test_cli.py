@@ -31,18 +31,23 @@ def _fresh_python(code, *args):
 def test_cli_import_loads_only_the_pipeline():
     # the references the tests check against stay out of the package, and
     # with them QUADPACK; the spline, and the optimizers it pulls in, load
-    # only when a table potential is built, and LAPACK's tridiagonal
-    # routines only when the oracle runs
+    # only when a table potential is built, LAPACK's tridiagonal routines
+    # only when the oracle runs, and AMOS only for Airy values off the
+    # stored lattice or the decay fit's t quantile: no scipy module at all
     out = _fresh_python(
         "import sys, starkspec.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', "
-        "'scipy.linalg', 'scipy.optimize', 'starkspec.basis') if m in sys.modules))")
+        "print(sorted(m for m in ('scipy', 'scipy.integrate', 'scipy.interpolate', "
+        "'scipy.linalg', 'scipy.optimize', 'scipy.special', 'starkspec.basis') "
+        "if m in sys.modules))")
     assert out.strip() == "[]"
 
 
 def test_shooting_only_campaigns_never_load_scipy_linalg(tmp_path):
     # eig, asympt and verify without the oracle run on shooting alone; the
-    # last campaign, verify with the oracle, is the control that loads it
+    # last campaign, verify with the oracle, is the control that loads it.
+    # No campaign loads scipy.special: Airy values come from the stored
+    # lattice, and three indices are too few for the decay fit's t
+    # quantile; an Airy value off the stored chunks is its control
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 3}))
     out = _fresh_python(
@@ -51,10 +56,14 @@ def test_shooting_only_campaigns_never_load_scipy_linalg(tmp_path):
         "for argv in (['eig', '--method', 'shooting'], ['asympt'],\n"
         "             ['verify', '--method', 'shooting'], ['verify']):\n"
         "    code = cli.main([*argv, '--config', cfg, '--out', out])\n"
-        "    print(argv[0], code, 'scipy.linalg' in sys.modules)",
+        "    print(argv[0], code, 'scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "cli.volterra.airy_table([-200.0])\n"
+        "print('scipy.special' in sys.modules)",
         str(cfgfile), str(tmp_path / "o"))
-    assert out.splitlines() == [f"eig {cli.EXIT_OK} False", f"asympt {cli.EXIT_OK} False",
-                                f"verify {cli.EXIT_OK} False", f"verify {cli.EXIT_OK} True"]
+    assert out.splitlines() == [f"eig {cli.EXIT_OK} False False",
+                                f"asympt {cli.EXIT_OK} False False",
+                                f"verify {cli.EXIT_OK} False False",
+                                f"verify {cli.EXIT_OK} True False", "True"]
 
 
 def test_empty_config_gets_defaults():
@@ -249,10 +258,9 @@ def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):
 
 
 def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
-    # AMOS calls and points behind every Workspace Airy table in an eig
-    # campaign, from a cold lattice, the table points themselves, and the
-    # Picard solves and sweeps; Newton from the prediction on one grid per
-    # index took these down from 50 calls, 287,405 points, 99 solves and 705
+    # AMOS calls behind a_n and every Workspace Airy table in an eig
+    # campaign, the table points themselves, and the Picard solves and
+    # sweeps; Newton from the prediction on one grid per index took these down from 50 calls, 287,405 points, 99 solves and 705
     # sweeps, and the shared lattice from 8 calls and 51,258 points (180
     # calls and 516,380 points before the tables were moved to nearby z).
     # Equal-phase panels took the table points from 204,652 to 98,572, and
@@ -268,7 +276,9 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     # unit wide, took the table points to 4,798 and the swept Gauss nodes
     # to 165,896, with the sweeps and tables unchanged. Each solve applies
     # the operator once per Picard sweep and takes one more set of running
-    # integrals for its z-derivative's coupling, none for assembly
+    # integrals for its z-derivative's coupling, none for assembly. The
+    # lattice chunks stored with the package took the AMOS calls from one
+    # of 3,072 points (the tables', from a cold lattice) to none
     work = Counter()
     table = volterra.airy_table
 
@@ -297,7 +307,8 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
         work["integral_calls"] += 1
         return integrals(self, integrands, direction)
 
-    monkeypatch.setattr(volterra, "_lattice", {})    # cold, whatever ran before
+    # the stored chunks, whatever else ran before
+    monkeypatch.setattr(volterra, "_lattice", volterra._stored_lattice())
     monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
     monkeypatch.setattr(volterra, "airy_table", counted_table)
     monkeypatch.setattr(volterra.Workspace, "picard", counted_picard)
@@ -306,8 +317,8 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
                                    "output_dir": str(tmp_path / "o")}))
     assert cli.main(["eig", "--config", str(cfgfile), "--method", "shooting"]) == cli.EXIT_OK
-    # one lattice growth of three 1,024-point chunks serves every table
-    assert work["amos_calls"] <= 1 and work["amos_points"] <= 3_072
+    # the stored lattice chunks serve a_n and every table: no AMOS call
+    assert work["amos_calls"] == 0
     assert work["tables"] <= 10 and work["table_points"] <= 4_798
     # the grid of the eig-exp60 benchmark's last index: 3,556 panels before
     # equal-phase panels, 1,873 with them, 235 on panels one phase unit wide

@@ -477,8 +477,20 @@ def test_airy_table_accuracy_across_the_range():
 
 
 def test_airy_table_is_amos_at_lattice_points():
-    w = np.arange(-45 * 64, 46 * 64 + 1, 7) * LATTICE_STEP
+    # the stored chunks, and around w = -200 a chunk grown by one AMOS call
+    w = np.concatenate([np.arange(-45 * 64, 46 * 64 + 1, 7),
+                        np.arange(-200 * 64 - 40, -200 * 64 + 41, 3)]) * LATTICE_STEP
     assert np.array_equal(airy_table(w), np.array(special.airy(w)))
+
+
+def test_stored_lattice_chunks_are_amos_values():
+    # airy_lattice.npy is np.save of the (6, 4, 1024) stack of these rows:
+    # special.airy on lattice chunks -4..1, bit for bit
+    stored = volterra._stored_lattice()
+    assert sorted(stored) == list(range(-4, 2))
+    for chunk, rows in stored.items():
+        w = (chunk * volterra._CHUNK + np.arange(volterra._CHUNK)) * LATTICE_STEP
+        assert np.array_equal(rows, np.array(special.airy(w)))
 
 
 def test_airy_table_vs_mpmath_off_the_lattice():
@@ -542,6 +554,13 @@ def test_airy_step_of_one_point_is_the_same_for_floats_and_arrays():
         for row in (0, 1):          # Ai, Bi
             f, fp = float(table[2 * row, 0]), float(table[2 * row + 1, 0])
             assert (val[row, 0], der[row, 0]) == volterra._airy_step(f, fp, w, h)
+
+
+def test_airy_ai_of_one_float_is_the_table_of_that_point():
+    # airy_zero's Newton steps read these bits, off the stored chunks too
+    rng = np.random.default_rng(7)
+    for w in [*rng.uniform(-64.0, 32.0, 40), -150.3, 40 * LATTICE_STEP, 0.0]:
+        assert volterra.airy_ai(w) == tuple(airy_table(np.array([w]))[:2, 0])
 
 
 def test_airy_step_within_the_reach_agrees_with_amos():
