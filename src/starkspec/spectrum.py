@@ -5,9 +5,9 @@ solution; its zeros are the Dirichlet eigenvalues. Each is found by
 Newton from its first-order prediction, with the z-derivative of the
 same solve as slope, on one grid whose Airy table at -a_n also gives
 both predictions, and certified by the eigenfunction's oscillation
-count. The norming constant is log(-psi'(0) / psi_dot(0)). Its gradient
-perturbs the normalized eigenfunction to first order: one backward solve
-of psi's own equation with a source, on the record's grid.
+count. The norming constant is log(-psi'(0) / psi_dot(0)). Both
+gradients are densities at the record's Gauss nodes, built from psi and
+psi_dot as the solve left them, so a derivative along v is one Gauss sum.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .airy import NEWTON_NOISE, airy_zero, newton
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
-from .volterra import Grid, SolutionProfile, Workspace, solve_psi, solve_source, workspace
+from .volterra import Grid, SolutionProfile, Workspace, solve_psi, workspace
 from .volterra import solve_sc  # noqa: F401  (bench/tracing.py wraps it by name)
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "shooting_value",
     "norm_sq_psi",
     "oscillation_count",
+    "gradients",
     "lambda_directional_derivative",
     "kappa_directional_derivative",
     "paired_record",
@@ -159,38 +160,34 @@ def paired_record(q: Potential, n: int, v: Potential,
     return locate_eigenvalue(blend(q, v, 0.0), n)
 
 
+def gradients(record: EigenRecord) -> tuple:
+    """The lambda and kappa densities at ``record``'s Gauss nodes, whose
+    Gauss sums with v are the derivatives along v: psi^2 / N and
+    (2 / N) (psi psi_dot - (<psi, psi_dot> / N) psi^2), N = ||psi||^2 =
+    -psi'(0) psi_dot(0). The second is the first-order perturbation of
+    kappa = log(eta'(0)^2), eta = psi / ||psi||, paired by Green's identity
+    with (H_q - lambda) psi_dot = psi (Poeschel-Trubowitz, 1987)."""
+    psi, psi_dot = record.psi.gauss_values, record.psi.gauss_z_derivs
+    norm_sq = -record.psi_prime0 * record.psi_dot0
+    overlap = float(np.sum(record.psi.grid.weights * psi * psi_dot)) / norm_sq
+    return psi ** 2 / norm_sq, (2.0 / norm_sq) * (psi * psi_dot - overlap * psi ** 2)
+
+
 def lambda_directional_derivative(q: Potential, n: int, v: Potential,
                                   record: EigenRecord | None = None) -> float:
-    """Derivative of the n-th eigenvalue along v: integral of eta_n^2 v.
-
-    The (1+x)^r weight of the gradient cancels against the pairing, so
-    this is a plain L2 integral of the normalized eigenfunction squared.
-    ``record`` is paired as :func:`paired_record` pairs it.
-    """
+    """Derivative of the n-th eigenvalue along v, the plain L2 pairing of
+    eta_n^2 with v: the Gauss sum of :func:`gradients`' lambda density
+    with v; ``record`` is paired as :func:`paired_record` pairs it."""
     rec = paired_record(q, n, v, record)
     grid = rec.psi.grid
-    eta2 = rec.psi.gauss_values ** 2 / (-rec.psi_prime0 * rec.psi_dot0)
-    return float(np.sum(grid.weights * eta2 * np.asarray(v.q(grid.gauss_x))))
+    return float(np.sum(grid.weights * gradients(rec)[0] * np.asarray(v.q(grid.gauss_x))))
 
 
 def kappa_directional_derivative(q: Potential, n: int, v: Potential,
                                  record: EigenRecord | None = None) -> float:
-    """Derivative of the n-th norming constant along v, by first-order
-    perturbation of eta = psi / ||psi||: kappa = log(eta'(0)^2), so
-    d kappa = 2 d eta'(0) / eta'(0), with d eta = u - <u, eta> eta and
-    (H_q - lambda) u = (d lambda - v) eta. On psi's scale, with
-    ||psi||^2 = -psi'(0) psi_dot(0) and g = (d lambda - v) psi,
-    d kappa = 2 (u'(0) / psi'(0) - <u, psi> / ||psi||^2). g is orthogonal
-    to psi, so u(0) = 0 by Green's identity; u + t psi gives the same
-    value, so u starts from zero data at x_max, where the pairings stop:
-    mass of v beyond only rescales psi on the grid. ``record`` is paired
-    as :func:`paired_record` pairs it.
-    """
+    """Derivative of the n-th norming constant along v: the Gauss sum of
+    :func:`gradients`' kappa density with v on [0, x_max], since v past
+    x_max only rescales psi there; ``record`` is paired likewise."""
     rec = paired_record(q, n, v, record)
-    psi, grid = rec.psi.gauss_values, rec.psi.grid
-    norm_sq = -rec.psi_prime0 * rec.psi_dot0
-    psi_v = psi * np.asarray(v.q(grid.gauss_x))
-    d_lam = float(np.sum(grid.weights * psi * psi_v)) / norm_sq
-    u_g, u_b = solve_source(workspace(q, rec.lam, grid), rec.lam, d_lam * psi - psi_v, (0.0, 0.0))
-    return 2.0 * (float(u_b[1, 0]) / rec.psi_prime0
-                  - float(np.sum(grid.weights * u_g * psi)) / norm_sq)
+    grid = rec.psi.grid
+    return float(np.sum(grid.weights * gradients(rec)[1] * np.asarray(v.q(grid.gauss_x))))

@@ -17,8 +17,8 @@ x-derivatives at the panel boundaries. Each class, psi, theta, s and c, is
 seeded by a psi0 + b theta0 matched to its Cauchy data at z. The basis
 stays at its Workspace's centre z0: a solve at z within the Workspace's
 reach carries z - z0 as a constant potential (see :func:`_solve`). psi
-alone carries a z-derivative, solved as the source problem
-(H_q - z) psi_dot = psi (see :func:`solve_source`).
+alone carries a z-derivative, at the boundaries and the Gauss nodes, solved
+as the source problem (H_q - z) psi_dot = psi (see :func:`solve_source`).
 """
 from __future__ import annotations
 
@@ -104,23 +104,27 @@ _PARTIAL_RIGHT, _PARTIAL_LEFT = _reference_partials()
 
 @dataclass(frozen=True)
 class Grid:
-    """Panel grid on [0, x_max] with per-panel Gauss machinery."""
+    """Panel grid on [0, x_max]; its (panels, p) Gauss abscissae and weights
+    are computed when read, so a grid stores only its nodes and widths."""
 
     nodes: np.ndarray       # panel boundaries, nodes[0] = 0, nodes[-1] = x_max
     x_max: float
-    weights: np.ndarray     # (panels, p) Gauss weights
-    gauss_x: np.ndarray     # (panels, p) Gauss abscissae
     widths: np.ndarray      # (panels,)
 
     @property
-    def n_panels(self) -> int:
-        return len(self.widths)
+    def gauss_x(self) -> np.ndarray:
+        return self.nodes[:-1, None] + (_GAUSS_NODES[None, :] + 1.0) * (self.widths[:, None] / 2.0)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _GAUSS_WEIGHTS[None, :] * (self.widths[:, None] / 2.0)
 
 
 @dataclass
 class SolutionProfile:
-    """A solved profile sampled on the grid nodes; ``z_derivs`` holds
-    psi's z-derivative, and is None for theta, s and c.
+    """A solved profile: values and x-derivatives at the panel boundaries,
+    values at the Gauss nodes; ``z_derivs`` and ``gauss_z_derivs`` hold
+    psi's z-derivative at both, and are None for theta, s and c.
 
     It covers [0, x_max] only: the grid ends where the decaying envelope
     is negligible (see :func:`default_grid`)."""
@@ -129,8 +133,8 @@ class SolutionProfile:
     derivs: np.ndarray
     z_derivs: np.ndarray | None
     grid: Grid
-    # Gauss-node samples, used for downstream quadratures
     gauss_values: np.ndarray
+    gauss_z_derivs: np.ndarray | None
 
 
 def envelope_offset() -> float:
@@ -146,10 +150,7 @@ def grid_from_nodes(nodes) -> Grid:
         raise DomainError("grid_from_nodes: need a finite 1-d node array starting at 0")
     if np.any(np.diff(nodes) <= 0):
         raise DomainError("grid_from_nodes: nodes must increase strictly")
-    widths = np.diff(nodes)
-    gauss_x = nodes[:-1, None] + (_GAUSS_NODES[None, :] + 1.0) * (widths[:, None] / 2.0)
-    weights = _GAUSS_WEIGHTS[None, :] * (widths[:, None] / 2.0)
-    return Grid(nodes, float(nodes[-1]), weights, gauss_x, widths)
+    return Grid(nodes, float(nodes[-1]), np.diff(nodes))
 
 
 def default_grid(q: Potential, z: float) -> Grid:
@@ -298,22 +299,23 @@ class Workspace:
     def __init__(self, q: Potential, z: float, grid: Grid):
         self.q = q
         self.grid = grid
-        self.qg = np.asarray(q.q(grid.gauss_x))
+        gauss_x = grid.gauss_x
+        self.qg = np.asarray(q.q(gauss_x))
         #: panel half-widths, the Jacobian of every panel's Gauss rules, one
         #: per Gauss node so that scaling a stack broadcasts contiguously
-        self._half = np.broadcast_to(grid.widths[:, None] / 2.0, grid.gauss_x.shape).copy()
+        self._half = np.broadcast_to(grid.widths[:, None] / 2.0, gauss_x.shape).copy()
         # the table's points: the Gauss then the boundary abscissae
-        table = airy_table(np.concatenate([grid.gauss_x.ravel(), grid.nodes]) - z)
+        table = airy_table(np.concatenate([gauss_x.ravel(), grid.nodes]) - z)
         if not np.all(np.isfinite(table)):
             # AMOS returns nan for Bi from w ~ 103.4, before Bi' overflows
             raise NumericError(
                 f"workspace: Airy table non-finite at z = {z!r}, max w = "
                 f"{grid.x_max - z:.6g}; x_max - z too large for Bi")
         self.z = z
-        n_g = grid.gauss_x.size
+        n_g = gauss_x.size
         self.table = _SQRT_PI * table
         self.boundary = self.table[:, n_g:]
-        gauss = self.table[:, :n_g].reshape((4,) + grid.gauss_x.shape)
+        gauss = self.table[:, :n_g].reshape((4,) + gauss_x.shape)
         self.psi0, self.psi0p, self.th0 = gauss[0], gauss[1], gauss[2]
         #: (psi0, theta0) at the Gauss nodes, the kernel's factors
         self.basis = gauss[0::2]
@@ -322,7 +324,7 @@ class Workspace:
         #: of phase, at the largest distance from the turning point
         self.reach = REACH_PHASE / math.sqrt(1.0 + self.q.sup_norm
                                              + max(abs(z), grid.x_max - z))
-        w = grid.gauss_x - z
+        w = gauss_x - z
         w_plus = np.maximum(w, 0.0)
         growth = np.exp((2.0 / 3.0) * w_plus * np.sqrt(w_plus))   # exp((2/3) w_+^(3/2))
         sigma = 1.0 + np.sqrt(np.sqrt(np.abs(w)))
@@ -459,11 +461,12 @@ def _solve(ws: Workspace, z: float, coef, direction: str) -> SolutionProfile:
     -(z - ws.z), and each class matches its seed to its Cauchy data at z.
     """
     (vg, vb), _ = ws.picard(ws.combo(*coef), direction, z)
-    return SolutionProfile(vb[0], vb[1], None, ws.grid, vg)
+    return SolutionProfile(vb[0], vb[1], None, ws.grid, vg, None)
 
 
 def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
-    """The square-integrable solution and its z-derivative.
+    """The square-integrable solution and its z-derivative, at the panel
+    boundaries and the Gauss nodes.
 
     psi solves the backward Volterra equation whose seed is sqrt(pi)
     Ai(x - z) beyond x_max: it meets that in value and slope at x_max.
@@ -471,14 +474,13 @@ def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> S
     of those data, by the Airy equation -sqrt(pi) Ai'(x_max - z) and
     -(x_max - z) sqrt(pi) Ai(x_max - z). ``grid`` is a Grid, None for the
     default grid, or a Workspace on the grid to use, which serves z as
-    :func:`workspace` says.
-    """
+    :func:`workspace` says."""
     ws = workspace(q, z, grid)
     x_max = ws.grid.x_max
     ai, aip = _airy_step(ws.boundary[0, -1], ws.boundary[1, -1], x_max - ws.z, ws.z - z)
     psi = _solve(ws, z, ws.match(-1, ai, aip), "back")
-    _, u_b = solve_source(ws, z, psi.gauss_values, ws.match(-1, -aip, -(x_max - z) * ai))
-    psi.z_derivs = u_b[0]
+    psi.gauss_z_derivs, (psi.z_derivs, _) = solve_source(
+        ws, z, psi.gauss_values, ws.match(-1, -aip, -(x_max - z) * ai))
     return psi
 
 

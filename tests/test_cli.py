@@ -323,7 +323,7 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
     # the grid of the eig-exp60 benchmark's last index: 3,556 panels before
     # equal-phase panels, 1,873 with them, 235 on panels one phase unit wide
     assert volterra.default_grid(cli.make_potential(EXP_03),
-                                 -cli.airy_zero(60)).n_panels <= 250
+                                 -cli.airy_zero(60)).widths.size <= 250
     assert work["picard_calls"] <= 48 and work["swept_nodes"] <= 165_896
     assert work["integral_calls"] == work["picard_sweeps"] + work["picard_calls"] // 2
 

@@ -3,6 +3,7 @@ import gc
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
@@ -98,7 +99,7 @@ def test_lambda_gradient_closed_form_at_zero(zero_records):
     q, recs = zero_records
     v = ss.exp_decay(1.0, 1.0, r=2.0)
     val = ss.lambda_directional_derivative(q, 1, v, recs[1])
-    assert val == pytest.approx(DLAM1_EXP, rel=1e-7)
+    assert val == pytest.approx(DLAM1_EXP, rel=1e-12)
     assert ss.lambda_directional_derivative(q, 1, ss.bump(0.0, 1, 1), recs[1]) == 0.0
 
 
@@ -106,10 +107,10 @@ def test_kappa_gradient_closed_form_at_zero(zero_records):
     q, recs = zero_records
     v = ss.exp_decay(1.0, 1.0, r=2.0)
     val = ss.kappa_directional_derivative(q, 1, v, recs[1])
-    assert val == pytest.approx(DKAP1_EXP, rel=1e-10)
+    assert val == pytest.approx(DKAP1_EXP, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 30])
 def test_kappa_gradient_closed_form_general_n(zero_records, n):
     # at q = 0 the gradients reduce to Airy pairings divided by Ai'(a_n)^2
     q, recs = zero_records
@@ -124,9 +125,9 @@ def test_kappa_gradient_closed_form_general_n(zero_records, n):
     lam_exact = pairing(lambda ai, aip, bi, bip: ai * ai)
     kap_exact = -2.0 * pairing(lambda ai, aip, bi, bip: ai * aip)
     assert ss.lambda_directional_derivative(q, n, v, recs[n]) == pytest.approx(
-        lam_exact, rel=1e-7)
+        lam_exact, rel=1e-12)
     assert ss.kappa_directional_derivative(q, n, v, recs[n]) == pytest.approx(
-        kap_exact, rel=1e-10)
+        kap_exact, rel=1e-12)
 
 
 def test_gradients_match_finite_differences(records_cache):
@@ -180,9 +181,9 @@ def test_kappa_gradient_with_slow_direction(c, v, oracle):
         assert dk == pytest.approx((4.0 * diff(5e-3) - diff(1e-2)) / 3.0, rel=1e-5)
 
 
-def test_kappa_gradient_runs_one_source_solve(records_cache, monkeypatch):
-    # psi and psi_dot come from a record paired with v; the perturbation of
-    # the normalized eigenfunction is one source solve, one Picard solve
+def test_gradients_solve_nothing_on_a_paired_record(records_cache, monkeypatch):
+    # both densities are read off the record's psi and psi_dot, so neither
+    # derivative builds an Airy table or runs a Picard or shooting solve
     calls = Counter()
 
     def count(owner, name):
@@ -197,11 +198,29 @@ def test_kappa_gradient_runs_one_source_solve(records_cache, monkeypatch):
     q, recs = records_cache("exp+", 1)
     v = ss.bump(1.0, 2.0, 1.0, r=2.0)
     rec = spectrum.paired_record(q, 1, v, recs[1])
-    count(spectrum, "solve_psi")
-    count(spectrum, "solve_sc")
-    count(volterra.Workspace, "picard")
+    for owner, name in ((volterra.Workspace, "__init__"), (volterra.Workspace, "picard"),
+                        (spectrum, "solve_psi"), (volterra, "solve_psi"),
+                        (spectrum, "solve_sc"), (volterra, "solve_source")):
+        count(owner, name)
+    ss.lambda_directional_derivative(q, 1, v, rec)
     ss.kappa_directional_derivative(q, 1, v, rec)
-    assert calls == {"picard": 1}
+    spectrum.gradients(rec)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("key, n", [("exp+", 1), ("bump", 3), ("table30", 2)])
+def test_gradients_give_both_directional_derivatives(records_cache, key, n):
+    # the densities' Gauss sums with v are the two derivatives, bit for bit
+    q, recs = records_cache(key, n)
+    for v in (ss.exp_decay(1.0, 1.0), ss.bump(1.0, 2.0, 1.0)):
+        rec = spectrum.paired_record(q, n, v, recs[n])
+        grid = rec.psi.grid
+        dens_lam, dens_kap = spectrum.gradients(rec)
+        vg = np.asarray(v.q(grid.gauss_x))
+        assert float(np.sum(grid.weights * dens_lam * vg)) == \
+            ss.lambda_directional_derivative(q, n, v, rec)
+        assert float(np.sum(grid.weights * dens_kap * vg)) == \
+            ss.kappa_directional_derivative(q, n, v, rec)
 
 
 @pytest.mark.parametrize("q, n, v", [
@@ -226,7 +245,6 @@ def test_kappa_gradient_zero_direction(zero_records):
 
 
 def test_tabulated_potential_through_the_full_pipeline():
-    import numpy as np
     xs = np.linspace(0.0, 30.0, 600)
     ys = 0.3 * np.exp(-xs)
     ys[-1] = 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -103,7 +104,7 @@ def test_running_integrals(q_zero):
     rng = np.random.default_rng(8)
     grid = grid_from_nodes(np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 15))]))
     ws = Workspace(q_zero, 1.0, grid)
-    coef = rng.normal(size=(3, grid.n_panels, p))   # powers of x - panel start
+    coef = rng.normal(size=(3, grid.widths.size, p))   # powers of x - panel start
     t = grid.gauss_x - grid.nodes[:-1, None]
     integrands = sum(coef[..., k, None] * t ** k for k in range(p))
 
@@ -170,12 +171,14 @@ def test_only_psi_solves_a_z_derivative(q_exp, monkeypatch):
     ws = Workspace(q_exp, z, default_grid(q_exp, z))
     psi = ss.solve_psi(q_exp, z, ws)
     assert directions == ["back", "back"] and psi.z_derivs is not None
+    assert psi.gauss_z_derivs.shape == psi.gauss_values.shape
     directions.clear()
     theta = ss.solve_theta(q_exp, z, ws)
     assert directions == ["fwd"] and theta.z_derivs is None
     directions.clear()
     s, c = ss.solve_sc(q_exp, z, ws)
     assert directions == ["fwd", "fwd"] and s.z_derivs is None and c.z_derivs is None
+    assert theta.gauss_z_derivs is None and s.gauss_z_derivs is None and c.gauss_z_derivs is None
 
 
 def test_profiles_have_small_defect():
@@ -274,16 +277,28 @@ def test_ode_residual_of_profiles(q_exp):
 
 
 def test_z_derivative_matches_finite_difference(q_exp):
+    # at the panel boundaries and at the Gauss nodes
     z = A1 + 0.37
     grid = default_grid(q_exp, z)
     psi = ss.solve_psi(q_exp, z, grid)
     h = 1e-4
-    vp = ss.solve_psi(q_exp, z + h, grid).values
-    vm = ss.solve_psi(q_exp, z - h, grid).values
-    fd = (vp - vm) / (2 * h)
-    mask = np.abs(psi.z_derivs) > 1e-3 * np.max(np.abs(psi.z_derivs))
-    rel = np.max(np.abs((fd[mask] - psi.z_derivs[mask]) / psi.z_derivs[mask]))
-    assert rel <= 1e-5
+    plus, minus = ss.solve_psi(q_exp, z + h, grid), ss.solve_psi(q_exp, z - h, grid)
+    for name, z_name in (("values", "z_derivs"), ("gauss_values", "gauss_z_derivs")):
+        fd = (getattr(plus, name) - getattr(minus, name)) / (2 * h)
+        dot = getattr(psi, z_name)
+        mask = np.abs(dot) > 1e-3 * np.max(np.abs(dot))
+        rel = np.max(np.abs((fd[mask] - dot[mask]) / dot[mask]))
+        assert rel <= 1e-5, z_name
+
+
+def test_grid_stores_no_gauss_arrays(q_exp):
+    # a record keeps its grid, whose (panels, p) Gauss abscissae and
+    # weights are computed when read
+    grid = default_grid(q_exp, 5.0)
+    assert all(np.ndim(getattr(grid, f.name)) <= 1 for f in dataclasses.fields(grid))
+    assert grid.gauss_x.shape == grid.weights.shape == (grid.widths.size, 8)
+    assert np.sum(grid.weights) == pytest.approx(grid.x_max, rel=1e-14)
+    assert np.all((grid.nodes[:-1, None] < grid.gauss_x) & (grid.gauss_x < grid.nodes[1:, None]))
 
 
 def test_wronskian_psi_theta_exact_identity(q_exp):
@@ -346,17 +361,26 @@ def test_source_solve_meets_greens_identity(q, z):
     assert abs(wronskian - np.sum(pairing)) <= 1e-12 * np.sum(np.abs(pairing))
 
 
-@pytest.mark.parametrize("key", ["exp+", "bump"])
+@pytest.mark.parametrize("key", list(POTENTIALS))
 def test_source_orthogonal_to_psi_leaves_u_zero_at_0(records_cache, key):
-    # the kappa gradient's source (d lambda - v) psi is orthogonal to psi,
-    # so at a root, where psi(0) = 0, Green's identity gives u(0) = 0
+    # eta = psi / ||psi|| moves along v by u - <u, eta> eta, where
+    # (H_q - lambda) u = g = (d lambda - v) psi from zero data at x_max; g is
+    # orthogonal to psi, so at a root, where psi(0) = 0, Green's identity
+    # gives u(0) = 0, and d kappa = 2 (u'(0) / psi'(0) - <u, psi> / ||psi||^2),
+    # the source-solve route that the Gauss sum of the kappa density matches
     q, recs = records_cache(key, 3)
-    rec, v = recs[3], ss.exp_decay(1.0, 1.0)
-    grid = rec.psi.grid
-    g = (ss.lambda_directional_derivative(q, 3, v, rec)
-         - v.q(grid.gauss_x)) * rec.psi.gauss_values
-    u_g, u_b = volterra.solve_source(Workspace(q, rec.lam, grid), rec.lam, g, (0.0, 0.0))
-    assert abs(u_b[0, 0]) <= 1e-12 * max(np.max(np.abs(u_g)), np.max(np.abs(u_b[0])))
+    for n in (1, 3):
+        for v in (ss.exp_decay(1.0, 1.0), ss.bump(1.0, 2.0, 1.0)):
+            rec = spectrum.paired_record(q, n, v, recs[n])
+            grid, psi = rec.psi.grid, rec.psi.gauss_values
+            g = (ss.lambda_directional_derivative(q, n, v, rec) - v.q(grid.gauss_x)) * psi
+            u_g, u_b = volterra.solve_source(Workspace(q, rec.lam, grid), rec.lam, g, (0.0, 0.0))
+            assert abs(u_b[0, 0]) <= 1e-12 * max(np.max(np.abs(u_g)), np.max(np.abs(u_b[0])))
+            norm_sq = -rec.psi_prime0 * rec.psi_dot0
+            d_kappa = 2.0 * (u_b[1, 0] / rec.psi_prime0
+                             - np.sum(grid.weights * u_g * psi) / norm_sq)
+            assert ss.kappa_directional_derivative(q, n, v, rec) == pytest.approx(
+                d_kappa, rel=1e-9), (n, v)
 
 
 def _extended(grid):
@@ -449,6 +473,7 @@ def test_concurrent_solves_are_pure(q_exp, monkeypatch):
         ref = ss.solve_psi(q_exp, z)
         assert np.array_equal(prof.values, ref.values)
         assert np.array_equal(prof.z_derivs, ref.z_derivs)
+        assert np.array_equal(prof.gauss_z_derivs, ref.gauss_z_derivs)
 
 
 def _airy_envelope_error(w, got, ref):
@@ -628,6 +653,7 @@ def test_moved_workspace_solves_like_a_fresh_one(q_exp):
         on_base, on_grid = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
         assert np.array_equal(on_base.values, on_grid.values)
         assert np.array_equal(on_base.z_derivs, on_grid.z_derivs)
+        assert np.array_equal(on_base.gauss_z_derivs, on_grid.gauss_z_derivs)
 
 
 def test_airy_shift_zero_step_is_exact(q_exp):
@@ -682,6 +708,7 @@ def test_workspace_picks_the_table_of_every_solve(q_exp, q_zero):
         on_base, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z)
         assert np.array_equal(on_base.values, fresh.values)
         assert np.array_equal(on_base.z_derivs, fresh.z_derivs)
+        assert np.array_equal(on_base.gauss_z_derivs, fresh.gauss_z_derivs)
 
 
 def test_a_workspace_of_another_potential_is_a_domain_error():
@@ -741,7 +768,7 @@ def test_beyond_the_reach_a_solve_moves_the_table(q_exp):
     assert moved is not base and moved.z == z
     for (got, _), (want, _) in zip(_four_classes(q_exp, z, base),
                                    _four_classes(q_exp, z, grid)):
-        for name in ("values", "derivs", "z_derivs", "gauss_values"):
+        for name in ("values", "derivs", "z_derivs", "gauss_values", "gauss_z_derivs"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -766,3 +793,4 @@ def test_concurrent_shifted_solves_are_pure(q_exp):
         ref = ss.solve_psi(q_exp, z, base)
         assert np.array_equal(prof.values, ref.values)
         assert np.array_equal(prof.z_derivs, ref.z_derivs)
+        assert np.array_equal(prof.gauss_z_derivs, ref.gauss_z_derivs)
