@@ -12,8 +12,7 @@ from .asymptotics import (build_report, decay_rate_fit, kappa_prediction,
 from .errors import (BracketError, DegeneracyError, DomainError,
                      InsufficientDataError, NumericError, StarkSpecError,
                      TruncationError, ValidationError)
-from .oracle import (DiscreteOperator, extrapolated_spectrum, oracle_spectrum,
-                     richardson)
+from .oracle import DiscreteOperator, extrapolated_spectrum, oracle_spectrum
 from .potentials import (Potential, alg_decay, blend, bump, exp_decay,
                          make_potential, omega_r, tabulated)
 from .spectrum import (EigenRecord, kappa_directional_derivative,

@@ -66,15 +66,11 @@ def decay_rate_fit(resid, ns, tolerance_floor: float):
     m = len(x)
     design = np.vstack([x, np.ones_like(x)]).T
     coef, res_ss, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    slope = float(coef[0])
-    if m > 2:
-        sigma2 = float(res_ss[0]) / (m - 2) if res_ss.size else 0.0
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        # the 97.5% Student-t quantile; scipy.stats would add its import time
-        half_width = float(special.stdtrit(m - 2, 0.975)) * math.sqrt(sigma2 / sxx)
-    else:
-        half_width = math.inf
-    return slope, half_width
+    sigma2 = float(res_ss[0]) / (m - 2)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    # the 97.5% Student-t quantile; scipy.stats would add its import time
+    half_width = float(special.stdtrit(m - 2, 0.975)) * math.sqrt(sigma2 / sxx)
+    return float(coef[0]), half_width
 
 
 def build_report(ns, lambda_resid, kappa_resid, lambda_floor: float,

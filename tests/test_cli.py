@@ -13,7 +13,7 @@ from scipy import special
 
 import starkspec.cli as cli
 from starkspec import asymptotics, oracle, spectrum, volterra
-from starkspec.errors import ValidationError
+from starkspec.errors import NumericError, ValidationError
 
 EXP_03 = {"family": "exp", "params": {"c": 0.3, "a": 1.0}, "r": 2.0}
 
@@ -193,6 +193,7 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text('{"potential": {"family": "alg", "params": {"c": 1, "p": 1}, "r": 2}}')
     assert cli.main(["verify", "--config", str(bad)]) == cli.EXIT_CONFIG
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG
+    assert cli.main(["eig", "--n-max", "0"]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("config", [
@@ -215,11 +216,28 @@ def test_cli_exit_codes(tmp_path):
     '{"potential": {"family": "exp", "params": {"c": true, "a": 1}, "r": 2}}',
     '{"potential": {"family": "table", "params": {"x": ["0", "1", "2", "3"], '
     '"y": [1, 0.5, 0, 0]}, "r": 2}}',
+    '[]',
+    '{"methods": ["bogus"]}',
+    '{"checks": ["bogus"]}',
+    '{"n_min": 0}',
+    '{"n_min": 5, "n_max": 3}',
 ])
 def test_malformed_config_exits_with_config_error(tmp_path, config):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(config)
     assert cli.main(["eig", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+
+
+def test_a_failed_solve_exits_numeric_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def fail(q, z, grid):
+        raise NumericError("injected")
+
+    monkeypatch.setattr(spectrum, "solve_psi", fail)
+    out = tmp_path / "out"
+    code = cli.main(["eig", "--n-max", "2", "--method", "shooting", "--out", str(out)])
+    assert code == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric error: n=1, stage newton: at z = ")
+    assert not (out / "results.csv").exists()
 
 
 def test_asympt_computes_each_prediction_once(tmp_path, monkeypatch):

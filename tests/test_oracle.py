@@ -8,7 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 import starkspec as ss
 from starkspec import oracle
 from starkspec.errors import DomainError, NumericError, TruncationError
-from starkspec.oracle import DEFAULT_MESHES, build_operator, richardson
+from starkspec.oracle import DEFAULT_MESHES, build_operator
 
 from references import oracle_spectrum_full
 
@@ -39,9 +39,8 @@ def test_count_outside_the_operator_is_a_domain_error(q_exp, count):
 
 
 def test_free_ground_state_matches_airy_zero(q_zero):
-    vals = [(h, ss.oracle_spectrum(q_zero, 40.0, h, 1)[0, 0]) for h in (0.02, 0.01, 0.005)]
-    lam = richardson(vals, order=2)
-    assert lam == pytest.approx(2.3381074, abs=1e-6)
+    lam, _ = ss.extrapolated_spectrum(q_zero, 40.0, 1)
+    assert lam[0] == pytest.approx(2.3381074, abs=1e-6)
 
 
 def test_extrapolated_spectrum_vs_zeros(q_zero):
@@ -90,36 +89,38 @@ def test_norming_agrees_with_shooting_to_1e_8(q):
     assert np.max(np.abs(kap - shoot)) <= 1e-8
 
 
-def test_richardson_on_stacked_rows_is_bitwise_per_row(q_exp):
-    stacked = [(h, ss.oracle_spectrum(q_exp, 35.0, h, 4)) for h in DEFAULT_MESHES]
-    both = richardson(stacked, order=2)
-    assert both.shape == (2, 4)
-    for row in (0, 1):
-        alone = richardson([(h, rows[row]) for h, rows in stacked], order=2)
-        assert np.array_equal(both[row], alone)
+def _synthetic_rows(monkeypatch, c6):
+    # synthetic oracle rows c0 + c2 h^2 + c4 h^4 + c6 h^6, with different
+    # constants for each row (lambda, kappa) and index; returns c0, which
+    # the patched oracle reads on every call
+    c0 = np.array([[2.3, 4.1], [-0.7, 1.9]])
+    c2 = np.array([[1.0, -3.0], [0.5, 2.0]])
+    c4 = np.array([[-20.0, 5.0], [8.0, -1.0]])
+    monkeypatch.setattr(oracle, "oracle_spectrum",
+                        lambda q, L, h, count: c0 + c2 * h**2 + c4 * h**4 + c6 * h**6)
+    return c0
 
 
-def test_richardson_eliminates_exact_power():
-    vals = [(h, 3.0 + 2.0 * h**2) for h in (0.04, 0.02, 0.01)]
-    assert richardson(vals, order=2) == pytest.approx(3.0, abs=1e-13)
+@pytest.mark.parametrize("c6", [0.0, 1e3], ids=["no_h6", "h6"])
+def test_extrapolation_eliminates_h2_and_h4_per_row(monkeypatch, c6):
+    c0 = _synthetic_rows(monkeypatch, c6)
+    lam, kappa = ss.extrapolated_spectrum(None, 40.0, 2)
+    # the h^2 and h^4 eliminations leave c6 h^6 / 64 at the coarsest mesh,
+    # and 0.02^6 / 64 = 1e-12
+    assert DEFAULT_MESHES[0] == 0.02
+    np.testing.assert_allclose(np.stack((lam, kappa)) - c0, c6 * 1e-12, rtol=0.0, atol=1e-14)
 
 
-def test_richardson_error_estimate_scale():
-    c4 = 5.0
-    vals = [(h, 1.0 + 2.0 * h**2 + c4 * h**4) for h in (0.4, 0.2, 0.1)]
-    value = richardson(vals, order=2)
-    # the h^4 elimination moves the finest h^2-eliminated pair by the
-    # magnitude of the h^4 term
-    h2_only = (4.0 * vals[2][1] - vals[1][1]) / 3.0
-    assert abs(value - h2_only) == pytest.approx(c4 * 0.2**4 / 3.0, rel=1.0)
-    assert value == pytest.approx(1.0, abs=1e-4)
-
-
-def test_richardson_preconditions():
-    with pytest.raises(DomainError):
-        richardson([(0.02, 1.0), (0.01, 1.1)], order=2)
-    with pytest.raises(DomainError):
-        richardson([(0.04, 1.0), (0.02, 1.1), (0.015, 1.2)], order=2)
+def test_extrapolation_on_stacked_rows_is_bitwise_per_row(monkeypatch):
+    c0 = _synthetic_rows(monkeypatch, 1e3)
+    lam, kappa = ss.extrapolated_spectrum(None, 40.0, 2)
+    # the rows do not mix: moving one row's data leaves the other's bits
+    c0[1] += 10.0
+    lam_moved, kappa_moved = ss.extrapolated_spectrum(None, 40.0, 2)
+    assert np.array_equal(lam_moved, lam) and not np.any(kappa_moved == kappa)
+    c0[0] -= 3.0
+    lam_moved, kappa_again = ss.extrapolated_spectrum(None, 40.0, 2)
+    assert np.array_equal(kappa_again, kappa_moved) and not np.any(lam_moved == lam)
 
 
 def test_truncation_detector(q_zero):

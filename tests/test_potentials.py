@@ -48,6 +48,19 @@ def test_r_at_most_one_rejected():
       "r": 2}, "table"),
     ({"family": "table", "params": {"x": [0, 1, 2, 3], "y": [True, False, False, False]},
       "r": 2}, "table"),
+    (3, "descriptor must be a mapping"),
+    ({"params": {"c": 1, "a": 1}, "r": 2}, "missing field 'family'"),
+    ({"family": "gauss", "params": {"c": 1, "a": 1}, "r": 2}, "unknown potential family"),
+    ({"family": "exp", "params": {"c": 1, "a": 0}, "r": 2}, "a > 0"),
+    ({"family": "bump", "params": {"c": 1, "x0": 2, "w": 0}, "r": 2}, "w > 0"),
+    ({"family": "table", "params": {"x": [0, 1, 2], "y": [1, 0.5, 0]}, "r": 2},
+     ">= 4 samples"),
+    ({"family": "table", "params": {"x": [0, 1, 2, 3], "y": [1, 0.5, 0]}, "r": 2},
+     "matching x/y"),
+    ({"family": "table", "params": {"x": [0, 2, 1, 3], "y": [1, 0.5, 0.2, 0]}, "r": 2},
+     "strictly increasing"),
+    ({"family": "table", "params": {"x": [[0, 1], [2, 3, 4]], "y": [1, 0.5, 0.2, 0]},
+      "r": 2}, "numeric x/y"),
 ])
 def test_malformed_parameters_rejected_by_name(spec, field):
     with pytest.raises(ValidationError, match=field):

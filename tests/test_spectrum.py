@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import math
@@ -350,6 +351,30 @@ def test_locate_solves_or_names_the_failure(n):
     else:
         assert rec.lam == pytest.approx(float(_oracle("exp", 20.0, 0.5)[n - 1]), abs=1e-6)
         assert ss.oscillation_count(rec) == n - 1
+
+
+def test_a_failed_solve_names_the_index_stage_and_z(monkeypatch):
+    def fail(q, z, grid):
+        raise ss.NumericError("injected")
+
+    monkeypatch.setattr(spectrum, "solve_psi", fail)
+    with pytest.raises(ss.NumericError) as info:
+        ss.locate_eigenvalue(ss.exp_decay(0.3, 1.0), 3)
+    assert str(info.value).startswith("n=3, stage newton: at z = ")
+    assert str(info.value).endswith(": injected")
+
+
+def test_a_vanishing_psi_dot_is_a_degeneracy(monkeypatch):
+    solve = spectrum.solve_psi
+
+    def flat(q, z, grid):
+        prof = solve(q, z, grid)
+        return dataclasses.replace(prof, z_derivs=np.zeros_like(prof.z_derivs))
+
+    monkeypatch.setattr(spectrum, "solve_psi", flat)
+    with pytest.raises(ss.DegeneracyError, match=r"^n=3, stage newton: psi_dot\(0\) vanished "
+                                                 r"at z = "):
+        ss.locate_eigenvalue(ss.exp_decay(0.3, 1.0), 3)
 
 
 # the Newton window -a_n +- sup|q| holds lambda_n by min-max; a tuned window

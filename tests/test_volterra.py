@@ -31,6 +31,8 @@ def test_grid_ending_at_or_before_the_origin_names_z(q_zero, q_exp):
         ss.solve_psi(q_exp, -15.0)
     with pytest.raises(DomainError, match=r"x_max = 0 <= 0"):
         default_grid(q_zero, -envelope_offset())
+    with pytest.raises(DomainError, match="default_grid: need a finite z"):
+        default_grid(q_zero, math.nan)
 
 
 def test_truncation_point_free_case(q_zero):
@@ -601,7 +603,7 @@ def test_airy_step_within_the_reach_agrees_with_amos():
     assert _airy_envelope_error(w + h, got, np.array(special.airy(w + h))) <= 1e-12
 
 
-@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [0.0, 2.0, 1.0]])
 def test_grid_from_nodes_rejects_non_finite_nodes(nodes):
     with pytest.raises(ss.DomainError, match="grid_from_nodes"):
         grid_from_nodes(nodes)
