@@ -20,7 +20,7 @@ from . import asymptotics, oracle, spectrum, volterra
 from .airy import airy_zero, envelope_margin, standard_envelope_margin, zero_seed
 from .errors import StarkSpecError, ValidationError
 from .potentials import Potential, blend, bump, exp_decay, make_potential, omega_r
-from .volterra import envelope_offset, solve_sc, solve_theta, workspace
+from .volterra import solve_sc, solve_theta, workspace
 
 __all__ = ["ExperimentConfig", "parse_config", "run_verify", "main",
            "SUMMARY_SCHEMA", "EXIT_OK", "EXIT_CONFIG", "EXIT_NUMERIC", "EXIT_CHECK"]
@@ -157,11 +157,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _oracle_length(n_max: int) -> float:
-    # envelope decay offset past the highest turning point, plus the spec margin
-    return -airy_zero(n_max) + envelope_offset() + 5.0
-
-
 def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list, with_oracle: bool):
     ns = list(range(cfg.n_min, cfg.n_max + 1))
     records = {}
@@ -171,7 +166,7 @@ def _compute_rows(q: Potential, cfg: ExperimentConfig, log: list, with_oracle: b
     lam_o = {n: float("nan") for n in ns}
     kap_o = {n: float("nan") for n in ns}
     if with_oracle:
-        L = _oracle_length(cfg.n_max)
+        L = oracle.oracle_length(cfg.n_max)
         lam, kap = oracle.extrapolated_spectrum(q, L, cfg.n_max)
         for n in ns:
             lam_o[n] = float(lam[n - 1])

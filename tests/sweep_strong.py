@@ -12,12 +12,14 @@ bump(c, 3, 2.5), c in {+-4, +-8, +-16}: 192 indices. OUT.json maps
 "family(params),n" to [lambda, kappa], or to the error text when the index
 raises. The oracle sweep runs extrapolated_spectrum(q, ORACLE_L,
 ORACLE_COUNT) on each of those 60 potentials and maps "oracle
-family(params)" to [lambdas, kappas], or to the error text. Given
-BASELINE.json, a file this script wrote before, it prints, per sweep, the
-entries that raise in each file and the largest |d lambda| and |d kappa|
-over the entries that solve in both, and, for each entry that raises in
-one file only, the solved side's |d lambda| and |d kappa| from that file's
-oracle entry for the same potential. It exits 1 when the baseline lacks an
+family(params)" to [lambdas, kappas], or to the error text. Each sweep
+prints its wall time next to its entry count, so by-hand runs show the
+solver's and the oracle's speed. Given BASELINE.json, a file this script
+wrote before, it prints, per sweep, the entries that raise in each file
+and the largest |d lambda| and |d kappa| over the entries that solve in
+both, and, for each entry that raises in one file only, the solved side's
+|d lambda| and |d kappa| from that file's oracle entry for the same
+potential. It exits 1 when the baseline lacks an
 entry, the two files raise on different entries, or an entry that solves
 in both moved by more than its sweep's tolerance in lambda or kappa (TOL,
 the self-convergence target, for the solver; ORACLE_TOL for the oracle),
@@ -140,8 +142,9 @@ def main(argv) -> int:
     for name, (run, _) in SWEEPS.items():
         start = time.perf_counter()
         results[name] = run()
-        print(f"{name} sweep: {len(results[name])} entries in "
-              f"{time.perf_counter() - start:.1f} s")
+        wall = time.perf_counter() - start
+        print(f"{name} sweep: {len(results[name])} entries in {wall:.2f} s wall, "
+              f"{1e3 * wall / len(results[name]):.1f} ms per entry")
     with open(argv[0], "w") as fh:
         json.dump({k: v for r in results.values() for k, v in r.items()}, fh,
                   indent=1, sort_keys=True)

@@ -15,7 +15,8 @@ import starkspec as ss
 import starkspec.cli as cli
 from conftest import asym_report
 from references import basis_eval
-from starkspec.volterra import Workspace, envelope_offset
+from starkspec.oracle import oracle_length
+from starkspec.volterra import Workspace
 
 R2_KEYS = ("exp+", "exp-", "alg", "bump")
 
@@ -41,7 +42,7 @@ def test_criterion_1_free_spectrum_exactness(q_zero):
 
 def test_criterion_2_cross_method_agreement(records_cache):
     start = time.monotonic()
-    L = -ss.airy_zero(30) + envelope_offset() + 5.0
+    L = oracle_length(30)
     details = []
     ok = True
     for key in R2_KEYS:

@@ -348,15 +348,15 @@ def test_eig_campaign_airy_evaluations(tmp_path, monkeypatch):
 
 def test_verify_decomposes_each_oracle_mesh_once(tmp_path, monkeypatch):
     # lambda and kappa come from the same eigenpairs: one eigenvalue-only
-    # Sturm bisection to BRACKET_TOL per mesh of DEFAULT_MESHES labels them,
-    # and Rayleigh-quotient iteration gives the digits and the vectors;
+    # Sturm bisection to BRACKET_TOL on the coarsest mesh of DEFAULT_MESHES
+    # labels them, Rayleigh-quotient iteration gives the digits and the
+    # vectors, and each finer mesh starts from the coarser eigenpair;
     # exp(0.3, 1) has no close pair to bisect again
-    calls = Counter()
+    calls = []
     eigh = oracle.eigh_tridiagonal
 
     def counted(*args, **kwargs):
-        calls["eigh"] += 1
-        calls["eigvals_only"] += kwargs.get("eigvals_only") is True
+        calls.append((len(args[0]), kwargs.get("eigvals_only")))
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", counted)
@@ -364,7 +364,8 @@ def test_verify_decomposes_each_oracle_mesh_once(tmp_path, monkeypatch):
     cfgfile.write_text(json.dumps({"potential": EXP_03, "n_max": 8,
                                    "output_dir": str(tmp_path / "o")}))
     assert cli.main(["verify", "--config", str(cfgfile)]) == cli.EXIT_OK
-    assert calls["eigh"] == calls["eigvals_only"] == len(oracle.DEFAULT_MESHES) == 3
+    coarsest = int(round(oracle.oracle_length(8) / oracle.DEFAULT_MESHES[0])) - 1
+    assert calls == [(coarsest, True)]
 
 
 @pytest.mark.parametrize("tolerances, code", [({}, cli.EXIT_CHECK),

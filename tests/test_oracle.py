@@ -10,6 +10,7 @@ from starkspec import oracle
 from starkspec.errors import DomainError, NumericError, TruncationError
 from starkspec.oracle import DEFAULT_MESHES, build_operator
 
+from conftest import POTENTIALS
 from references import oracle_spectrum_full
 
 
@@ -90,14 +91,14 @@ def test_norming_agrees_with_shooting_to_1e_8(q):
 
 
 def _synthetic_rows(monkeypatch, c6):
-    # synthetic oracle rows c0 + c2 h^2 + c4 h^4 + c6 h^6, with different
-    # constants for each row (lambda, kappa) and index; returns c0, which
-    # the patched oracle reads on every call
+    # synthetic ladder rows c0 + c2 h^2 + c4 h^4 + c6 h^6 on each mesh, with
+    # different constants for each row (lambda, kappa) and index; returns
+    # c0, which the patched ladder reads on every call
     c0 = np.array([[2.3, 4.1], [-0.7, 1.9]])
     c2 = np.array([[1.0, -3.0], [0.5, 2.0]])
     c4 = np.array([[-20.0, 5.0], [8.0, -1.0]])
-    monkeypatch.setattr(oracle, "oracle_spectrum",
-                        lambda q, L, h, count: c0 + c2 * h**2 + c4 * h**4 + c6 * h**6)
+    monkeypatch.setattr(oracle, "_ladder", lambda q, L, meshes, count: [
+        c0 + c2 * h**2 + c4 * h**4 + c6 * h**6 for h in meshes])
     return c0
 
 
@@ -218,3 +219,71 @@ def test_repeated_eigenvalue_is_a_numeric_error(q_exp, monkeypatch):
     with pytest.raises(NumericError, match=r"n=2, stage oracle RQI: lambda does not increase "
                                            r"past n=1 at h = 0\.02"):
         ss.oracle_spectrum(q_exp, 30.0, 0.02, 2)
+
+
+@pytest.mark.parametrize("q", [make() for make in POTENTIALS.values()]
+                         + [ss.bump(-16.0, 3.0, 2.5), ss.exp_decay(20.0, 0.5)],
+                         ids=list(POTENTIALS) + ["bump(-16,3,2.5)", "exp(20,0.5)"])
+def test_ladder_matches_the_bracketed_route_on_each_mesh(q):
+    # each finer mesh starts from the coarser eigenpair instead of its own
+    # Sturm brackets; the same eigenpairs come out, to the iteration's roundoff
+    lam, kappa = ss.extrapolated_spectrum(q, 40.0, 10)
+    coarse, mid, fine = (ss.oracle_spectrum(q, 40.0, h, 10) for h in DEFAULT_MESHES)
+    a, b = (4.0 * mid - coarse) / 3.0, (4.0 * fine - mid) / 3.0
+    want_lam, want_kappa = (16.0 * b - a) / 15.0
+    assert np.max(np.abs(lam - want_lam)) <= 1e-12
+    assert np.max(np.abs(kappa - want_kappa)) <= 1e-9
+
+
+def test_finer_meshes_start_from_the_prolonged_eigenvector(q_exp, monkeypatch):
+    # the coarser eigenvector, interpolated onto the finer nodes, starts the
+    # iteration closer than the vector of ones: fewer solves than solving
+    # each mesh from its own brackets (71 against 90 here)
+    solves = 0
+    gtsv = oracle.dgtsv
+
+    def counted(*args):
+        nonlocal solves
+        solves += 1
+        return gtsv(*args)
+
+    monkeypatch.setattr(oracle, "dgtsv", counted)
+    ss.extrapolated_spectrum(q_exp, 30.0, 10)
+    ladder, solves = solves, 0
+    for h in DEFAULT_MESHES:
+        ss.oracle_spectrum(q_exp, 30.0, h, 10)
+    assert ladder < solves
+
+
+def test_finer_mesh_on_a_neighbouring_eigenpair_is_a_numeric_error(q_exp, monkeypatch):
+    # on the finer meshes the iteration is sent to the next eigenpair up,
+    # whose eigenvector has one sign change too many for its label
+    rqi = oracle._rqi
+
+    def neighbour(op, shift, n, start=None):
+        if start is None:
+            return rqi(op, shift, n)
+        up = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(n, n),
+                              eigvals_only=True)
+        return rqi(op, up[0], n)
+
+    monkeypatch.setattr(oracle, "_rqi", neighbour)
+    with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: the eigenvector at "
+                                           r"lambda = .* changes sign 1 times, not 0, "
+                                           r"at h = 0\.01"):
+        ss.extrapolated_spectrum(q_exp, 30.0, 3)
+
+
+def test_sign_changes_count_nodes_above_the_roundoff_floor():
+    # two nodes, then a tail that decays below the floor, with sign flips
+    # of roundoff size on top
+    t = np.linspace(0.0, 1.0, 2001)[1:-1]
+    psi = np.sin(3.0 * np.pi * t) * np.exp(-200.0 * np.clip(t - 0.7, 0.0, None))
+    noise = 1e-14 * (-1.0) ** np.arange(t.size)
+    assert np.max(np.abs(psi[-200:])) < 1e-8 * np.max(np.abs(psi))
+    assert oracle._sign_changes(psi + noise) == 2
+    assert oracle._sign_changes(psi) == 2
+    # flips of roundoff size carry 100s of spurious nodes when counted
+    assert np.count_nonzero(np.diff(np.signbit(psi + noise))) > 100
+    assert oracle._sign_changes(-psi + noise) == 2
+    assert oracle._sign_changes(np.sin(7.0 * np.pi * t) + noise) == 6
