@@ -199,21 +199,19 @@ def _stored_lattice() -> dict:
 
 
 #: chunk c -> (Ai, Ai', Bi, Bi') at w = (c _CHUNK + j) LATTICE_STEP, j < _CHUNK;
-#: growth assigns a new dict, so concurrent readers see whole chunks only
+#: a missing chunk is inserted whole by setdefault, so concurrent readers see
+#: whole chunks only and none is lost
 _lattice: dict = _stored_lattice()
 
 
-def _lattice_with(chunks) -> dict:
-    """The lattice holding the chunk ids ``chunks``, grown by one AMOS call
-    for those it lacks."""
-    global _lattice
-    lattice = _lattice
-    missing = [c for c in chunks if c not in lattice]
-    if missing:
-        new = (np.array(missing)[:, None] * _CHUNK + np.arange(_CHUNK)) * LATTICE_STEP
-        rows = np.array(special.airy(new)).transpose(1, 0, 2)
-        _lattice = lattice = {**lattice, **dict(zip(missing, rows))}
-    return lattice
+def _chunk(c: int):
+    """Lattice chunk ``c``, evaluated by one AMOS call if missing. Threads
+    that miss it at once may both evaluate it: same bits, first copy stays."""
+    rows = _lattice.get(c)
+    if rows is None:
+        w = (c * _CHUNK + np.arange(_CHUNK)) * LATTICE_STEP
+        rows = _lattice.setdefault(c, np.array(special.airy(w)))
+    return rows
 
 
 def airy_table(w):
@@ -235,8 +233,7 @@ def airy_table(w):
     ids = k // _CHUNK
     chunks = np.sort(ids, axis=None)    # sorted unique: cheaper than np.unique's hashing
     chunks = chunks[np.append(True, chunks[1:] != chunks[:-1])].tolist()
-    lattice = _lattice_with(chunks)
-    rows = np.concatenate([lattice[c] for c in chunks], axis=1)
+    rows = np.concatenate([_chunk(c) for c in chunks], axis=1)
     at = np.searchsorted(chunks, ids) * _CHUNK + k % _CHUNK
     f0, f1 = np.take(rows[0::2], at, axis=-1), np.take(rows[1::2], at, axis=-1)
     out = np.empty((4,) + f0.shape[1:])
@@ -250,7 +247,7 @@ def airy_ai(w: float):
     w alone, stepped on floats, without the array set-up."""
     k = round(w / LATTICE_STEP)
     chunk, j = divmod(k, _CHUNK)
-    row = _lattice_with((chunk,))[chunk][:2, j]
+    row = _chunk(chunk)[:2, j]
     return _airy_step(float(row[0]), float(row[1]), k * LATTICE_STEP, w - k * LATTICE_STEP)
 
 

@@ -17,13 +17,16 @@ prints its wall time next to its entry count, so by-hand runs show the
 solver's and the oracle's speed. Given BASELINE.json, a file this script
 wrote before, it prints, per sweep, the entries that raise in each file
 and the largest |d lambda| and |d kappa| over the entries that solve in
-both, and, for each entry that raises in one file only, the solved side's
-|d lambda| and |d kappa| from that file's oracle entry for the same
-potential. It exits 1 when the baseline lacks an
-entry, the two files raise on different entries, or an entry that solves
-in both moved by more than its sweep's tolerance in lambda or kappa (TOL,
-the self-convergence target, for the solver; ORACLE_TOL for the oracle),
-so a change that should move nothing can be checked by exit code.
+both. For each solver entry that raises in one file only it prints the
+solved side's |d lambda| and |d kappa| from that file's oracle entry for
+the same potential, and for each one that solves in both and moved past
+TOL, the move and each side's distance from its own file's oracle entry,
+so a move can be told from the solver's noise. It exits 1 when the
+baseline lacks an entry, the two files raise on different entries, or an
+entry that solves in both moved by more than its sweep's tolerance in
+lambda or kappa (TOL, the self-convergence target, for the solver;
+ORACLE_TOL for the oracle), so a change that should move nothing can be
+checked by exit code.
 """
 from __future__ import annotations
 
@@ -115,23 +118,38 @@ def compare(new: dict, old: dict, tol: float) -> bool:
             and d_lam[0] <= tol and d_kappa[0] <= tol)
 
 
-def one_sided(new: dict, old: dict, new_oracle: dict) -> None:
+def _from_oracle(k: str, row, oracles: dict) -> str:
+    """The |d lambda| and |d kappa| of the solved entry ``k`` = ``row`` from
+    the entry of ``oracles`` for the same potential."""
+    label, n = k.rsplit(",", 1)
+    ref = oracles.get(f"oracle {label}")
+    if not isinstance(ref, list):
+        return "no oracle entry to compare with"
+    j = int(n) - 1
+    return (f"|d lambda| {abs(row[0] - ref[0][j]):.1e}, "
+            f"|d kappa| {abs(row[1] - ref[1][j]):.1e} from the oracle")
+
+
+def against_oracle(new: dict, old: dict, new_oracle: dict, tol: float) -> None:
     """Print one line per entry of the sweep ``new`` that raises in exactly
-    one of new and the baseline ``old``: the solved side's distance from its
-    own file's oracle entry (``new_oracle`` for new, ``old`` itself for old)."""
-    for k in sorted(k for k in new if k in old
-                    and isinstance(new[k], str) != isinstance(old[k], str)):
-        side, (lam, kappa), oracles = (("this sweep", new[k], new_oracle)
-                                       if isinstance(old[k], str) else
-                                       ("baseline", old[k], old))
-        label, n = k.rsplit(",", 1)
-        ref = oracles.get(f"oracle {label}")
-        if not isinstance(ref, list):
-            print(f"  solves in {side} only: {k}; no oracle entry to compare with")
+    one of new and the baseline ``old``, with the solved side's distance
+    from its own file's oracle entry (``new_oracle`` for new, ``old`` itself
+    for old), and one line per entry that solves in both and moved by more
+    than tol, with the move and each side's distance from its oracle."""
+    for k in sorted(k for k in new if k in old):
+        new_raises, old_raises = isinstance(new[k], str), isinstance(old[k], str)
+        if new_raises != old_raises:
+            side, row, oracles = (("this sweep", new[k], new_oracle) if old_raises else
+                                  ("baseline", old[k], old))
+            print(f"  solves in {side} only: {k}; {_from_oracle(k, row, oracles)}")
             continue
-        j = int(n) - 1
-        print(f"  solves in {side} only: {k}; |d lambda| {abs(lam - ref[0][j]):.1e}, "
-              f"|d kappa| {abs(kappa - ref[1][j]):.1e} from the oracle")
+        if new_raises:
+            continue
+        d_lam, d_kappa = (abs(a - b) for a, b in zip(new[k], old[k]))
+        if d_lam > tol or d_kappa > tol:
+            print(f"  moved: {k}; |d lambda| {d_lam:.1e}, |d kappa| {d_kappa:.1e}; "
+                  f"this sweep {_from_oracle(k, new[k], new_oracle)}; "
+                  f"baseline {_from_oracle(k, old[k], old)}")
 
 
 def main(argv) -> int:
@@ -157,7 +175,7 @@ def main(argv) -> int:
         print(f"{name} sweep:")
         same &= compare(new, {k: v for k, v in old.items() if k in new}, SWEEPS[name][1])
         if name != "oracle":
-            one_sided(new, old, results["oracle"])
+            against_oracle(new, old, results["oracle"], SWEEPS[name][1])
     print("same as the baseline" if same else
           f"differs from the baseline (TOL = {TOL:g}, ORACLE_TOL = {ORACLE_TOL:g})")
     return 0 if same else 1

@@ -199,6 +199,8 @@ def test_omega_r_values():
     assert ss.omega_r(1.5, 1000) == pytest.approx(0.2628260885, abs=1e-9)
     with pytest.raises(DomainError):
         ss.omega_r(1.0, 3)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        ss.omega_r(2.0, 0)
 
 
 def _centred_difference(f, x, h):

@@ -377,6 +377,20 @@ def test_a_vanishing_psi_dot_is_a_degeneracy(monkeypatch):
         ss.locate_eigenvalue(ss.exp_decay(0.3, 1.0), 3)
 
 
+def test_a_negative_norming_ratio_is_a_degeneracy(monkeypatch):
+    # Newton reads only values and z_derivs, so it converges as before
+    solve = spectrum.solve_psi
+
+    def flipped(q, z, grid):
+        prof = solve(q, z, grid)
+        return dataclasses.replace(prof, derivs=-prof.derivs)
+
+    monkeypatch.setattr(spectrum, "solve_psi", flipped)
+    with pytest.raises(ss.DegeneracyError, match=r"^n=3, stage newton: -psi'\(0\)/psi_dot\(0\) = "
+                                                 r"\S+ <= 0 at z = "):
+        ss.locate_eigenvalue(ss.exp_decay(0.3, 1.0), 3)
+
+
 # the Newton window -a_n +- sup|q| holds lambda_n by min-max; a tuned window
 # ([-0.553, 8.729] for bump(-16, 2, 1), n = 2) left these two roots out
 @pytest.mark.parametrize("c, n, lam", [(-16.0, 2, -1.4176611), (8.0, 6, 10.0466218)])

@@ -640,6 +640,25 @@ def test_lattice_grows_by_new_chunks_only(monkeypatch):
     assert len(set(points)) == len(points)          # no lattice point twice
 
 
+def test_concurrent_growth_keeps_every_chunk(monkeypatch):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+    barrier = threading.Barrier(2, timeout=60)
+
+    def airy(w):
+        rows = special.airy(w)
+        barrier.wait()          # both threads are inside AMOS before either stores
+        return rows
+
+    monkeypatch.setattr(volterra, "_lattice", volterra._stored_lattice())
+    monkeypatch.setattr(volterra, "special", SimpleNamespace(airy=airy))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(airy_table, np.array([w])) for w in (-100.0, -200.0)]
+        for f in futures:
+            f.result(timeout=120)
+    assert {-7, -13} <= volterra._lattice.keys()
+
+
 def test_moved_workspace_solves_like_a_fresh_one(q_exp):
     # beyond the reach, on a grid that still ends DECAY_LENGTH past z, a
     # solve on the base runs on a table built at z on the base's grid
