@@ -37,7 +37,7 @@ import numpy as np
 from .airy import airy_zero, newton
 from .errors import DomainError, NumericError, TruncationError
 from .potentials import Potential
-from .volterra import envelope_offset
+from .volterra import ENVELOPE_OFFSET
 
 __all__ = [
     "DiscreteOperator",
@@ -63,7 +63,7 @@ _NODE_FLOOR = 1e-8
 def oracle_length(n_max: int) -> float:
     """Oracle domain length for indices up to n_max: the envelope's decay
     offset past the highest turning point, plus a margin of 5."""
-    return -airy_zero(n_max) + envelope_offset() + 5.0
+    return -airy_zero(n_max) + ENVELOPE_OFFSET + 5.0
 
 
 def eigh_tridiagonal(d, e, **kwargs):
@@ -139,18 +139,16 @@ def _brackets(op: DiscreteOperator, top: int):
     return w, radius
 
 
-def _rqi(op: DiscreteOperator, shift: float, n: int, start=None):
+def _rqi(op: DiscreteOperator, shift: float, n: int, x: np.ndarray):
     """(lambda, unit eigenvector) by Rayleigh-quotient iteration from
-    `shift` and the vector `start` (default: the vector of ones):
-    :func:`newton` on the Rayleigh quotient, each step taking s to the
-    quotient, in difference form (no cancellation against the 2/h^2
-    diagonal), of one solve of (T - s) x = x. One solve leaves a close
-    neighbour's share |s - lambda| / gap in the vector while the quotient,
-    quadratic in it, has stopped moving; newton stops at one solve only
-    from a start within 1e-15 (1 + |s|), and a full-precision bracket is
-    about eps 4/h^2 off."""
-    x = np.ones(op.dim) if start is None else start
-
+    `shift` and the vector `x`: :func:`newton` on the Rayleigh quotient,
+    each step taking s to the quotient, in difference form (no
+    cancellation against the 2/h^2 diagonal), of one solve of
+    (T - s) x = x. One solve leaves a close neighbour's share
+    |s - lambda| / gap in the vector while the quotient, quadratic in it,
+    has stopped moving; newton stops at one solve only from a start
+    within 1e-15 (1 + |s|), and a full-precision bracket is about
+    eps 4/h^2 off."""
     def step(s):
         nonlocal x
         x, info = dgtsv(op.offdiag, op.diag - s, op.offdiag, x)[3:]
@@ -200,7 +198,7 @@ def _ladder(q: Potential, L: float, meshes, count: int) -> np.ndarray:
     for j in range(count):
         for k, op in enumerate(ops):
             if k == 0:
-                lam[k, j], x = _rqi(op, centre[j], j + 1)
+                lam[k, j], x = _rqi(op, centre[j], j + 1, np.ones(op.dim))
                 if not abs(lam[k, j] - centre[j]) <= radius[j]:
                     raise NumericError(
                         f"n={j + 1}, stage oracle RQI: lambda = {lam[k, j]!r} left its "

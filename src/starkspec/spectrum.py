@@ -20,7 +20,7 @@ from .airy import NEWTON_NOISE, airy_zero, newton
 from .asymptotics import kappa_prediction, lambda_prediction
 from .errors import BracketError, DegeneracyError, StarkSpecError
 from .potentials import Potential, blend
-from .volterra import Grid, SolutionProfile, Workspace, solve_psi, workspace
+from .volterra import SolutionProfile, Workspace, solve_psi, workspace
 from .volterra import solve_sc  # noqa: F401  (bench/tracing.py wraps it by name)
 
 __all__ = [
@@ -52,9 +52,9 @@ class EigenRecord:
     psi: SolutionProfile = field(repr=False)
 
 
-def shooting_value(q: Potential, lam: float, grid: Grid | Workspace) -> float:
-    """psi(q, lam, 0); ``grid`` as for :func:`solve_psi`."""
-    return float(solve_psi(q, lam, grid).values[0])
+def shooting_value(ws: Workspace, z: float) -> float:
+    """psi(z, 0) on ``ws``, as :func:`solve_psi` solves it."""
+    return float(solve_psi(ws, z).values[0])
 
 
 def _norm_sq_from_profile(prof: SolutionProfile) -> float:
@@ -75,7 +75,7 @@ def _newton(q: Potential, lam: float, ws: Workspace, window) -> tuple:
         nonlocal ws, prof
         try:
             ws = workspace(q, z, ws)
-            prof = solve_psi(q, z, ws)
+            prof = solve_psi(ws, z)
         except StarkSpecError as err:
             raise type(err)(f"at z = {z!r}: {err}") from err
         psi_dot0 = float(prof.z_derivs[0])

@@ -39,7 +39,6 @@ __all__ = [
     "airy_ai",
     "airy_table",
     "default_grid",
-    "envelope_offset",
     "grid_from_nodes",
     "solve_psi",
     "solve_theta",
@@ -48,6 +47,7 @@ __all__ = [
     "workspace",
     "DECAY_LENGTH",
     "DEFAULT_TAIL_TOL",
+    "ENVELOPE_OFFSET",
     "LATTICE_STEP",
 ]
 
@@ -68,6 +68,8 @@ DECAY_LENGTH = (1.5 * math.log(1.0 / DEFAULT_TAIL_TOL)) ** (2.0 / 3.0)
 #: what default_grid adds past DECAY_LENGTH: a solve up to this far above
 #: a grid's centre still runs on that grid (see :func:`workspace`)
 TRUNCATION_MARGIN = 2.0
+#: grid length past the turning point, the one truncation rule
+ENVELOPE_OFFSET = DECAY_LENGTH + TRUNCATION_MARGIN
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -137,12 +139,6 @@ class SolutionProfile:
     gauss_z_derivs: np.ndarray | None
 
 
-def envelope_offset() -> float:
-    """Grid length past the turning point: DECAY_LENGTH plus
-    TRUNCATION_MARGIN."""
-    return DECAY_LENGTH + TRUNCATION_MARGIN
-
-
 def grid_from_nodes(nodes) -> Grid:
     """Grid over explicit panel boundaries, p Gauss nodes per panel."""
     nodes = np.asarray(nodes, dtype=float)
@@ -154,7 +150,7 @@ def grid_from_nodes(nodes) -> Grid:
 
 
 def default_grid(q: Potential, z: float) -> Grid:
-    """Panels of equal WKB phase on [0, z + envelope_offset()], the one
+    """Panels of equal WKB phase on [0, z + ENVELOPE_OFFSET], the one
     truncation rule, whatever q does beyond.
 
     The basis at z, perturbed by q, oscillates or decays on the local
@@ -171,7 +167,7 @@ def default_grid(q: Potential, z: float) -> Grid:
     root, where psi(0) = 0."""
     if not math.isfinite(z):
         raise DomainError("default_grid: need a finite z")
-    x_max = z + envelope_offset()
+    x_max = z + ENVELOPE_OFFSET
     if x_max <= 0.0:
         raise DomainError(f"default_grid: z = {z:g} ends the grid at x_max = {x_max:g} <= 0")
     c = 1.0 + q.sup_norm
@@ -420,93 +416,86 @@ class Workspace:
             f"Workspace at z = {self.z:g}; grid or truncation defect (the series "
             "converges factorially)")
 
-    def match(self, node: int, value, deriv):
-        """(a, b) such that a psi0 + b theta0 takes ``value`` and slope
-        ``deriv`` at boundary ``node``, by the unit Wronskian of the pair."""
-        psi, psip, th, thp = self.boundary[:, node]
-        return value * thp - deriv * th, deriv * psi - value * psip
-
-    def combo(self, c_psi, c_th):
-        """c_psi psi0 + c_th theta0 at the Gauss nodes, and its value and
-        x-derivative rows at the boundaries."""
+    def seed(self, node: int, value, deriv):
+        """a psi0 + b theta0 with ``value`` and slope ``deriv`` at boundary
+        ``node``, (a, b) by the unit Wronskian of the pair: its values at
+        the Gauss nodes, and its value and x-derivative rows at the
+        boundaries."""
         b = self.boundary
+        psi, psip, th, thp = b[:, node]
+        c_psi, c_th = value * thp - deriv * th, deriv * psi - value * psip
         return c_psi * self.psi0 + c_th * self.th0, c_psi * b[:2] + c_th * b[2:]
 
 
-def workspace(q: Potential, z: float, grid: Grid | Workspace | None = None) -> Workspace:
+def workspace(q: Potential, z: float, base: Workspace | None = None) -> Workspace:
     """The Workspace a solve at z runs on, by the one rule: a Workspace
-    ``grid`` whose grid ends at least DECAY_LENGTH past z serves z itself
+    ``base`` whose grid ends at least DECAY_LENGTH past z serves z itself
     when z lies within its ``reach``, and otherwise gives a Workspace at z
-    on that grid; where the grid ends sooner, and when ``grid`` is None,
+    on that grid; where the grid ends sooner, and when ``base`` is None,
     the solve runs at z on z's default grid, so the envelope decays before
-    x_max. A Grid gives the Workspace at z on it. A Workspace built for
-    another potential than q is a DomainError."""
-    if isinstance(grid, Workspace):
-        if grid.q is not q:
+    x_max. A ``base`` built for another potential than q is a
+    DomainError."""
+    if base is not None:
+        if base.q is not q:
             raise DomainError("workspace: the Workspace was built for another potential")
-        if grid.grid.x_max >= z + DECAY_LENGTH:
-            return grid if abs(z - grid.z) <= grid.reach else Workspace(q, z, grid.grid)
-        grid = None
-    return Workspace(q, z, default_grid(q, z) if grid is None else grid)
+        if base.grid.x_max >= z + DECAY_LENGTH:
+            return base if abs(z - base.z) <= base.reach else Workspace(q, z, base.grid)
+    return Workspace(q, z, default_grid(q, z))
 
 
-def _solve(ws: Workspace, z: float, coef, direction: str) -> SolutionProfile:
-    """The solution at z seeded by a psi0 + b theta0, ``coef = (a, b)``.
+def _solve(ws: Workspace, z: float, seed, direction: str) -> SolutionProfile:
+    """The solution at z seeded by the :meth:`Workspace.seed` rows ``seed``.
 
     The basis stays at the Workspace centre: H_q - z = H_{q - (z - ws.z)}
     - ws.z, so the kernel carries the shift as the constant potential
     -(z - ws.z), and each class matches its seed to its Cauchy data at z.
     """
-    (vg, vb), _ = ws.picard(ws.combo(*coef), direction, z)
+    (vg, vb), _ = ws.picard(seed, direction, z)
     return SolutionProfile(vb[0], vb[1], None, ws.grid, vg, None)
 
 
-def solve_psi(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
-    """The square-integrable solution and its z-derivative, at the panel
-    boundaries and the Gauss nodes.
+def solve_psi(ws: Workspace, z: float) -> SolutionProfile:
+    """The square-integrable solution at z on ``ws`` and its z-derivative,
+    at the panel boundaries and the Gauss nodes; the caller picks ``ws``,
+    by :func:`workspace` or as ``Workspace(q, z, grid)``.
 
     psi solves the backward Volterra equation whose seed is sqrt(pi)
     Ai(x - z) beyond x_max: it meets that in value and slope at x_max.
     Its z-derivative solves (H_q - z) psi_dot = psi with the z-derivative
     of those data, by the Airy equation -sqrt(pi) Ai'(x_max - z) and
-    -(x_max - z) sqrt(pi) Ai(x_max - z). ``grid`` is a Grid, None for the
-    default grid, or a Workspace on the grid to use, which serves z as
-    :func:`workspace` says."""
-    ws = workspace(q, z, grid)
+    -(x_max - z) sqrt(pi) Ai(x_max - z)."""
     x_max = ws.grid.x_max
     ai, aip = _airy_step(ws.boundary[0, -1], ws.boundary[1, -1], x_max - ws.z, ws.z - z)
-    psi = _solve(ws, z, ws.match(-1, ai, aip), "back")
+    psi = _solve(ws, z, ws.seed(-1, ai, aip), "back")
     psi.gauss_z_derivs, (psi.z_derivs, _) = solve_source(
-        ws, z, psi.gauss_values, ws.match(-1, -aip, -(x_max - z) * ai))
+        ws, z, psi.gauss_values, ws.seed(-1, -aip, -(x_max - z) * ai))
     return psi
 
 
-def solve_theta(q: Potential, z: float, grid: Grid | Workspace | None = None) -> SolutionProfile:
-    """The forward-normalized growing solution, with the Cauchy data of
-    sqrt(pi) Bi(x - z) at 0; ``grid`` as for :func:`solve_psi`."""
-    ws = workspace(q, z, grid)
+def solve_theta(ws: Workspace, z: float) -> SolutionProfile:
+    """The forward-normalized growing solution at z on ``ws``, with the
+    Cauchy data of sqrt(pi) Bi(x - z) at 0."""
     bi, bip = _airy_step(ws.boundary[2, 0], ws.boundary[3, 0], -ws.z, ws.z - z)
-    return _solve(ws, z, ws.match(0, bi, bip), "fwd")
+    return _solve(ws, z, ws.seed(0, bi, bip), "fwd")
 
 
-def solve_sc(q: Potential, z: float, grid: Grid | Workspace | None = None):
-    """The fundamental pair normalized at 0, s(z,0) = 0, s'(z,0) = 1,
-    c(z,0) = 1, c'(z,0) = 0; ``grid`` as for :func:`solve_psi`."""
-    ws = workspace(q, z, grid)
-    return (_solve(ws, z, ws.match(0, 0.0, 1.0), "fwd"),
-            _solve(ws, z, ws.match(0, 1.0, 0.0), "fwd"))
+def solve_sc(ws: Workspace, z: float):
+    """The fundamental pair at z on ``ws`` normalized at 0, s(z,0) = 0,
+    s'(z,0) = 1, c(z,0) = 1, c'(z,0) = 0."""
+    return (_solve(ws, z, ws.seed(0, 0.0, 1.0), "fwd"),
+            _solve(ws, z, ws.seed(0, 1.0, 0.0), "fwd"))
 
 
-def solve_source(ws: Workspace, z: float, g, coef):
+def solve_source(ws: Workspace, z: float, g, seed):
     """Gauss values and boundary value and x-derivative rows of the
     solution at z on ``ws`` of -u'' + (x + q - z) u = g, g at the Gauss
-    nodes, with the Cauchy data of a psi0 + b theta0 at x_max, ``coef =
-    (a, b)``: one backward Picard solve seeded by a psi0 + b theta0 +
-    int_x^{x_max} J0 g. g must decay like psi, since J0 weighs it by the
-    growing theta0: with g = exp(-x), Green's identity
+    nodes, with the Cauchy data at x_max of the :meth:`Workspace.seed`
+    rows ``seed``, a psi0 + b theta0: one backward Picard solve seeded by
+    a psi0 + b theta0 + int_x^{x_max} J0 g. g must decay like psi, since
+    J0 weighs it by the growing theta0: with g = exp(-x), Green's identity
     psi(0) u'(0) - psi'(0) u(0) = int psi g held only to 2.8e-8.
     """
-    lin_g, lin_b = ws.combo(*coef)
+    lin_g, lin_b = seed
     k_g, k_b = ws.kernel(*ws.integrals(ws.basis * g, "back"))
     (u_g, u_b), _ = ws.picard((lin_g + k_g, lin_b + k_b), "back", z)
     return u_g, u_b

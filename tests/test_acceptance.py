@@ -166,8 +166,8 @@ def test_criterion_6_structural_invariants(records_cache, zero_records):
     for n in (2, 8, 12):
         lam = recs[n].lam
         psi = recs[n].psi
-        theta = ss.solve_theta(q, lam, psi.grid)
         ws = Workspace(q, lam, psi.grid)
+        theta = ss.solve_theta(ws, lam)
         corr = float(np.sum(psi.grid.weights * ws.th0 * ws.qg * psi.gauss_values))
         wr = psi.values * theta.derivs - psi.derivs * theta.values
         worst = max(worst, float(np.max(np.abs(wr - (1.0 + corr)))))
@@ -177,7 +177,7 @@ def test_criterion_6_structural_invariants(records_cache, zero_records):
     worst_sc = 0.0
     for n in (2, 12):
         lam = recs[n].lam
-        s_prof, c_prof = ss.solve_sc(q, lam, recs[n].psi.grid)
+        s_prof, c_prof = ss.solve_sc(Workspace(q, lam, recs[n].psi.grid), lam)
         wsc = s_prof.values * c_prof.derivs - s_prof.derivs * c_prof.values
         trust = (recs[n].psi.grid.nodes - lam) <= 5.0
         worst_sc = max(worst_sc, float(np.max(np.abs(wsc[trust] + 1.0))))
@@ -220,7 +220,7 @@ def test_criterion_6_raw_wronskian_unity(records_cache):
     q, recs = records_cache("exp+", 8)
     lam = recs[8].lam
     psi = recs[8].psi
-    theta = ss.solve_theta(q, lam, psi.grid)
+    theta = ss.solve_theta(Workspace(q, lam, psi.grid), lam)
     wr = psi.values * theta.derivs - psi.derivs * theta.values
     dev = float(np.max(np.abs(wr - 1.0)))
     report("6-raw", dev <= 1e-8, f"literal W(psi,theta)=1 dev={dev:.2e} "

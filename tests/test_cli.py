@@ -229,7 +229,7 @@ def test_malformed_config_exits_with_config_error(tmp_path, config):
 
 
 def test_a_failed_solve_exits_numeric_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    def fail(q, z, grid):
+    def fail(ws, z):
         raise NumericError("injected")
 
     monkeypatch.setattr(spectrum, "solve_psi", fail)

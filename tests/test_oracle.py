@@ -260,12 +260,12 @@ def test_finer_mesh_on_a_neighbouring_eigenpair_is_a_numeric_error(q_exp, monkey
     # whose eigenvector has one sign change too many for its label
     rqi = oracle._rqi
 
-    def neighbour(op, shift, n, start=None):
-        if start is None:
-            return rqi(op, shift, n)
+    def neighbour(op, shift, n, x):
+        if op.h == DEFAULT_MESHES[0]:
+            return rqi(op, shift, n, x)
         up = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(n, n),
                               eigvals_only=True)
-        return rqi(op, up[0], n)
+        return rqi(op, up[0], n, np.ones(op.dim))
 
     monkeypatch.setattr(oracle, "_rqi", neighbour)
     with pytest.raises(NumericError, match=r"n=1, stage oracle RQI: the eigenvector at "

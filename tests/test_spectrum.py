@@ -283,7 +283,7 @@ def test_spline_root_does_not_depend_on_the_grid_centre():
     for z in (lam, lam + 3.7e-3, lam - 0.05):
         grid, root = ss.default_grid(q, z), lam
         for _ in range(4):
-            prof = ss.solve_psi(q, root, grid)
+            prof = ss.solve_psi(ss.Workspace(q, root, grid), root)
             root -= prof.values[0] / prof.z_derivs[0]
         roots.append(root)
     assert max(roots) - min(roots) <= 1e-14
@@ -354,7 +354,7 @@ def test_locate_solves_or_names_the_failure(n):
 
 
 def test_a_failed_solve_names_the_index_stage_and_z(monkeypatch):
-    def fail(q, z, grid):
+    def fail(ws, z):
         raise ss.NumericError("injected")
 
     monkeypatch.setattr(spectrum, "solve_psi", fail)
@@ -367,8 +367,8 @@ def test_a_failed_solve_names_the_index_stage_and_z(monkeypatch):
 def test_a_vanishing_psi_dot_is_a_degeneracy(monkeypatch):
     solve = spectrum.solve_psi
 
-    def flat(q, z, grid):
-        prof = solve(q, z, grid)
+    def flat(ws, z):
+        prof = solve(ws, z)
         return dataclasses.replace(prof, z_derivs=np.zeros_like(prof.z_derivs))
 
     monkeypatch.setattr(spectrum, "solve_psi", flat)
@@ -381,8 +381,8 @@ def test_a_negative_norming_ratio_is_a_degeneracy(monkeypatch):
     # Newton reads only values and z_derivs, so it converges as before
     solve = spectrum.solve_psi
 
-    def flipped(q, z, grid):
-        prof = solve(q, z, grid)
+    def flipped(ws, z):
+        prof = solve(ws, z)
         return dataclasses.replace(prof, derivs=-prof.derivs)
 
     monkeypatch.setattr(spectrum, "solve_psi", flipped)

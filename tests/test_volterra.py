@@ -11,8 +11,8 @@ from scipy import special
 import starkspec as ss
 from starkspec import spectrum, volterra
 from starkspec.errors import DomainError, NumericError
-from starkspec.volterra import (LATTICE_STEP, Workspace, airy_table, default_grid,
-                                envelope_offset, grid_from_nodes)
+from starkspec.volterra import (ENVELOPE_OFFSET, LATTICE_STEP, Workspace, airy_table,
+                                default_grid, grid_from_nodes)
 from conftest import POTENTIALS
 from references import basis_eval, omega, scaled
 
@@ -28,18 +28,18 @@ def envelope_weights(grid, z, grow=False):
 
 def test_grid_ending_at_or_before_the_origin_names_z(q_zero, q_exp):
     with pytest.raises(DomainError, match=r"z = -15 ends the grid at x_max = -1\.02"):
-        ss.solve_psi(q_exp, -15.0)
+        ss.solve_psi(volterra.workspace(q_exp, -15.0), -15.0)
     with pytest.raises(DomainError, match=r"x_max = 0 <= 0"):
-        default_grid(q_zero, -envelope_offset())
+        default_grid(q_zero, -ENVELOPE_OFFSET)
     with pytest.raises(DomainError, match="default_grid: need a finite z"):
         default_grid(q_zero, math.nan)
 
 
 def test_truncation_point_free_case(q_zero):
     offset = 11.9763771 + 2.0
-    assert envelope_offset() == pytest.approx(offset, abs=1e-6)
+    assert ENVELOPE_OFFSET == pytest.approx(offset, abs=1e-6)
     for z in (0.0, A1, 30.0):
-        assert default_grid(q_zero, z).x_max == z + envelope_offset()
+        assert default_grid(q_zero, z).x_max == z + ENVELOPE_OFFSET
 
 
 def test_truncation_point_respects_potential_decay():
@@ -49,8 +49,8 @@ def test_truncation_point_respects_potential_decay():
     slow = ss.alg_decay(0.5, 3.0, r=2.0)
     for q in [slow] + [make() for make in POTENTIALS.values()]:
         for z in (0.0, A1, 30.0):
-            assert default_grid(q, z).x_max == z + envelope_offset()
-    assert abs(float(slow.q(envelope_offset()))) > 1e-12 * (1.0 + slow.sup_norm)
+            assert default_grid(q, z).x_max == z + ENVELOPE_OFFSET
+    assert abs(float(slow.q(ENVELOPE_OFFSET))) > 1e-12 * (1.0 + slow.sup_norm)
 
 
 def test_truncation_point_translates(q_zero):
@@ -144,16 +144,16 @@ def test_free_solves_reproduce_basis(q_zero, monkeypatch):
         return f, count
 
     monkeypatch.setattr(Workspace, "picard", recorded)
-    psi = ss.solve_psi(q_zero, z)
+    psi = ss.solve_psi(volterra.workspace(q_zero, z), z)
     # with q = 0 the kernel vanishes: psi and psi_dot each take one sweep
     assert sweeps == [1, 1]
     ref = [basis_eval(z, x) for x in psi.grid.nodes]
     assert_allclose(psi.values, [b.psi0 for b in ref], rtol=1e-12)
     assert_allclose(psi.derivs, [b.psi0_prime for b in ref], rtol=1e-12)
     assert_allclose(psi.z_derivs, [-b.psi0_prime for b in ref], rtol=1e-12)
-    theta = ss.solve_theta(q_zero, z)
+    theta = ss.solve_theta(volterra.workspace(q_zero, z), z)
     assert_allclose(theta.values, [b.theta0 for b in ref], rtol=1e-12)
-    s, c = ss.solve_sc(q_zero, z)
+    s, c = ss.solve_sc(volterra.workspace(q_zero, z), z)
     assert_allclose(s.values, [b.s0 for b in ref], rtol=1e-11, atol=1e-13)
     assert_allclose(c.values, [b.c0 for b in ref], rtol=1e-11, atol=1e-13)
 
@@ -171,14 +171,14 @@ def test_only_psi_solves_a_z_derivative(q_exp, monkeypatch):
     monkeypatch.setattr(Workspace, "picard", recorded)
     z = 2.2
     ws = Workspace(q_exp, z, default_grid(q_exp, z))
-    psi = ss.solve_psi(q_exp, z, ws)
+    psi = ss.solve_psi(volterra.workspace(q_exp, z, ws), z)
     assert directions == ["back", "back"] and psi.z_derivs is not None
     assert psi.gauss_z_derivs.shape == psi.gauss_values.shape
     directions.clear()
-    theta = ss.solve_theta(q_exp, z, ws)
+    theta = ss.solve_theta(volterra.workspace(q_exp, z, ws), z)
     assert directions == ["fwd"] and theta.z_derivs is None
     directions.clear()
-    s, c = ss.solve_sc(q_exp, z, ws)
+    s, c = ss.solve_sc(volterra.workspace(q_exp, z, ws), z)
     assert directions == ["fwd", "fwd"] and s.z_derivs is None and c.z_derivs is None
     assert theta.gauss_z_derivs is None and s.gauss_z_derivs is None and c.gauss_z_derivs is None
 
@@ -192,11 +192,10 @@ def test_profiles_have_small_defect():
         for z in (1.0, A1, 9.5):
             ws = Workspace(q, z, default_grid(q, z))
             b = ws.boundary
-            seeds = {"psi": (ws.match(-1, b[0, -1], b[1, -1]), "back"),
-                     "theta": (ws.match(0, b[2, 0], b[3, 0]), "fwd"),
-                     "s": (ws.match(0, 0.0, 1.0), "fwd"), "c": (ws.match(0, 1.0, 0.0), "fwd")}
-            for name, (coef, direction) in seeds.items():
-                ig, ib = ws.combo(*coef)
+            seeds = {"psi": (ws.seed(-1, b[0, -1], b[1, -1]), "back"),
+                     "theta": (ws.seed(0, b[2, 0], b[3, 0]), "fwd"),
+                     "s": (ws.seed(0, 0.0, 1.0), "fwd"), "c": (ws.seed(0, 1.0, 0.0), "fwd")}
+            for name, ((ig, ib), direction) in seeds.items():
                 (f, _), _ = ws.picard((ig, ib), direction, z)
                 sgn, weight = ((-1.0, ws.weight_decay) if direction == "back"
                                else (1.0, ws.weight_grow))
@@ -212,9 +211,8 @@ def test_picard_writes_neither_its_seed_nor_an_earlier_result(q_exp):
     z = 2.2
     ws = Workspace(q_exp, z, default_grid(q_exp, z))
     b = ws.boundary
-    for coef, direction in ((ws.match(-1, b[0, -1], b[1, -1]), "back"),
-                            (ws.match(0, 0.0, 1.0), "fwd")):
-        seed = ws.combo(*coef)
+    for seed, direction in ((ws.seed(-1, b[0, -1], b[1, -1]), "back"),
+                            (ws.seed(0, 0.0, 1.0), "fwd")):
         seed_bits = [a.tobytes() for a in seed]
         first, sweeps = ws.picard(seed, direction, z)
         first_bits = [a.tobytes() for a in first]
@@ -227,7 +225,7 @@ def test_picard_writes_neither_its_seed_nor_an_earlier_result(q_exp):
 
 
 def test_boundary_values_exact(q_exp):
-    s, c = ss.solve_sc(q_exp, 2.2)
+    s, c = ss.solve_sc(volterra.workspace(q_exp, 2.2), 2.2)
     assert s.values[0] == 0.0
     assert s.derivs[0] == pytest.approx(1.0, rel=1e-12)
     assert c.values[0] == pytest.approx(1.0, rel=1e-12)
@@ -239,7 +237,7 @@ def test_perturbation_scale_is_first_order(q_zero, q_exp):
     dev = {}
     for t in (1e-3, 1e-4):
         qt = scaled(q_exp, t / 0.3)
-        theta = ss.solve_theta(qt, z)
+        theta = ss.solve_theta(volterra.workspace(qt, z), z)
         th0 = np.array([basis_eval(z, x).theta0 for x in theta.grid.nodes])
         w = envelope_weights(theta.grid, z, grow=True)
         dev[t] = np.max(np.abs(theta.values - th0) * w)
@@ -250,7 +248,7 @@ def test_psi_perturbation_bound(q_zero):
     # |psi(q,z,0) - psi0(z,0)| <= C omega(q,z) / sigma(z); empirical C ~ 1.2
     q = ss.exp_decay(0.2, 1.0, r=2.0)
     z = A1
-    psi = ss.solve_psi(q, z)
+    psi = ss.solve_psi(volterra.workspace(q, z), z)
     psi0_0 = basis_eval(z, 0.0).psi0
     bound_unit = omega(q, z) / (1.0 + abs(z) ** 0.25)
     assert abs(psi.values[0] - psi0_0) <= 3.0 * bound_unit
@@ -266,7 +264,7 @@ def test_ode_residual_of_profiles(q_exp):
     extra = np.concatenate([p + h * np.arange(-2, 3) for p in probes])
     nodes = np.unique(np.concatenate([base, extra]))
     from starkspec.volterra import grid_from_nodes
-    psi = ss.solve_psi(q_exp, z, grid_from_nodes(nodes))
+    psi = ss.solve_psi(Workspace(q_exp, z, grid_from_nodes(nodes)), z)
     idx = {x: i for i, x in enumerate(psi.grid.nodes)}
     scale = np.max(np.abs(psi.values))
     for p in probes:
@@ -282,9 +280,10 @@ def test_z_derivative_matches_finite_difference(q_exp):
     # at the panel boundaries and at the Gauss nodes
     z = A1 + 0.37
     grid = default_grid(q_exp, z)
-    psi = ss.solve_psi(q_exp, z, grid)
+    psi = ss.solve_psi(Workspace(q_exp, z, grid), z)
     h = 1e-4
-    plus, minus = ss.solve_psi(q_exp, z + h, grid), ss.solve_psi(q_exp, z - h, grid)
+    plus = ss.solve_psi(Workspace(q_exp, z + h, grid), z + h)
+    minus = ss.solve_psi(Workspace(q_exp, z - h, grid), z - h)
     for name, z_name in (("values", "z_derivs"), ("gauss_values", "gauss_z_derivs")):
         fd = (getattr(plus, name) - getattr(minus, name)) / (2 * h)
         dot = getattr(psi, z_name)
@@ -309,10 +308,10 @@ def test_wronskian_psi_theta_exact_identity(q_exp):
     # only up to that first-order offset.
     for z in (2.0, 11.0):
         grid = default_grid(q_exp, z)
-        psi = ss.solve_psi(q_exp, z, grid)
-        theta = ss.solve_theta(q_exp, z, grid)
-        wr = psi.values * theta.derivs - psi.derivs * theta.values
         ws = Workspace(q_exp, z, grid)
+        psi = ss.solve_psi(ws, z)
+        theta = ss.solve_theta(ws, z)
+        wr = psi.values * theta.derivs - psi.derivs * theta.values
         corr = float(np.sum(grid.weights * ws.th0 * ws.qg * psi.gauss_values))
         assert np.max(np.abs(wr - (1.0 + corr))) <= 1e-8
         assert abs(corr) <= 2.0 * omega(q_exp, z)
@@ -327,7 +326,7 @@ def test_sc_wronskian_in_conditioned_region(q_exp):
     # phase over PANEL_PHASE panel ends
     scale = 1.0 + q_exp.sup_norm      # default_grid's c
     for z in (6.0, ss.locate_eigenvalue(q_exp, 2).lam):
-        s, c = ss.solve_sc(q_exp, z)
+        s, c = ss.solve_sc(volterra.workspace(q_exp, z), z)
         wsc = s.values * c.derivs - s.derivs * c.values
         trust = (s.grid.nodes - z) <= 5.0
         phase = sum((2.0 / 3.0) * ((scale + d) ** 1.5 - scale ** 1.5) for d in (z, 5.0))
@@ -338,7 +337,7 @@ def test_sc_wronskian_in_conditioned_region(q_exp):
 def test_s_is_proportional_to_psi_at_eigenvalue(q_exp):
     rec = ss.locate_eigenvalue(q_exp, 4)
     grid = rec.psi.grid
-    s, _ = ss.solve_sc(q_exp, rec.lam, grid)
+    s, _ = ss.solve_sc(Workspace(q_exp, rec.lam, grid), rec.lam)
     dev = np.abs(s.values * rec.psi_prime0 - rec.psi.values)
     w_grow = envelope_weights(grid, rec.lam, grow=True)
     w_decay = envelope_weights(grid, rec.lam, grow=False)
@@ -355,9 +354,10 @@ def test_source_solve_meets_greens_identity(q, z):
     # W(psi, u) has derivative -psi g and vanishes at x_max, where u starts
     # from zero data, so psi(0) u'(0) - psi'(0) u(0) = int psi g
     grid = default_grid(q, z)
-    psi = ss.solve_psi(q, z, grid)
+    ws = Workspace(q, z, grid)
+    psi = ss.solve_psi(ws, z)
     g = np.cos(grid.gauss_x) * psi.gauss_values
-    _, u_b = volterra.solve_source(Workspace(q, z, grid), z, g, (0.0, 0.0))
+    _, u_b = volterra.solve_source(ws, z, g, (0.0, 0.0))
     wronskian = psi.values[0] * u_b[1, 0] - psi.derivs[0] * u_b[0, 0]
     pairing = grid.weights * psi.gauss_values * g
     assert abs(wronskian - np.sum(pairing)) <= 1e-12 * np.sum(np.abs(pairing))
@@ -400,7 +400,8 @@ def test_tail_insensitivity(key):
     q = POTENTIALS[key]()
     for z in (2.5, 9.5):
         grid = default_grid(q, z)
-        psi, wide = ss.solve_psi(q, z, grid), ss.solve_psi(q, z, _extended(grid))
+        psi = ss.solve_psi(Workspace(q, z, grid), z)
+        wide = ss.solve_psi(Workspace(q, z, _extended(grid)), z)
         ratio, ratio_wide = (p.derivs[0] / p.values[0] for p in (psi, wide))
         assert abs(ratio_wide - ratio) <= 1e-13 * abs(ratio), z
     for n in (1, 2):
@@ -415,7 +416,7 @@ def test_picard_cap_signals(q_zero):
     # at lambda_1 of this potential the psi_dot sweeps need more than the cap
     q_big = ss.exp_decay(300.0, 1.0, r=2.0)
     with pytest.raises(NumericError):
-        ss.solve_psi(q_big, 7.3977570023)
+        ss.solve_psi(volterra.workspace(q_big, 7.3977570023), 7.3977570023)
 
 
 def _halved(grid):
@@ -431,8 +432,8 @@ def test_picard_stops_on_a_solution_far_above_its_seed():
     q = ss.exp_decay(20.0, 0.5, r=2.0)
     z = 3.4630284272953684
     grid = default_grid(q, z)
-    psi = ss.solve_psi(q, z, grid)
-    fine = ss.solve_psi(q, z, _halved(grid))
+    psi = ss.solve_psi(Workspace(q, z, grid), z)
+    fine = ss.solve_psi(Workspace(q, z, _halved(grid)), z)
     assert fine.values[0] == pytest.approx(psi.values[0], rel=1e-13)
     assert fine.z_derivs[0] == pytest.approx(psi.z_derivs[0], rel=1e-13)
 
@@ -446,15 +447,15 @@ def test_picard_stops_at_the_roundoff_floor_of_a_deep_well():
     q = ss.exp_decay(-20.0, 0.5, r=2.0)
     z = 4.921329954278489
     grid = default_grid(q, -ss.airy_zero(5))
-    psi = ss.solve_psi(q, z, grid)
-    fine = ss.solve_psi(q, z, _halved(grid))
+    psi = ss.solve_psi(Workspace(q, z, grid), z)
+    fine = ss.solve_psi(Workspace(q, z, _halved(grid)), z)
     assert fine.derivs[0] == pytest.approx(psi.derivs[0], rel=1e-13)
     assert fine.z_derivs[0] == pytest.approx(psi.z_derivs[0], rel=1e-10)
 
 
 def test_eigenvalue_shooting_consistency(q_exp):
     rec = ss.locate_eigenvalue(q_exp, 2)
-    psi = ss.solve_psi(q_exp, rec.lam, rec.psi.grid)
+    psi = ss.solve_psi(Workspace(q_exp, rec.lam, rec.psi.grid), rec.lam)
     assert abs(psi.values[0]) <= 1e-10 * abs(psi.derivs[0])
 
 
@@ -463,16 +464,20 @@ def test_concurrent_solves_are_pure(q_exp, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
     monkeypatch.setattr(volterra, "_lattice", {})   # the threads race through its growth
     zs = [1.5, 4.0, 7.5, 11.0, -2.0, 25.0]
+
+    def solve(z):
+        return ss.solve_psi(volterra.workspace(q_exp, z), z)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=len(zs)) as pool:
-            futures = [pool.submit(ss.solve_psi, q_exp, z) for z in zs]
+            futures = [pool.submit(solve, z) for z in zs]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for z, prof in zip(zs, results):
-        ref = ss.solve_psi(q_exp, z)
+        ref = solve(z)
         assert np.array_equal(prof.values, ref.values)
         assert np.array_equal(prof.z_derivs, ref.z_derivs)
         assert np.array_equal(prof.gauss_z_derivs, ref.gauss_z_derivs)
@@ -671,7 +676,8 @@ def test_moved_workspace_solves_like_a_fresh_one(q_exp):
         assert picked.grid is grid and picked.z == z
         for col in ("table", "weight_decay", "weight_grow"):
             assert np.array_equal(getattr(picked, col), getattr(fresh, col))
-        on_base, on_grid = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z, grid)
+        on_base = ss.solve_psi(volterra.workspace(q_exp, z, base), z)
+        on_grid = ss.solve_psi(Workspace(q_exp, z, grid), z)
         assert np.array_equal(on_base.values, on_grid.values)
         assert np.array_equal(on_base.z_derivs, on_grid.z_derivs)
         assert np.array_equal(on_base.gauss_z_derivs, on_grid.gauss_z_derivs)
@@ -721,33 +727,51 @@ def test_workspace_picks_the_table_of_every_solve(q_exp, q_zero):
     for z in (z0 + 2.1, z0 + 6.0):
         assert grid.x_max < z + volterra.DECAY_LENGTH
         picked = volterra.workspace(q_exp, z, base)
-        assert picked.z == z and picked.grid.x_max == z + envelope_offset()
+        assert picked.z == z and picked.grid.x_max == z + ENVELOPE_OFFSET
         assert np.array_equal(picked.grid.nodes, default_grid(q_exp, z).nodes)
         assert picked.q is q_exp
         with pytest.raises(ss.DomainError, match="workspace"):
             volterra.workspace(q_zero, z, base)
-        on_base, fresh = ss.solve_psi(q_exp, z, base), ss.solve_psi(q_exp, z)
+        on_base = ss.solve_psi(volterra.workspace(q_exp, z, base), z)
+        fresh = ss.solve_psi(volterra.workspace(q_exp, z), z)
         assert np.array_equal(on_base.values, fresh.values)
         assert np.array_equal(on_base.z_derivs, fresh.z_derivs)
         assert np.array_equal(on_base.gauss_z_derivs, fresh.gauss_z_derivs)
 
 
 def test_a_workspace_of_another_potential_is_a_domain_error():
-    # a solve of q on a Workspace built for another potential would solve
-    # the Workspace's potential: exp(0.3, 1) where exp(5, 1) was asked for
+    # a Workspace of q picked from one built for another potential would
+    # solve the base's potential: exp(0.3, 1) where exp(5, 1) was asked for
     q, other = ss.exp_decay(5.0, 1.0), ss.exp_decay(0.3, 1.0)
     ws = volterra.workspace(other, 3.0)
     for z in (3.0, 3.0 + 1.9, 3.0 + 6.0):       # within reach, on its grid, beyond it
-        for solve in (ss.solve_psi, ss.solve_theta, ss.solve_sc):
-            with pytest.raises(ss.DomainError, match="workspace"):
-                solve(q, z, ws)
+        with pytest.raises(ss.DomainError, match="workspace"):
+            volterra.workspace(q, z, ws)
         assert volterra.workspace(other, z, ws).q is other
 
 
-def _four_classes(q, z, grid):
+def test_a_solve_builds_no_workspace(q_exp, monkeypatch):
+    # the caller picks the Workspace: a solve, shifted within the reach
+    # or not, runs on the one it is given
+    ws = Workspace(q_exp, 4.0, default_grid(q_exp, 4.0))
+    builds = []
+    init = Workspace.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Workspace, "__init__", counted)
+    for z in (4.0, 4.0 + 0.5 * ws.reach):
+        for solve in (ss.solve_psi, ss.solve_theta, ss.solve_sc):
+            solve(ws, z)
+    assert builds == []
+
+
+def _four_classes(ws, z):
     # psi (decaying) and theta, s, c (growing), each with its envelope class
-    s, c = ss.solve_sc(q, z, grid)
-    return ((ss.solve_psi(q, z, grid), False), (ss.solve_theta(q, z, grid), True),
+    s, c = ss.solve_sc(ws, z)
+    return ((ss.solve_psi(ws, z), False), (ss.solve_theta(ws, z), True),
             (s, True), (c, True))
 
 
@@ -759,8 +783,9 @@ def test_shifted_solves_agree_with_a_fresh_workspace(q_exp, z0):
     for frac in (-0.999, -0.5, 0.5, 0.999):      # up to the reach, rounding aside
         z = z0 + frac * base.reach
         assert volterra.workspace(q_exp, z, base) is base
-        for (shifted, grow), (fresh, _) in zip(_four_classes(q_exp, z, base),
-                                               _four_classes(q_exp, z, grid)):
+        for (shifted, grow), (fresh, _) in zip(
+                _four_classes(volterra.workspace(q_exp, z, base), z),
+                _four_classes(Workspace(q_exp, z, grid), z)):
             w = envelope_weights(grid, z, grow)
             # psi, the decaying class, alone carries a z-derivative
             for name in ("values", "derivs") + (() if grow else ("z_derivs",)):
@@ -773,9 +798,9 @@ def test_shifted_psi_dot_matches_a_central_difference(q_exp):
     z0 = A1 + 0.37
     base = Workspace(q_exp, z0, default_grid(q_exp, z0))
     z, h = z0 + 0.5 * base.reach, 1e-4
-    psi = ss.solve_psi(q_exp, z, base)
-    fd = (ss.solve_psi(q_exp, z + h, base).values[0]
-          - ss.solve_psi(q_exp, z - h, base).values[0]) / (2 * h)
+    psi = ss.solve_psi(volterra.workspace(q_exp, z, base), z)
+    fd = (ss.solve_psi(volterra.workspace(q_exp, z + h, base), z + h).values[0]
+          - ss.solve_psi(volterra.workspace(q_exp, z - h, base), z - h).values[0]) / (2 * h)
     assert fd == pytest.approx(psi.z_derivs[0], rel=1e-7)
 
 
@@ -787,8 +812,8 @@ def test_beyond_the_reach_a_solve_moves_the_table(q_exp):
     z = z0 + 1.01 * base.reach
     moved = volterra.workspace(q_exp, z, base)
     assert moved is not base and moved.z == z
-    for (got, _), (want, _) in zip(_four_classes(q_exp, z, base),
-                                   _four_classes(q_exp, z, grid)):
+    for (got, _), (want, _) in zip(_four_classes(volterra.workspace(q_exp, z, base), z),
+                                   _four_classes(Workspace(q_exp, z, grid), z)):
         for name in ("values", "derivs", "z_derivs", "gauss_values", "gauss_z_derivs"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -801,17 +826,20 @@ def test_concurrent_shifted_solves_are_pure(q_exp):
     z0 = 9.0
     base = Workspace(q_exp, z0, default_grid(q_exp, z0))
     zs = [z0 + f * base.reach for f in (-0.999, -0.6, -0.2, 0.3, 0.7, 0.999, 1.5)]
+
+    def solve(z):
+        return ss.solve_psi(volterra.workspace(q_exp, z, base), z)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(ss.solve_psi, q_exp, z, base) for z in zs]
+            futures = [pool.submit(solve, z) for z in zs]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert base.z == z0
     for z, prof in zip(zs, results):
-        ref = ss.solve_psi(q_exp, z, base)
+        ref = solve(z)
         assert np.array_equal(prof.values, ref.values)
         assert np.array_equal(prof.z_derivs, ref.z_derivs)
         assert np.array_equal(prof.gauss_z_derivs, ref.gauss_z_derivs)
